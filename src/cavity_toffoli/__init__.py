@@ -20,8 +20,8 @@ from .qmath import (CompositeSpace, DensityMatrix, OperatorMatrix, StateVector,
                     embed_operator, partial_trace, propagator, state_fidelity,
                     tensor_operator, tensor_state, trace_distance)
 from .trajectories import (NoiseParams, TrajectoryResult, ensemble_density,
-                           jitter_durations, lindblad_evolve, mcwf_trajectory,
-                           run_trajectories, substream)
+                           lindblad_evolve, mcwf_trajectory, run_trajectories,
+                           substream)
 
 __version__ = "0.1.0"
 
@@ -36,8 +36,8 @@ __all__ = [
     "Segment", "Schedule", "LOGICAL_BITS", "encode_logical", "toffoli_map",
     "toffoli_schedule", "run_ideal", "logical_process_matrix",
     "prepare_cavity", "retrieve_cavity",
-    "NoiseParams", "TrajectoryResult", "substream", "jitter_durations",
-    "mcwf_trajectory", "run_trajectories", "ensemble_density",
+    "NoiseParams", "TrajectoryResult", "substream", "mcwf_trajectory",
+    "run_trajectories", "ensemble_density",
     "lindblad_evolve",
     "FidelityResult", "FidelityGrid", "DispersiveOverlap", "gate_fidelity",
     "lindblad_gate_fidelity", "sweep", "dispersive_validation",

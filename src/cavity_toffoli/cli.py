@@ -128,6 +128,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         config = RunConfig(**values)
         config.physical_params()   # validate the physical point
         config.noise_params()
+        # a config-file value bypasses argparse choices, and toffoli_schedule
+        # would reject it only later, outside main's usage-error handling
         if config.loss_scope not in ("all_segments", "collision_only"):
             raise ValueError(f"unknown loss_scope {config.loss_scope!r}")
         if config.jitter_scope not in ("all", "interactions_only"):

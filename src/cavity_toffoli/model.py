@@ -208,35 +208,43 @@ def collision_propagator(params: PhysicalParams, atom1: int, atom2: int,
 _RIG_SWAP = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=np.complex128)
 
 
-def rig_block(angle: float = math.pi) -> np.ndarray:
+def rig_block(angle: float | np.ndarray = math.pi) -> np.ndarray:
     """3x3 unitary of the classical |i> <-> |g> pulse.
 
     At the nominal angle pi this is the exact real swap |i> <-> |g>
     (identity on |e>); other angles give the continuous pulse family
     exp(-i (angle/2)(X_gi - I_gi)) used to model angle imprecision.
+    An array of angles gives one block per entry, stacked on its shape.
     """
-    if angle == math.pi:
-        return _RIG_SWAP.copy()
+    angle = np.asarray(angle, dtype=np.float64)
     half = 0.5 * angle
-    phase = complex(math.cos(half), math.sin(half))
-    c = phase * math.cos(half)
-    s = -1j * phase * math.sin(half)
-    return np.array([[c, 0.0, s],
-                     [0.0, 1.0, 0.0],
-                     [s, 0.0, c]], dtype=np.complex128)
+    phase = np.cos(half) + 1j * np.sin(half)
+    c = phase * np.cos(half)
+    s = -1j * phase * np.sin(half)
+    block = np.zeros(angle.shape + (3, 3), dtype=np.complex128)
+    block[..., 0, 0] = block[..., 2, 2] = c
+    block[..., 0, 2] = block[..., 2, 0] = s
+    block[..., 1, 1] = 1.0
+    block[angle == math.pi] = _RIG_SWAP
+    return block
 
 
-def rge_block(theta: float, phi: float = 0.0) -> np.ndarray:
+def rge_block(theta: float | np.ndarray, phi: float = 0.0) -> np.ndarray:
     """3x3 unitary rotating the |g>, |e> block, identity on |i>.
 
     |g> -> cos(theta/2)|g> + e^{i phi} sin(theta/2)|e> plus the unitary
-    completion.
+    completion.  An array of angles theta gives one block per entry,
+    stacked on its shape.
     """
-    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    theta = np.asarray(theta, dtype=np.float64)
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
     ph = complex(math.cos(phi), math.sin(phi))
-    return np.array([[c, -s * ph.conjugate(), 0.0],
-                     [s * ph, c, 0.0],
-                     [0.0, 0.0, 1.0]], dtype=np.complex128)
+    block = np.zeros(theta.shape + (3, 3), dtype=np.complex128)
+    block[..., 0, 0] = block[..., 1, 1] = c
+    block[..., 0, 1] = -s * ph.conjugate()
+    block[..., 1, 0] = s * ph
+    block[..., 2, 2] = 1.0
+    return block
 
 
 def rig_pulse(atom: int, space: CompositeSpace, angle: float = math.pi) -> OperatorMatrix:

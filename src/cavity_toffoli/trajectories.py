@@ -4,11 +4,18 @@ Photon loss is the only decay channel (zero temperature): collapse
 operator sqrt(kappa) a with kappa = 1/tau, tau the photon lifetime, so
 <n> decays as exp(-t/tau).  Atomic decay is neglected (circular states).
 
-The jump unraveling evolves the unnormalized state under
-K = H - (i/2) kappa a^dag a, exactly per segment (segments have constant
-Hamiltonians), monitors the squared norm on substeps of at most dt_max,
-and fires a jump when the norm crosses a uniform threshold; the crossing
-time is refined by bisection to dt_max/100.
+The jump unraveling is one batched quantum-jump engine.  The
+trajectories of a basis input evolve together as the rows of an
+(n, dim) array, in blocks of ``_BLOCK_ROWS`` rows so that memory does
+not grow with n_traj; a single trajectory (``mcwf_trajectory``) is the
+one-row case.  Each row evolves its unnormalized state under
+K = H - (i/2) kappa a^dag a exactly per segment, at its own jittered
+duration, by broadcasting exp(-i w t) over per-row times in the
+eigenbasis of K.  Each row monitors its squared norm on its own grid of
+substeps of at most dt_max and fires a jump when the norm crosses the
+row's uniform threshold; the crossing time is refined by bisection to
+dt_max/100 on the rows that crossed, and only those rows jump.  A row's
+result does not depend on which other rows share its block.
 
 Randomness contract: one root seed; the stream for trajectory k of basis
 input b in grid cell c is the counter-based Philox block with counter
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -34,6 +41,9 @@ from .qmath import (CompositeSpace, DensityMatrix, StateVector, embed_operator)
 
 #: target phase advance per RK4 step; keeps the integrator error ~1e-10
 _RK4_MAX_PHASE_STEP = 5e-3
+
+#: trajectories evolved together; bounds the engine's memory for any n_traj
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -72,13 +82,9 @@ class NoiseParams:
     def kappa(self) -> float:
         return 0.0 if math.isinf(self.tau) else 1.0 / self.tau
 
-    def effective_dt_max(self, fallback_scale: float) -> float:
-        if self.dt_max is not None:
-            return self.dt_max
-        if math.isfinite(self.tau):
-            return self.tau / 100.0
-        # lossless: substeps only matter for norm monitoring, which is moot
-        return fallback_scale
+    def effective_dt_max(self) -> float:
+        """Norm-monitoring substep bound: dt_max, else tau/100 (inf if lossless)."""
+        return self.tau / 100.0 if self.dt_max is None else self.dt_max
 
 
 @dataclass(frozen=True)
@@ -137,11 +143,23 @@ def jitter_factors(schedule: Schedule, epsilon: float,
     return factors
 
 
-def jitter_durations(schedule: Schedule, epsilon: float,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Perturbed segment durations T(1 + eta); zero-duration segments stay 0."""
-    nominal = np.array([seg.nominal_duration for seg in schedule.segments])
-    return nominal * jitter_factors(schedule, epsilon, rng)
+def _rows_matmul(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """rows @ matrix, with each row's bits independent of the other rows.
+
+    BLAS takes another path for a one-row operand than for the same row
+    inside a larger one, and the two round differently; a lone row is
+    padded to two so that a trajectory gives the same bits alone as in a
+    block.
+    """
+    if len(rows) == 1:
+        return (np.concatenate((rows, rows)) @ matrix)[:1]
+    return rows @ matrix
+
+
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a C-contiguous complex array."""
+    pairs = rows.view(np.float64)
+    return np.einsum("...i,...i->...", pairs, pairs)
 
 
 class _PulseEvolver:
@@ -157,36 +175,35 @@ class _PulseEvolver:
         self._dim = dims[self._axis]
         self._trail = math.prod(dims[self._axis + 1:])
 
-    def _block(self, angle_scale: float) -> np.ndarray:
+    def apply(self, psi: np.ndarray, angle_scales: np.ndarray) -> np.ndarray:
+        """Rows of ``psi`` after the pulse, each at its own angle scale."""
         seg = self._seg
         if seg.pulse == "rig":
-            return rig_block(math.pi * angle_scale)
-        return rge_block(seg.theta * angle_scale, seg.phi)
-
-    def apply(self, psi: np.ndarray, angle_scale: float) -> np.ndarray:
-        u3 = self._block(angle_scale)
-        tensor = psi.reshape(self._lead, self._dim, self._trail)
-        return (u3 @ tensor).reshape(-1)
+            blocks = rig_block(math.pi * angle_scales)
+        else:
+            blocks = rge_block(seg.theta * angle_scales, seg.phi)
+        tensor = psi.reshape(len(psi), self._lead, self._dim, self._trail)
+        return (blocks[:, None] @ tensor).reshape(len(psi), -1)
 
 
 class _DriftEvolver:
     """Exact evolution under K = H - (i/2) kappa N for one timed segment.
 
-    Diagonalizes K once; arbitrary-time evolution and vectorized norm
-    monitoring are then elementwise operations in the eigenbasis.  Falls
-    back to dense expm if the eigendecomposition reconstructs poorly
-    (never the case away from exceptional points, but cheap insurance).
+    Diagonalizes K once; evolving rows for their own times is then an
+    elementwise phase in the eigenbasis.  Falls back to dense expm if the
+    eigendecomposition reconstructs poorly (never the case away from
+    exceptional points, but cheap insurance).
     """
 
     def __init__(self, h: np.ndarray, kappa: float, n_cav: np.ndarray):
-        self.kappa = kappa
         self.lossy = kappa > 0.0
+        #: d|psi|^2/dt = -kappa <N> >= -max_decay_rate |psi|^2
+        self.max_decay_rate = kappa * float(np.max(np.diag(n_cav).real))
         if not self.lossy:
             w, v = np.linalg.eigh(h)
             self._w = w.astype(np.complex128)
             self._v = v
             self._vinv = v.conj().T
-            self._vt = v.T.copy()
             self._k = h
             self._exact = True
             return
@@ -201,27 +218,29 @@ class _DriftEvolver:
             self._w = w
             self._v = v
             self._vinv = vinv
-            self._vt = v.T.copy()
 
-    def propagate(self, psi: np.ndarray, t: float) -> np.ndarray:
-        if self._exact:
-            return self._v @ (np.exp(-1j * self._w * t) * (self._vinv @ psi))
-        return scipy.linalg.expm(-1j * self._k * t) @ psi
+    def coefficients(self, psi: np.ndarray) -> np.ndarray:
+        """Rows of ``psi`` in the eigenbasis of K (unchanged on the expm path)."""
+        return _rows_matmul(psi, self._vinv.T) if self._exact else psi
 
-    def states_at(self, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """exp(-iKt)psi as rows, one per entry of ``times``."""
+    def evolve(self, coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """exp(-iKt) on rows given by ``coefficients``, each for its own time."""
         if self._exact:
-            phases = np.exp(np.outer(times, -1j * self._w))
-            return (phases * (self._vinv @ psi)) @ self._vt
-        return np.stack([self.propagate(psi, t) for t in times])
+            phases = np.exp(np.multiply.outer(t, -1j * self._w))
+            return _rows_matmul(phases * coeffs, self._v.T)
+        return np.stack([scipy.linalg.expm(-1j * self._k * t_row) @ row
+                         for row, t_row in zip(coeffs, t)])
 
 
 @dataclass(frozen=True)
 class _CompiledSchedule:
     """Per-segment evolvers plus the embedded jump operator (internal)."""
 
+    schedule: Schedule
     evolvers: tuple
     annihilator: np.ndarray
+    #: some timed segment decays, so every trajectory draws a first threshold
+    decays: bool
 
 
 def _annihilator(space: CompositeSpace) -> np.ndarray:
@@ -240,109 +259,215 @@ def _compile(schedule: Schedule, noise: NoiseParams) -> _CompiledSchedule:
             kappa = noise.kappa if seg.loss_active else 0.0
             h = segment_drift(schedule, seg).entries
             evolvers.append(_DriftEvolver(h, kappa, n_cav))
-    return _CompiledSchedule(tuple(evolvers), _annihilator(space))
+    decays = any(ev.lossy and seg.nominal_duration > 0.0
+                 for seg, ev in zip(schedule.segments, evolvers))
+    return _CompiledSchedule(schedule, tuple(evolvers), _annihilator(space), decays)
 
 
-def mcwf_trajectory(schedule: Schedule, psi0: StateVector, noise: NoiseParams,
-                    rng: np.random.Generator, *,
-                    _compiled: Optional[_CompiledSchedule] = None) -> TrajectoryResult:
-    """One Monte Carlo wavefunction realization of the schedule.
+@dataclass(frozen=True)
+class _Block:
+    """Final states and records of a block of trajectories, one row each."""
 
-    Consumes ``rng`` in a fixed order: jitter factors first, then one
-    uniform threshold per decay record.
+    space: CompositeSpace
+    states: np.ndarray                          # (n, dim), normalized
+    jump_times: tuple[tuple[float, ...], ...]
+    durations: np.ndarray                       # (n, n_segments)
+
+    def result(self, row: int) -> TrajectoryResult:
+        return TrajectoryResult(StateVector(self.space, self.states[row]),
+                                self.jump_times[row], tuple(self.durations[row]))
+
+
+def _decay(ev: _DriftEvolver, psi: np.ndarray, duration: np.ndarray,
+           dt_max: float, annihilator: np.ndarray, thresholds: np.ndarray,
+           redraw: Callable[[int], float]) -> tuple[np.ndarray, list]:
+    """Rows of ``psi`` through one lossy segment of per-row ``duration``.
+
+    Each row runs from its last jump (or the segment start) on a grid of
+    equal substeps of at most dt_max, checking its squared norm at every
+    substep unless its threshold is too low to be reached on the grid.  A
+    row whose norm falls below its threshold has the crossing bisected to
+    dt_max/100, jumps there, draws its next threshold into
+    ``thresholds`` and runs again from the jump.  Returns the final rows
+    and, per pass with jumps, (rows, time done before the pass, jump time
+    within the pass).
     """
+    psi = psi.copy()
+    t_done = np.zeros(len(psi))
+    events = []
+    running = np.arange(len(psi))
+    while running.size:
+        start = ev.coefficients(psi[running])
+        remaining = duration[running] - t_done[running]
+        n_sub = np.maximum(1.0, np.ceil(remaining / dt_max))
+        step = remaining / n_sub
+        norms = _sq_norms(psi[running])
+        slack = 1e-12 * norms
+        t_lo = np.zeros(len(running))
+        t_hi = np.zeros(len(running))
+        crossed = np.zeros(len(running), dtype=bool)
+        # the squared norm decays no faster than exp(-max_decay_rate t), so a
+        # row whose threshold lies below that bound at the end of its grid
+        # cannot cross on it: its grid shrinks to that one end point
+        floor = norms * np.exp(-ev.max_decay_rate * step * n_sub) * (1.0 - 1e-6)
+        clear = thresholds[running] < floor
+        step = np.where(clear, step * n_sub, step)
+        n_sub = np.where(clear, 1.0, n_sub)
+        scan = np.arange(len(running))
+        substep = 0
+        while scan.size:
+            substep += 1
+            times = step[scan] * substep
+            states = ev.evolve(start[scan], times)
+            new = _sq_norms(states)
+            if not np.all(new <= norms[scan] + slack[scan]):
+                raise RuntimeError("squared norm must be non-increasing between jumps")
+            fell = new < thresholds[running[scan]]
+            last = ~fell & (n_sub[scan] == substep)
+            psi[running[scan[last]]] = states[last]
+            hit = scan[fell]
+            crossed[hit] = True
+            t_lo[hit] = step[hit] * (substep - 1)
+            t_hi[hit] = times[fell]
+            norms[scan] = new
+            scan = scan[~(fell | last)]
+
+        hit = np.nonzero(crossed)[0]
+        if hit.size == 0:
+            break
+        lo, hi, rows = t_lo[hit], t_hi[hit], running[hit]
+        resolution = dt_max / 100.0
+        bisect = np.nonzero(hi - lo > resolution)[0]
+        while bisect.size:
+            mid = 0.5 * (lo[bisect] + hi[bisect])
+            fell = _sq_norms(ev.evolve(start[hit[bisect]], mid)) < thresholds[rows[bisect]]
+            hi[bisect] = np.where(fell, mid, hi[bisect])
+            lo[bisect] = np.where(fell, lo[bisect], mid)
+            bisect = bisect[hi[bisect] - lo[bisect] > resolution]
+        t_jump = 0.5 * (lo + hi)
+
+        jumped = _rows_matmul(ev.evolve(start[hit], t_jump), annihilator.T)
+        jumped_norms = np.sqrt(_sq_norms(jumped))
+        if np.any(jumped_norms < 1e-15):
+            raise RuntimeError("norm underflow: jump operator annihilated the state")
+        psi[rows] = jumped / jumped_norms[:, None]
+        events.append((rows, t_done[rows], t_jump))
+        for row in rows:
+            thresholds[row] = redraw(row)
+        t_done[rows] += t_jump
+        running = rows[duration[rows] - t_done[rows] > 0.0]
+    return psi, events
+
+
+def _evolve(compiled: _CompiledSchedule, psi0: np.ndarray, noise: NoiseParams,
+            factors: np.ndarray, thresholds: np.ndarray,
+            redraw: Callable[[int], float]) -> _Block:
+    """Evolve one block of trajectories together, one row of (n, dim) each.
+
+    ``factors`` (n, n_segments) are the rows' jitter factors and
+    ``thresholds`` (n,) their first jump thresholds; ``redraw(row)`` gives
+    a row's next threshold after each of its jumps.
+    """
+    segments = compiled.schedule.segments
+    n = len(factors)
+    durations = np.array([seg.nominal_duration for seg in segments]) * factors
+    psi = np.repeat(psi0[None, :], n, axis=0)
+    thresholds = np.array(thresholds, dtype=np.float64)
+    jump_times: list[list[float]] = [[] for _ in range(n)]
+    elapsed = np.zeros(n)
+    for k, (seg, ev) in enumerate(zip(segments, compiled.evolvers)):
+        if seg.kind == "classical_pulse":
+            psi = ev.apply(psi, factors[:, k])
+            continue
+        if seg.nominal_duration <= 0.0:
+            continue
+        if not ev.lossy:
+            psi = ev.evolve(ev.coefficients(psi), durations[:, k])
+        else:
+            psi, events = _decay(ev, psi, durations[:, k], noise.effective_dt_max(),
+                                 compiled.annihilator, thresholds, redraw)
+            for rows, t_done, t_jump in events:
+                for row, t in zip(rows, elapsed[rows] + t_done + t_jump):
+                    jump_times[row].append(float(t))
+        elapsed += durations[:, k]
+    states = psi / np.sqrt(_sq_norms(psi))[:, None]
+    return _Block(compiled.schedule.space, states,
+                  tuple(tuple(times) for times in jump_times), durations)
+
+
+def _draw(compiled: _CompiledSchedule, noise: NoiseParams,
+          rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """A trajectory's draws before it runs: its jitter factors, then its
+    first jump threshold when the schedule decays."""
+    factors = jitter_factors(compiled.schedule, noise.epsilon, rng)
+    return factors, (rng.random() if compiled.decays else math.inf)
+
+
+def _check_initial_state(schedule: Schedule, psi0: StateVector) -> None:
     if psi0.space != schedule.space:
         raise ValueError("initial state does not live on the schedule's space")
     if not psi0.normalized:
         raise ValueError("initial state must be normalized")
 
-    factors = jitter_factors(schedule, noise.epsilon, rng)
-    compiled = _compile(schedule, noise) if _compiled is None else _compiled
-    a_full = compiled.annihilator
 
-    psi = psi0.amplitudes.copy()
-    threshold: Optional[float] = None
-    jump_times: list[float] = []
-    durations = np.zeros(len(schedule.segments))
-    elapsed = 0.0
+def _run_block(compiled: _CompiledSchedule, psi0: StateVector, noise: NoiseParams,
+               streams: _StreamFactory, trajs: range, basis_input: int,
+               cell: int) -> _Block:
+    """Trajectories ``trajs`` of one basis input as one block.
 
-    for k, seg in enumerate(schedule.segments):
-        ev = compiled.evolvers[k]
-        if seg.kind == "classical_pulse":
-            psi = ev.apply(psi, factors[k])
-            continue
+    A row that jumps draws its next threshold by replaying its own stream
+    past the draws it has made, so no per-row generator is kept.
+    """
+    def stream(row: int) -> np.random.Generator:
+        return streams.stream(traj=trajs[row], basis_input=basis_input, cell=cell)
 
-        duration = seg.nominal_duration * factors[k]
-        durations[k] = duration
-        if duration <= 0.0:
-            continue
+    factors, thresholds = zip(*(_draw(compiled, noise, stream(row))
+                                for row in range(len(trajs))))
+    drawn = np.ones(len(trajs), dtype=np.int64)
 
-        if not ev.lossy:
-            psi = ev.propagate(psi, duration)
-            elapsed += duration
-            continue
+    def redraw(row: int) -> float:
+        rng = stream(row)
+        _draw(compiled, noise, rng)
+        threshold = rng.random(drawn[row])[-1]
+        drawn[row] += 1
+        return threshold
 
-        if threshold is None:
-            threshold = rng.uniform()
-        dt_max = noise.effective_dt_max(duration)
-        t_done = 0.0
-        while duration - t_done > 0.0:
-            remaining = duration - t_done
-            n_sub = max(1, math.ceil(remaining / dt_max))
-            times = (remaining / n_sub) * np.arange(1, n_sub + 1)
-            states = ev.states_at(psi, times)
-            norms = (states.real ** 2 + states.imag ** 2).sum(axis=1)
-            start_norm = float(np.vdot(psi, psi).real)
-            slack = 1e-12 * start_norm
-            assert norms[0] <= start_norm + slack and np.all(
-                norms[1:] <= norms[:-1] + slack), \
-                "squared norm must be non-increasing between jumps"
+    return _evolve(compiled, psi0.amplitudes, noise, np.array(factors),
+                   np.array(thresholds), redraw)
 
-            crossings = np.nonzero(norms < threshold)[0]
-            if crossings.size == 0:
-                psi = states[-1]
-                t_done = duration
-                break
 
-            j = int(crossings[0])
-            t_lo = 0.0 if j == 0 else float(times[j - 1])
-            t_hi = float(times[j])
-            resolution = dt_max / 100.0
-            while t_hi - t_lo > resolution:
-                mid = 0.5 * (t_lo + t_hi)
-                probe = ev.states_at(psi, np.array([mid]))[0]
-                if float(np.vdot(probe, probe).real) < threshold:
-                    t_hi = mid
-                else:
-                    t_lo = mid
-            t_jump = 0.5 * (t_lo + t_hi)
+def _trajectory_blocks(compiled: _CompiledSchedule, psi0: StateVector,
+                       noise: NoiseParams, *, basis_input: int = 0,
+                       cell: int = 0) -> Iterator[_Block]:
+    """The n_traj trajectories of one basis input, ``_BLOCK_ROWS`` at a time."""
+    _check_initial_state(compiled.schedule, psi0)
+    streams = _StreamFactory(noise.seed)
+    for first in range(0, noise.n_traj, _BLOCK_ROWS):
+        trajs = range(first, min(first + _BLOCK_ROWS, noise.n_traj))
+        yield _run_block(compiled, psi0, noise, streams, trajs, basis_input, cell)
 
-            psi = a_full @ ev.propagate(psi, t_jump)
-            nrm = float(np.linalg.norm(psi))
-            if nrm < 1e-15:
-                raise RuntimeError(
-                    "norm underflow: jump operator annihilated the state")
-            psi = psi / nrm
-            jump_times.append(elapsed + t_done + t_jump)
-            threshold = rng.uniform()
-            t_done += t_jump
-        elapsed += duration
 
-    final = StateVector(schedule.space, psi / np.linalg.norm(psi))
-    return TrajectoryResult(final, tuple(jump_times), tuple(durations))
+def mcwf_trajectory(schedule: Schedule, psi0: StateVector, noise: NoiseParams,
+                    rng: np.random.Generator) -> TrajectoryResult:
+    """One Monte Carlo wavefunction realization of the schedule.
+
+    The engine's one-row case.  Consumes ``rng`` in a fixed order: jitter
+    factors first, then one uniform threshold per decay record.
+    """
+    _check_initial_state(schedule, psi0)
+    compiled = _compile(schedule, noise)
+    factors, threshold = _draw(compiled, noise, rng)
+    block = _evolve(compiled, psi0.amplitudes, noise, factors[None, :],
+                    np.array([threshold]), lambda row: rng.random())
+    return block.result(0)
 
 
 def run_trajectories(schedule: Schedule, psi0: StateVector, noise: NoiseParams,
                      *, basis_input: int = 0, cell: int = 0) -> list[TrajectoryResult]:
     """n_traj independent trajectories with per-index derived streams."""
-    compiled = _compile(schedule, noise)
-    streams = _StreamFactory(noise.seed)
-    results = []
-    for k in range(noise.n_traj):
-        rng = streams.stream(traj=k, basis_input=basis_input, cell=cell)
-        results.append(mcwf_trajectory(schedule, psi0, noise, rng,
-                                       _compiled=compiled))
-    return results
+    blocks = _trajectory_blocks(_compile(schedule, noise), psi0, noise,
+                                basis_input=basis_input, cell=cell)
+    return [block.result(row) for block in blocks for row in range(len(block.states))]
 
 
 def ensemble_density(results: Sequence[TrajectoryResult]) -> DensityMatrix:

@@ -107,6 +107,11 @@ def test_config_file_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["run", "--config", str(bad)])
     assert code == 1 and "unknown config keys" in err
 
+    scope = tmp_path / "scope.json"
+    scope.write_text(json.dumps({"loss_scope": "sometimes"}))
+    code, _, err = run_cli(capsys, ["run", "--config", str(scope)])
+    assert code == 1 and "loss_scope" in err
+
 
 # ---------------------------------------------------------------- sweep
 

@@ -1,17 +1,26 @@
 """Quantum-jump engine and Lindblad oracle."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cavity_toffoli
+from cavity_toffoli import trajectories
+from cavity_toffoli.model import annihilation
 from cavity_toffoli.protocol import (LOGICAL_BITS, Schedule, Segment,
-                                     encode_logical, run_ideal,
+                                     encode_logical, run_ideal, segment_drift,
                                      segment_unitary, toffoli_schedule)
 from cavity_toffoli.qmath import (CompositeSpace, DensityMatrix,
-                                  state_fidelity, trace_distance)
-from cavity_toffoli.trajectories import (NoiseParams, _StreamFactory,
-                                         ensemble_density, jitter_durations,
+                                  embed_operator, state_fidelity,
+                                  trace_distance)
+from cavity_toffoli.trajectories import (_BLOCK_ROWS, NoiseParams,
+                                         _StreamFactory, ensemble_density,
                                          jitter_factors, lindblad_evolve,
                                          mcwf_trajectory, run_trajectories,
                                          substream)
@@ -68,24 +77,28 @@ def test_stream_factory_matches_substream():
                                       reused.standard_normal(16))
 
 
-def test_trajectory_bit_reproducible_out_of_order(schedule):
-    """(seed, index) alone fixes the result, whatever ran before."""
-    noise = NoiseParams(tau=1e-3, epsilon=0.03, n_traj=8, seed=77)
+@pytest.mark.parametrize("n_traj, traj", [
+    (8, 5),
+    (_BLOCK_ROWS + 1, _BLOCK_ROWS - 1),   # last row of a full block
+    (_BLOCK_ROWS + 1, _BLOCK_ROWS),       # alone in the run's second block
+], ids=["one-block", "block-end", "next-block"])
+def test_trajectory_bit_reproducible_out_of_order(schedule, n_traj, traj):
+    """(seed, index) alone fixes the result, whatever ran before or beside it."""
+    noise = NoiseParams(tau=1e-3, epsilon=0.03, n_traj=n_traj, seed=77)
     psi0 = encode_logical((0, 0, 0), schedule.space)
     batch = run_trajectories(schedule, psi0, noise)
-    solo = mcwf_trajectory(schedule, psi0, noise, substream(77, traj=5))
+    solo = mcwf_trajectory(schedule, psi0, noise, substream(77, traj=traj))
     np.testing.assert_array_equal(solo.final_state.amplitudes,
-                                  batch[5].final_state.amplitudes)
-    assert solo.jump_times == batch[5].jump_times
-    assert solo.perturbed_durations == batch[5].perturbed_durations
+                                  batch[traj].final_state.amplitudes)
+    assert solo.jump_times == batch[traj].jump_times
+    assert solo.perturbed_durations == batch[traj].perturbed_durations
 
 
 # ---------------------------------------------------------------- jitter
 
 def test_jitter_zero_epsilon_is_exact(schedule):
-    durations = jitter_durations(schedule, 0.0, substream(1))
-    nominal = [seg.nominal_duration for seg in schedule.segments]
-    assert list(durations) == nominal
+    factors = jitter_factors(schedule, 0.0, substream(1))
+    assert list(factors) == [1.0] * len(schedule.segments)
 
 
 def test_jitter_sample_mean(schedule):
@@ -165,6 +178,111 @@ def test_jump_times_ordered_and_in_range(schedule):
         assert abs(res.final_state.norm() - 1.0) <= 1e-12
 
 
+def _reference_trajectory(schedule, psi0, noise, rng):
+    """The quantum-jump algorithm as a plain loop over one trajectory.
+
+    Same draws, substep grid, bisection and jump rule as the engine, with
+    every state computed afresh from a dense eigendecomposition.
+    """
+    space = schedule.space
+    a = embed_operator(space, [0], annihilation(space.subsystem_dims[0])).entries
+    n_cav = a.conj().T @ a
+    dt_max = noise.effective_dt_max()
+    factors = jitter_factors(schedule, noise.epsilon, rng)
+    psi, threshold, jumps, elapsed = psi0.amplitudes, None, [], 0.0
+    for seg, factor in zip(schedule.segments, factors):
+        if seg.kind == "classical_pulse":
+            psi = segment_unitary(schedule, seg, angle_scale=factor).entries @ psi
+            continue
+        duration = seg.nominal_duration * factor
+        kappa = noise.kappa if seg.loss_active else 0.0
+        w, v = np.linalg.eig(segment_drift(schedule, seg).entries
+                             - 0.5j * kappa * n_cav)
+        vinv = np.linalg.inv(v)
+
+        def norm_sq(state):
+            return float(np.vdot(state, state).real)
+
+        if kappa == 0.0:
+            psi = v @ (np.exp(-1j * w * duration) * (vinv @ psi))
+            elapsed += duration
+            continue
+        if threshold is None:
+            threshold = rng.uniform()
+        t_done = 0.0
+        while duration - t_done > 0.0:
+            def at(t, start=psi):
+                return v @ (np.exp(-1j * w * t) * (vinv @ start))
+
+            remaining = duration - t_done
+            n_sub = max(1, math.ceil(remaining / dt_max))
+            times = (remaining / n_sub) * np.arange(1, n_sub + 1)
+            crossing = next((j for j, t in enumerate(times)
+                             if norm_sq(at(t)) < threshold), None)
+            if crossing is None:
+                psi = at(times[-1])
+                break
+            lo = 0.0 if crossing == 0 else times[crossing - 1]
+            hi = times[crossing]
+            while hi - lo > dt_max / 100.0:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if norm_sq(at(mid)) < threshold else (mid, hi)
+            t_jump = 0.5 * (lo + hi)
+            psi = a @ at(t_jump)
+            psi = psi / math.sqrt(norm_sq(psi))
+            jumps.append(elapsed + t_done + t_jump)
+            threshold = rng.uniform()
+            t_done += t_jump
+        elapsed += duration
+    return psi / math.sqrt(norm_sq(psi)), jumps
+
+
+@pytest.mark.parametrize("case", ["toffoli", "two_photons"])
+def test_batched_engine_matches_reference_loop(params, case):
+    """Every row of a block follows the one-trajectory algorithm, jumps included."""
+    if case == "toffoli":
+        schedule = toffoli_schedule(params)
+        psi0 = encode_logical((0, 0, 0), schedule.space)   # photon-carrying
+    else:   # two photons leave one by one: a second threshold, a second pass
+        schedule = idle_schedule(params, 3e-4)
+        psi0 = schedule.space.basis_state([2])
+    noise = NoiseParams(tau=2e-4, epsilon=0.05, n_traj=40, seed=31)
+    batch = run_trajectories(schedule, psi0, noise, basis_input=3)
+    assert sum(len(res.jump_times) == 1 for res in batch) >= 10
+    if case == "two_photons":
+        assert sum(len(res.jump_times) == 2 for res in batch) >= 10
+    for k, res in enumerate(batch):
+        final, jumps = _reference_trajectory(schedule, psi0, noise,
+                                             substream(31, traj=k, basis_input=3))
+        assert len(res.jump_times) == len(jumps)
+        np.testing.assert_allclose(res.jump_times, jumps, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(res.final_state.amplitudes, final, atol=1e-10)
+
+
+def test_expm_fallback_matches_eigenbasis(schedule, monkeypatch):
+    """The dense expm path, taken when an eigendecomposition reconstructs
+    poorly, gives the eigenbasis path's trajectories."""
+    noise = NoiseParams(tau=2e-4, epsilon=0.05, n_traj=20, seed=3)
+    psi0 = encode_logical((0, 0, 0), schedule.space)
+    exact = run_trajectories(schedule, psi0, noise)
+    compile_exact = trajectories._compile
+
+    def compile_fallback(sched, noise_params):
+        compiled = compile_exact(sched, noise_params)
+        for ev in compiled.evolvers:
+            if ev.lossy:
+                ev._exact = False
+        return compiled
+
+    monkeypatch.setattr(trajectories, "_compile", compile_fallback)
+    dense = run_trajectories(schedule, psi0, noise)
+    assert sum(len(res.jump_times) for res in exact) >= 5
+    for a, b in zip(exact, dense):
+        np.testing.assert_allclose(a.jump_times, b.jump_times, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(a.final_state.amplitudes,
+                                   b.final_state.amplitudes, atol=1e-12)
+
+
 def test_jumped_state_ends_in_vacuum_sector(params):
     """After the only photon leaks out the cavity stays empty."""
     sched = idle_schedule(params, 5e-3)
@@ -174,6 +292,45 @@ def test_jumped_state_ends_in_vacuum_sector(params):
         if res.jump_times:
             np.testing.assert_allclose(res.final_state.subsystem_populations(0),
                                        [1.0, 0.0, 0.0], atol=1e-12)
+
+
+_GAINING_DRIFT = textwrap.dedent("""
+    import sys
+    from cavity_toffoli import trajectories as tr
+    from cavity_toffoli.model import PhysicalParams
+    from cavity_toffoli.protocol import encode_logical, toffoli_schedule
+
+    compile_lossy = tr._compile
+
+    def compile_gaining(schedule, noise):
+        compiled = compile_lossy(schedule, noise)
+        for ev in compiled.evolvers:
+            if ev.lossy:
+                ev._w = ev._w.conj()    # decay rates become gain rates
+        return compiled
+
+    tr._compile = compile_gaining
+    schedule = toffoli_schedule(PhysicalParams.from_frequency())
+    psi0 = encode_logical((0, 0, 0), schedule.space)
+    try:
+        tr.mcwf_trajectory(schedule, psi0, tr.NoiseParams(), tr.substream(1))
+    except RuntimeError as exc:
+        print(exc)
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
+def test_norm_growth_raises_under_optimize():
+    """The norm-monotonicity check is a real error, kept under python -O."""
+    src = str(Path(cavity_toffoli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", _GAINING_DRIFT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "non-increasing" in proc.stdout
 
 
 def test_mcwf_validates_input(schedule):
