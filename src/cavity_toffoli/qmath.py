@@ -155,9 +155,6 @@ class OperatorMatrix:
         return OperatorMatrix(self.space, self.entries @ other.entries,
                               unitary=self.unitary and other.unitary)
 
-    def expectation(self, state: StateVector) -> complex:
-        return complex(np.vdot(state.amplitudes, self.entries @ state.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -187,11 +184,6 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.trace(self.entries @ self.entries).real)
-
-    def expectation(self, op: OperatorMatrix) -> complex:
-        if self.space != op.space:
-            raise ValueError("expectation: spaces differ")
-        return complex(np.trace(op.entries @ self.entries))
 
 
 def tensor_state(a: StateVector, b: StateVector) -> StateVector:

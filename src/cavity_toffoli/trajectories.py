@@ -3,6 +3,8 @@
 Photon loss is the only decay channel (zero temperature): collapse
 operator sqrt(kappa) a with kappa = 1/tau, tau the photon lifetime, so
 <n> decays as exp(-t/tau).  Atomic decay is neglected (circular states).
+The Lindblad oracle (``lindblad_evolve``) applies each timed segment's
+exact channel exp(L T), block by block, to a stack of density matrices.
 
 The jump unraveling is one batched quantum-jump engine.  The
 trajectories of a basis input evolve together as the rows of an
@@ -36,11 +38,8 @@ import numpy as np
 import scipy.linalg
 
 from .model import annihilation, number_operator, rge_block, rig_block
-from .protocol import Schedule, Segment, segment_drift, segment_unitary
+from .protocol import Schedule, Segment, segment_drift
 from .qmath import (CompositeSpace, DensityMatrix, StateVector, embed_operator)
-
-#: target phase advance per RK4 step; keeps the integrator error ~1e-10
-_RK4_MAX_PHASE_STEP = 5e-3
 
 #: trajectories evolved together; bounds the engine's memory for any n_traj
 _BLOCK_ROWS = 256
@@ -197,6 +196,8 @@ class _DriftEvolver:
 
     def __init__(self, h: np.ndarray, kappa: float, n_cav: np.ndarray):
         self.lossy = kappa > 0.0
+        self.kappa = kappa
+        self.k = h - 0.5j * kappa * n_cav if self.lossy else h
         #: d|psi|^2/dt = -kappa <N> >= -max_decay_rate |psi|^2
         self.max_decay_rate = kappa * float(np.max(np.diag(n_cav).real))
         if not self.lossy:
@@ -204,15 +205,12 @@ class _DriftEvolver:
             self._w = w.astype(np.complex128)
             self._v = v
             self._vinv = v.conj().T
-            self._k = h
             self._exact = True
             return
-        k_op = h - 0.5j * kappa * n_cav
-        self._k = k_op
-        w, v = np.linalg.eig(k_op)
+        w, v = np.linalg.eig(self.k)
         vinv = np.linalg.inv(v)
-        recon_err = np.max(np.abs((v * w) @ vinv - k_op))
-        scale = max(np.max(np.abs(k_op)), 1.0)
+        recon_err = np.max(np.abs((v * w) @ vinv - self.k))
+        scale = max(np.max(np.abs(self.k)), 1.0)
         self._exact = recon_err <= 1e-9 * scale
         if self._exact:
             self._w = w
@@ -228,7 +226,7 @@ class _DriftEvolver:
         if self._exact:
             phases = np.exp(np.multiply.outer(t, -1j * self._w))
             return _rows_matmul(phases * coeffs, self._v.T)
-        return np.stack([scipy.linalg.expm(-1j * self._k * t_row) @ row
+        return np.stack([scipy.linalg.expm(-1j * self.k * t_row) @ row
                          for row, t_row in zip(coeffs, t)])
 
 
@@ -241,10 +239,6 @@ class _CompiledSchedule:
     annihilator: np.ndarray
     #: some timed segment decays, so every trajectory draws a first threshold
     decays: bool
-
-
-def _annihilator(space: CompositeSpace) -> np.ndarray:
-    return embed_operator(space, [0], annihilation(space.subsystem_dims[0])).entries
 
 
 def _compile(schedule: Schedule, noise: NoiseParams) -> _CompiledSchedule:
@@ -261,7 +255,8 @@ def _compile(schedule: Schedule, noise: NoiseParams) -> _CompiledSchedule:
             evolvers.append(_DriftEvolver(h, kappa, n_cav))
     decays = any(ev.lossy and seg.nominal_duration > 0.0
                  for seg, ev in zip(schedule.segments, evolvers))
-    return _CompiledSchedule(schedule, tuple(evolvers), _annihilator(space), decays)
+    a = embed_operator(space, [0], annihilation(space.subsystem_dims[0])).entries
+    return _CompiledSchedule(schedule, tuple(evolvers), a, decays)
 
 
 @dataclass(frozen=True)
@@ -484,57 +479,71 @@ def ensemble_density(results: Sequence[TrajectoryResult]) -> DensityMatrix:
     return DensityMatrix(space, acc / len(results))
 
 
-def lindblad_evolve(schedule: Schedule, rho0: DensityMatrix, tau: float,
-                    *, dt_max: Optional[float] = None) -> DensityMatrix:
-    """Deterministic master-equation integration of the schedule.
+def _components(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of n nodes, with edges x[e] -- y[e]."""
+    labels, old = np.arange(n), None
+    while not np.array_equal(labels, old):
+        old, labels = labels, labels.copy()
+        np.minimum.at(labels, x, old[y])
+        np.minimum.at(labels, y, old[x])
+        labels = labels[labels]
+    return np.unique(labels, return_inverse=True)[1]
 
-    d rho/dt = -i[H, rho] + kappa (a rho a^dag - {a^dag a, rho}/2),
-    fixed-step classical RK4 per segment, step bounded by ``dt_max``
-    (default tau/100) and by the phase-accuracy cap.  Serves as the
-    sampling-free oracle for the quantum-jump method.
+
+def _liouvillian_blocks(ev: _DriftEvolver, annihilator: np.ndarray,
+                        duration: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Exact channel exp(L T) of one timed segment, as independent blocks.
+
+    L = -i(K kron 1 - 1 kron conj(K)) + kappa a kron conj(a) is the row-major
+    vectorization of d rho/dt = -i(K rho - rho K^dag) + kappa a rho a^dag.  It
+    couples the pair index i*dim + j only within products of K's connected
+    components, joined where the jump lowers both indices, so it splits into
+    small blocks read off the nonzero patterns of K and a.  Yields, per block
+    size, the pair indices (n_blocks, size) and their exp(L T) blocks, from
+    one stacked scipy.linalg.expm call; no dim^2 x dim^2 operand is formed,
+    and a connected pattern gives one block, the dense expm.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if rho0.space != schedule.space:
+    k_op, dim = ev.k, len(ev.k)
+    jump = math.sqrt(ev.kappa) * annihilator
+    states = _components(dim, *np.nonzero(k_op))
+    down, up = (states[axis] for axis in np.nonzero(jump))
+    sectors = _components(dim * dim, np.add.outer(down * dim, down).ravel(),
+                          np.add.outer(up * dim, up).ravel())
+    labels = sectors[np.add.outer(states * dim, states)].ravel()
+    sizes = np.bincount(labels)[labels]
+    order = np.lexsort((labels, sizes))
+    for size in np.unique(sizes):
+        idx = order[sizes[order] == size].reshape(-1, size)
+        i, j = divmod(idx[:, :, None], dim)
+        k, l = divmod(idx[:, None, :], dim)
+        gen = (-1j * (k_op[i, k] * (j == l) - (i == k) * k_op[j, l].conj())
+               + jump[i, k] * jump[j, l].conj())
+        yield idx, scipy.linalg.expm(gen * duration)
+
+
+def _lindblad_stack(schedule: Schedule, rho0s: Sequence[DensityMatrix],
+                    tau: float) -> list[DensityMatrix]:
+    """Density matrices ``rho0s`` through the exact Lindblad channel, as one stack."""
+    compiled = _compile(schedule, NoiseParams(tau=tau, epsilon=0.0))  # checks tau > 0
+    if any(rho0.space != schedule.space for rho0 in rho0s):
         raise ValueError("initial state does not live on the schedule's space")
-
-    space = schedule.space
-    a_full = _annihilator(space)
-    adag_full = a_full.conj().T
-    n_full = adag_full @ a_full
-    kappa_base = 0.0 if math.isinf(tau) else 1.0 / tau
-    if dt_max is None:
-        dt_max = math.inf if math.isinf(tau) else tau / 100.0
-
-    rho = rho0.entries.copy()
-    for seg in schedule.segments:
+    dim = schedule.space.total_dim
+    vecs = np.stack([rho0.entries.ravel() for rho0 in rho0s])
+    for seg, ev in zip(schedule.segments, compiled.evolvers):
         if seg.kind == "classical_pulse":
-            u = segment_unitary(schedule, seg).entries
-            rho = u @ rho @ u.conj().T
-            continue
-        duration = seg.nominal_duration
-        if duration <= 0.0:
-            continue
-        kappa = kappa_base if seg.loss_active else 0.0
-        h = segment_drift(schedule, seg).entries
-        scale = float(np.max(np.abs(np.linalg.eigvalsh(h)))) + kappa
-        n_steps = max(1, math.ceil(duration / dt_max) if math.isfinite(dt_max) else 1,
-                      math.ceil(duration * scale / _RK4_MAX_PHASE_STEP))
-        dt = duration / n_steps
+            # the rows of the identity are the basis kets, so this gives U^T
+            u = ev.apply(np.eye(dim, dtype=np.complex128), np.ones(dim)).T
+            vecs = (u @ vecs.reshape(-1, dim, dim) @ u.conj().T).reshape(len(vecs), -1)
+        elif seg.nominal_duration > 0.0:
+            for idx, props in _liouvillian_blocks(ev, compiled.annihilator,
+                                                  seg.nominal_duration):
+                vecs[:, idx] = (props @ vecs[:, idx, None])[..., 0]
+    return [DensityMatrix(schedule.space, vec.reshape(dim, dim)) for vec in vecs]
 
-        def rhs(r):
-            out = -1j * (h @ r - r @ h)
-            if kappa > 0.0:
-                out += kappa * (a_full @ r @ adag_full
-                                - 0.5 * (n_full @ r + r @ n_full))
-            return out
 
-        for _ in range(n_steps):
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * dt * k1)
-            k3 = rhs(rho + 0.5 * dt * k2)
-            k4 = rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = 0.5 * (rho + rho.conj().T)
-
-    return DensityMatrix(space, rho)
+def lindblad_evolve(schedule: Schedule, rho0: DensityMatrix, tau: float) -> DensityMatrix:
+    """Exact master-equation channel of the schedule at nominal durations:
+    d rho/dt = -i[H, rho] + kappa (a rho a^dag - {a^dag a, rho}/2), exact
+    per timed segment; the sampling-free oracle for the quantum-jump method.
+    """
+    return _lindblad_stack(schedule, [rho0], tau)[0]

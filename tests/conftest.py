@@ -1,8 +1,17 @@
-import re
+import os
 
-import pytest
+# One BLAS thread, before anything loads numpy, as perfbench/run.py does: the
+# simulator's 27x27 and (256, 27) products gain nothing from a second
+# OpenBLAS thread, which only spins (the suite used ~1.6x its wall time in CPU).
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from cavity_toffoli.model import PhysicalParams
+import re  # noqa: E402
+
+import pytest  # noqa: E402
+
+from cavity_toffoli.model import PhysicalParams  # noqa: E402
 
 _ACCEPTANCE: dict[str, str] = {}
 _CRITERION_RE = re.compile(r"::test_(criterion_\d+[a-z]?_[a-z0-9_]+)")

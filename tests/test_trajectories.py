@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import cavity_toffoli
 from cavity_toffoli import trajectories
-from cavity_toffoli.model import annihilation
+from cavity_toffoli.model import PhysicalParams, annihilation
 from cavity_toffoli.protocol import (LOGICAL_BITS, Schedule, Segment,
                                      encode_logical, run_ideal, segment_drift,
                                      segment_unitary, toffoli_schedule)
@@ -380,6 +381,58 @@ def test_lindblad_lossless_matches_unitary_conjugation(schedule):
     ideal = run_ideal(schedule, psi0).amplitudes
     np.testing.assert_allclose(rho.entries, np.outer(ideal, ideal.conj()),
                                atol=1e-8)
+
+
+def test_lindblad_rejects_bad_tau_and_foreign_space(params, schedule):
+    rho0 = DensityMatrix.from_state(encode_logical((0, 0, 0), schedule.space))
+    for tau in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError):
+            lindblad_evolve(schedule, rho0, tau)
+    with pytest.raises(ValueError):
+        lindblad_evolve(idle_schedule(params, 1e-4), rho0, 1e-3)
+
+
+@pytest.mark.parametrize("fock_dim, tau", [(3, 1e-3), (3, math.inf), (4, 1e-3)],
+                         ids=["tau-1ms", "lossless", "fock-4"])
+def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau):
+    """Each timed segment's blockwise channel equals scipy's expm of the
+    dense Liouvillian on a random full-rank rho, within 1e-12, and its
+    blocks partition the pair indices with no nonzero of L between two
+    blocks."""
+    schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim))
+    space = schedule.space
+    dim = space.total_dim
+    compiled = trajectories._compile(schedule, NoiseParams(tau=tau, epsilon=0.0))
+    kappa = 0.0 if math.isinf(tau) else 1.0 / tau
+    a = embed_operator(space, [0], annihilation(space.subsystem_dims[0])).entries
+    n = a.conj().T @ a
+    eye = np.eye(dim)
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho0 = DensityMatrix(space, g @ g.conj().T / np.trace(g @ g.conj().T))
+    assert float(np.linalg.eigvalsh(rho0.entries).min()) > 1e-6   # full rank
+    for seg, ev in zip(schedule.segments, compiled.evolvers):
+        if seg.kind == "classical_pulse":
+            continue
+        h = segment_drift(schedule, seg).entries
+        liouv = (-1j * (np.kron(h, eye) - np.kron(eye, h.T))
+                 + kappa * (np.kron(a, a.conj())
+                            - 0.5 * (np.kron(n, eye) + np.kron(eye, n.T))))
+        block_of = np.full(dim * dim, -1)
+        first = 0
+        for idx, _ in trajectories._liouvillian_blocks(ev, compiled.annihilator,
+                                                       seg.nominal_duration):
+            assert np.all(block_of[idx] == -1)
+            block_of[idx] = first + np.arange(len(idx))[:, None]
+            first += len(idx)
+        assert np.all(block_of >= 0)
+        rows, cols = np.nonzero(liouv)
+        assert np.array_equal(block_of[rows], block_of[cols]), seg.kind
+
+        one_segment = Schedule(space, (seg,), schedule.params)
+        rho = lindblad_evolve(one_segment, rho0, tau).entries.reshape(-1)
+        exact = scipy.linalg.expm(liouv * seg.nominal_duration) @ rho0.entries.reshape(-1)
+        assert np.max(np.abs(rho - exact)) <= 1e-12, seg.kind
 
 
 def test_lindblad_idle_photon_decay_curve(params):
