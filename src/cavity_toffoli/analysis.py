@@ -6,8 +6,8 @@ the trajectory-averaged squared overlap with the exact Toffoli image,
     F = (1/8) sum_b  mean_k |<encode(Toffoli(b)) | psi_k(b)>|^2 .
 
 This is the simplest reproducible choice; phase-sensitive process
-characterization is available separately through
-``protocol.logical_process_matrix``.
+characterization of the ideal gate is available separately through
+``logical_process_matrix``.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (PhysicalParams, dispersive_hamiltonian,
-                    full_detuned_hamiltonian, rabi_propagator, rig_pulse)
+from .model import PhysicalParams, dispersive_hamiltonian, full_detuned_hamiltonian
 from .protocol import (LOGICAL_BITS, Schedule, encode_logical, toffoli_map,
                        toffoli_schedule)
 from .qmath import DensityMatrix, propagator
-from .trajectories import NoiseParams, _compile, _lindblad_stack, _trajectory_blocks
+from .trajectories import (NoiseParams, _compile, _ideal_states, _lindblad_stack,
+                           _trajectory_blocks)
 # perfbench/selftest.py checks that its tracer patches this binding too
 from .trajectories import mcwf_trajectory  # noqa: F401
 
@@ -87,6 +87,30 @@ class FidelityGrid:
             "epsilon_values": list(self.epsilon_values),
             "cells": [[cell.to_jsonable() for cell in row] for row in self.cells],
         }
+
+
+def _logical_basis(schedule: Schedule) -> np.ndarray:
+    """Rows are the 8 encoded basis states, in LOGICAL_BITS order."""
+    return np.stack([encode_logical(bits, schedule.space).amplitudes
+                     for bits in LOGICAL_BITS])
+
+
+def logical_process_matrix(schedule: Schedule) -> np.ndarray:
+    """M[b', b] = <encode(b')| U_total |encode(b)> on the logical subspace.
+
+    The 8 encoded inputs run through the ideal gate as one stack.  For the
+    ideal schedule this is the Toffoli permutation up to one global phase.
+    """
+    basis = _logical_basis(schedule)
+    outputs = np.stack([psi.amplitudes for psi in _ideal_states(schedule, basis)])
+    return basis.conj() @ outputs.T
+
+
+def truth_table_fidelities(schedule: Schedule) -> np.ndarray:
+    """Per-input |<encode(Toffoli(b))| U |encode(b)>|^2, in LOGICAL_BITS order."""
+    process = logical_process_matrix(schedule)
+    images = [LOGICAL_BITS.index(toffoli_map(bits)) for bits in LOGICAL_BITS]
+    return np.abs(process[images, range(len(LOGICAL_BITS))]) ** 2
 
 
 def gate_fidelity(params: PhysicalParams, noise: NoiseParams, *,
@@ -170,15 +194,15 @@ class DispersiveOverlap:
 
 
 def _collision_inputs(params: PhysicalParams) -> list[np.ndarray]:
-    """The 8 encoded states as they enter the collision (pi-Rabi then R_ig).
+    """The 8 encoded states as they enter the collision: the ideal gate's
+    first two segments (pi-Rabi then R_ig), as one stack.
 
-    The encoding depends only on omega, not on the collision detuning.
+    The encoding depends only on omega, not on the collision detuning, so
+    the schedule is built at the reference delta = 4 omega.
     """
-    space = params.protocol_space()
-    u_rabi, _ = rabi_propagator(params, 1, space, math.pi)
-    u_encode = rig_pulse(1, space).entries @ u_rabi.entries
-    return [u_encode @ encode_logical(bits, space).amplitudes
-            for bits in LOGICAL_BITS]
+    schedule = toffoli_schedule(replace(params, delta=4.0 * params.omega))
+    encoding = replace(schedule, segments=schedule.segments[:2])
+    return [psi.amplitudes for psi in _ideal_states(encoding, _logical_basis(schedule))]
 
 
 def dispersive_validation(params: PhysicalParams,

@@ -24,9 +24,9 @@ import numpy as np
 
 from .analysis import (DEFAULT_EPSILON_GRID, DEFAULT_TAU_GRID,
                        VALIDATION_RATIOS, dispersive_validation, gate_fidelity,
-                       sweep)
+                       logical_process_matrix, sweep)
 from .model import PhysicalParams
-from .protocol import (LOGICAL_BITS, encode_logical, logical_process_matrix,
+from .protocol import (LOGICAL_BITS, Schedule, encode_logical,
                        process_phase_spread, toffoli_map, toffoli_schedule)
 from .qmath import DensityMatrix, StateVector, trace_distance
 from .trajectories import (NoiseParams, ensemble_density, lindblad_evolve,
@@ -115,8 +115,8 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """flag > config-file value > default."""
+def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, Schedule]:
+    """flag > config-file value > default; returns the config and its schedule."""
     values: dict = {}
     if getattr(args, "config", None):
         values.update(_load_config_file(args.config))
@@ -126,17 +126,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             values[name] = flag_value
     try:
         config = RunConfig(**values)
-        config.physical_params()   # validate the physical point
+        # the schedule checks the physical point, the dispersive regime and
+        # the scopes (a config-file value bypasses argparse choices)
+        schedule = config.schedule(
+            decode_adjoint=not getattr(args, "no_decode_adjoint", False))
         config.noise_params()
-        # a config-file value bypasses argparse choices, and toffoli_schedule
-        # would reject it only later, outside main's usage-error handling
-        if config.loss_scope not in ("all_segments", "collision_only"):
-            raise ValueError(f"unknown loss_scope {config.loss_scope!r}")
-        if config.jitter_scope not in ("all", "interactions_only"):
-            raise ValueError(f"unknown jitter_scope {config.jitter_scope!r}")
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    return config
+    return config, schedule
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
@@ -190,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_truth_table(config: RunConfig, args: argparse.Namespace) -> int:
-    schedule = config.schedule(decode_adjoint=not args.no_decode_adjoint)
+def cmd_truth_table(config: RunConfig, schedule: Schedule,
+                    args: argparse.Namespace) -> int:
     if args.dump_schedule:
         print(schedule.to_json())
         return 0
@@ -232,14 +229,13 @@ def cmd_truth_table(config: RunConfig, args: argparse.Namespace) -> int:
     return 0 if ok else 2
 
 
-def cmd_run(config: RunConfig, args: argparse.Namespace) -> int:
-    result = gate_fidelity(config.physical_params(), config.noise_params(),
-                           schedule=config.schedule())
+def cmd_run(config: RunConfig, schedule: Schedule, args: argparse.Namespace) -> int:
+    result = gate_fidelity(schedule.params, config.noise_params(), schedule=schedule)
     print(json.dumps(result.to_jsonable()))
     return 0
 
 
-def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_sweep(config: RunConfig, schedule: Schedule, args: argparse.Namespace) -> int:
     try:
         tau_values = (_parse_grid(args.tau_grid, tau=True)
                       if args.tau_grid else DEFAULT_TAU_GRID)
@@ -248,8 +244,8 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    grid = sweep(config.physical_params(), tau_values, eps_values,
-                 config.n_traj, config.seed, schedule=config.schedule())
+    grid = sweep(schedule.params, tau_values, eps_values,
+                 config.n_traj, config.seed, schedule=schedule)
     csv_text = grid.to_csv()
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -264,11 +260,11 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
-    params = config.physical_params()
+def cmd_validate(config: RunConfig, schedule: Schedule,
+                 args: argparse.Namespace) -> int:
     ok = True
 
-    reports = dispersive_validation(params, VALIDATION_RATIOS)
+    reports = dispersive_validation(schedule.params, VALIDATION_RATIOS)
     print("dispersive approximation vs full detuned model "
           "(min overlap over encoded collision inputs):")
     for rep in reports:
@@ -285,7 +281,6 @@ def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
 
     n_traj = 1000 if args.quick else 10000
     threshold = 0.05 if args.quick else 0.02
-    schedule = config.schedule()
     amps = sum(encode_logical(b, schedule.space).amplitudes for b in LOGICAL_BITS)
     psi0 = StateVector(schedule.space, amps / np.linalg.norm(amps))
     print(f"quantum jumps vs master equation ({n_traj} trajectories, "
@@ -316,8 +311,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _resolve_config(args)
-        return _COMMANDS[args.command](config, args)
+        config, schedule = _resolve_config(args)
+        return _COMMANDS[args.command](config, schedule, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,7 +20,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .qmath import CompositeSpace, OperatorMatrix, embed_operator, propagator
+from .qmath import CompositeSpace, OperatorMatrix, embed_operator
 
 ATOM_DIM = 3
 
@@ -141,22 +141,6 @@ def jc_hamiltonian(params: PhysicalParams, atom: int,
     return embed_operator(space, [0, atom], pair)
 
 
-def rabi_propagator(params: PhysicalParams, atom: int, space: CompositeSpace,
-                    angle: float, adjoint: bool = False) -> tuple[OperatorMatrix, float]:
-    """Resonant Rabi rotation by ``angle``; returns (unitary, duration).
-
-    Duration is angle/omega; the adjoint flag returns the inverse pulse
-    (the decoding convention), which still takes the same time.
-    """
-    if not angle > 0:
-        raise ValueError(f"rotation angle must be positive, got {angle}")
-    t = angle / params.omega
-    u = propagator(jc_hamiltonian(params, atom, space), t)
-    if adjoint:
-        u = u.dag()
-    return u, t
-
-
 def dispersive_hamiltonian(params: PhysicalParams, atom1: int, atom2: int,
                            space: CompositeSpace) -> OperatorMatrix:
     """Effective two-atom collision Hamiltonian in the dispersive regime.
@@ -193,15 +177,6 @@ def dispersive_hamiltonian(params: PhysicalParams, atom1: int, atom2: int,
                             OperatorMatrix(atoms_space, exchange, hermitian=True)).entries
 
     return OperatorMatrix(space, params.lam * total, hermitian=True)
-
-
-def collision_propagator(params: PhysicalParams, atom1: int, atom2: int,
-                         space: CompositeSpace, t: float) -> OperatorMatrix:
-    """exp(-i H_disp t); t = pi/lambda realizes the conditional target flip."""
-    if not t > 0:
-        raise ValueError(f"collision time must be positive, got {t}")
-    require_dispersive_regime(params)
-    return propagator(dispersive_hamiltonian(params, atom1, atom2, space), t)
 
 
 # level order (g, e, i) is fixed by the Level enum; the literals below rely on it
@@ -245,25 +220,6 @@ def rge_block(theta: float | np.ndarray, phi: float = 0.0) -> np.ndarray:
     block[..., 1, 0] = s * ph
     block[..., 2, 2] = 1.0
     return block
-
-
-def rig_pulse(atom: int, space: CompositeSpace, angle: float = math.pi) -> OperatorMatrix:
-    """Classical |i> <-> |g> swap pulse embedded on the full space.
-
-    Zero modeled duration.
-    """
-    _check_atom_subsystem(space, atom)
-    pulse = OperatorMatrix(CompositeSpace((ATOM_DIM,)), rig_block(angle), unitary=True)
-    return embed_operator(space, [atom], pulse)
-
-
-def rge_pulse(atom: int, space: CompositeSpace, theta: float,
-              phi: float = 0.0) -> OperatorMatrix:
-    """Classical |g>/|e> rotation embedded on the full space; zero duration."""
-    _check_atom_subsystem(space, atom)
-    pulse = OperatorMatrix(CompositeSpace((ATOM_DIM,)), rge_block(theta, phi),
-                           unitary=True)
-    return embed_operator(space, [atom], pulse)
 
 
 def full_detuned_hamiltonian(params: PhysicalParams, atom1: int, atom2: int,

@@ -1,4 +1,4 @@
-"""The Toffoli protocol: logical encoding, pulse schedule, ideal execution.
+"""The Toffoli protocol: logical encoding and pulse schedule.
 
 Logical basis (control 1 = cavity, control 2 = atom A_c, target = atom A_t):
 
@@ -11,7 +11,9 @@ The gate is five segments: pi-Rabi on A_c, R_ig swap pulse, dispersive
 collision for pi/lambda, R_ig again, and the ADJOINT pi-Rabi.  Decoding
 with the inverse pulse (rather than repeating the forward pulse) is what
 keeps the |1_c g_c> branch free of a spurious -1: two identical pi pulses
-would compose to -1 on the swapped subspace.
+would compose to -1 on the swapped subspace.  The engine in
+``trajectories`` runs a schedule; ``trajectories.run_ideal`` is the
+noiseless gate.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .model import (ATOM_DIM, Level, PhysicalParams, jc_hamiltonian,
-                    dispersive_hamiltonian, rabi_propagator, rig_pulse,
-                    rge_pulse, require_dispersive_regime)
+                    dispersive_hamiltonian, require_dispersive_regime)
 from .qmath import (CompositeSpace, OperatorMatrix, StateVector, propagator,
-                    state_fidelity, tensor_state)
+                    tensor_state)
 
 CAVITY = 0
 CONTROL_ATOM = 1
@@ -191,68 +192,6 @@ def segment_drift(schedule: Schedule, seg: Segment) -> Optional[OperatorMatrix]:
     raise ValueError(f"unknown segment kind {seg.kind!r}")
 
 
-def segment_unitary(schedule: Schedule, seg: Segment, *,
-                    duration: Optional[float] = None,
-                    angle_scale: float = 1.0) -> OperatorMatrix:
-    """Exact unitary of one segment.
-
-    ``duration`` overrides the nominal duration of timed segments;
-    ``angle_scale`` rescales the rotation angle of classical pulses.
-    """
-    if seg.kind == "classical_pulse":
-        if seg.pulse == "rig":
-            return rig_pulse(seg.atom, schedule.space, angle=math.pi * angle_scale)
-        return rge_pulse(seg.atom, schedule.space, seg.theta * angle_scale, seg.phi)
-    t = seg.nominal_duration if duration is None else duration
-    return propagator(segment_drift(schedule, seg), t)
-
-
-def run_ideal(schedule: Schedule, psi0: StateVector) -> StateVector:
-    """Noiseless execution: apply each segment's exact unitary in order."""
-    if psi0.space != schedule.space:
-        raise ValueError("initial state does not live on the schedule's space")
-    if not psi0.normalized:
-        raise ValueError("initial state must be normalized")
-    psi = psi0
-    for seg in schedule.segments:
-        psi = segment_unitary(schedule, seg).apply(psi)
-    return psi
-
-
-def total_unitary(schedule: Schedule) -> OperatorMatrix:
-    """Product of all segment unitaries (last segment leftmost)."""
-    u = np.eye(schedule.space.total_dim, dtype=np.complex128)
-    for seg in schedule.segments:
-        u = segment_unitary(schedule, seg).entries @ u
-    return OperatorMatrix(schedule.space, u, unitary=True)
-
-
-def logical_basis_matrix(space: CompositeSpace) -> np.ndarray:
-    """Columns are the 8 encoded basis states, in LOGICAL_BITS order."""
-    cols = [encode_logical(bits, space).amplitudes for bits in LOGICAL_BITS]
-    return np.stack(cols, axis=1)
-
-
-def logical_process_matrix(schedule: Schedule) -> np.ndarray:
-    """M[b', b] = <encode(b')| U_total |encode(b)> on the logical subspace.
-
-    For the ideal schedule this is the Toffoli permutation up to one
-    global phase.
-    """
-    basis = logical_basis_matrix(schedule.space)
-    return basis.conj().T @ total_unitary(schedule).entries @ basis
-
-
-def truth_table_fidelities(schedule: Schedule) -> np.ndarray:
-    """Per-input |<encode(Toffoli(b))| U |encode(b)>|^2, in LOGICAL_BITS order."""
-    fids = np.empty(len(LOGICAL_BITS))
-    for k, bits in enumerate(LOGICAL_BITS):
-        out = run_ideal(schedule, encode_logical(bits, schedule.space))
-        target = encode_logical(toffoli_map(bits), schedule.space)
-        fids[k] = state_fidelity(target, out)
-    return fids
-
-
 def process_phase_spread(process: np.ndarray, modulus_floor: float = 0.5) -> float:
     """Largest phase deviation (rad) among significant process-matrix entries,
     relative to the first one.  Zero for a gate that equals its permutation
@@ -268,8 +207,8 @@ def process_phase_spread(process: np.ndarray, modulus_floor: float = 0.5) -> flo
 def _transfer_pulse(space: CompositeSpace, adjoint: bool) -> OperatorMatrix:
     # pi-Rabi on a (fock, atom) pair space; omega drops out of the map.
     dummy = PhysicalParams(omega=1.0, delta=4.0, fock_dim=3)
-    u, _ = rabi_propagator(dummy, 1, space, math.pi, adjoint=adjoint)
-    return u
+    u = propagator(jc_hamiltonian(dummy, 1, space), math.pi / dummy.omega)
+    return u.dag() if adjoint else u
 
 
 def prepare_cavity(psi_atom: StateVector) -> StateVector:

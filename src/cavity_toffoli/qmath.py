@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -24,9 +24,6 @@ HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
 
 @dataclass(frozen=True)
 class CompositeSpace:
@@ -149,12 +146,6 @@ class OperatorMatrix:
         return StateVector(self.space, self.entries @ state.amplitudes,
                            normalized=self.unitary and state.normalized)
 
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.space != other.space:
-            raise ValueError("matmul: operator spaces differ")
-        return OperatorMatrix(self.space, self.entries @ other.entries,
-                              unitary=self.unitary and other.unitary)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -191,13 +182,6 @@ def tensor_state(a: StateVector, b: StateVector) -> StateVector:
     space = CompositeSpace(a.space.subsystem_dims + b.space.subsystem_dims)
     return StateVector(space, np.kron(a.amplitudes, b.amplitudes),
                        normalized=a.normalized and b.normalized)
-
-
-def tensor_operator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    space = CompositeSpace(a.space.subsystem_dims + b.space.subsystem_dims)
-    return OperatorMatrix(space, np.kron(a.entries, b.entries),
-                          hermitian=a.hermitian and b.hermitian,
-                          unitary=a.unitary and b.unitary)
 
 
 def embed_operator(space: CompositeSpace, targets: Sequence[int],
@@ -251,40 +235,6 @@ def state_fidelity(psi: StateVector, phi: StateVector) -> float:
         raise ValueError("state_fidelity: states live on different spaces")
     f = abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2
     return float(min(f, 1.0))
-
-
-def partial_trace(rho: Union[DensityMatrix, StateVector],
-                  keep: Sequence[int]) -> DensityMatrix:
-    """Reduced density matrix over the ``keep`` subsystems (in given order)."""
-    space = rho.space
-    dims = space.subsystem_dims
-    k = len(dims)
-    keep = [int(s) for s in keep]
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"keep indices must be distinct, got {keep}")
-    if any(s < 0 or s >= k for s in keep):
-        raise ValueError(f"keep index out of range for {k} subsystems: {keep}")
-    if 2 * k > len(_LETTERS):
-        raise ValueError("too many subsystems for partial trace")
-
-    ket = list(_LETTERS[:k])
-    bra = list(_LETTERS[:k])
-    for pos, s in enumerate(keep):
-        bra[s] = _LETTERS[k + pos]
-    out = "".join(ket[s] for s in keep) + "".join(bra[s] for s in keep)
-
-    if isinstance(rho, StateVector):
-        psi = rho.amplitudes.reshape(dims)
-        reduced = np.einsum(f"{''.join(ket)},{''.join(bra)}->{out}", psi, psi.conj())
-    else:
-        mat = rho.entries.reshape(dims + dims)
-        reduced = np.einsum(f"{''.join(ket)}{''.join(bra)}->{out}", mat)
-
-    red_space = CompositeSpace(tuple(dims[s] for s in keep))
-    d = red_space.total_dim
-    reduced = reduced.reshape(d, d)
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    return DensityMatrix(red_space, reduced)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

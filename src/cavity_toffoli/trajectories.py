@@ -1,4 +1,4 @@
-"""Open-system evolution of a schedule: quantum jumps and a Lindblad oracle.
+"""Evolution of a schedule: the ideal gate, quantum jumps and a Lindblad oracle.
 
 Photon loss is the only decay channel (zero temperature): collapse
 operator sqrt(kappa) a with kappa = 1/tau, tau the photon lifetime, so
@@ -17,7 +17,9 @@ eigenbasis of K.  Each row monitors its squared norm on its own grid of
 substeps of at most dt_max and fires a jump when the norm crosses the
 row's uniform threshold; the crossing time is refined by bisection to
 dt_max/100 on the rows that crossed, and only those rows jump.  A row's
-result does not depend on which other rows share its block.
+result does not depend on which other rows share its block.  The ideal
+gate (``run_ideal``) is the same engine at kappa = 0 with unit jitter
+factors: no row ever decays, so none draws or jumps.
 
 Randomness contract: one root seed; the stream for trajectory k of basis
 input b in grid cell c is the counter-based Philox block with counter
@@ -31,7 +33,7 @@ as needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -95,19 +97,13 @@ class TrajectoryResult:
     perturbed_durations: tuple[float, ...]
 
 
-def substream(seed: int, *, traj: int = 0, basis_input: int = 0,
-              cell: int = 0) -> np.random.Generator:
-    """Deterministic counter-based stream for one trajectory."""
-    bitgen = np.random.Philox(key=np.uint64(seed),
-                              counter=[0, int(traj), int(basis_input), int(cell)])
-    return np.random.Generator(bitgen)
-
-
 class _StreamFactory:
-    """Streams bit-identical to ``substream`` without per-call entropy setup.
+    """The counter-based streams of one root seed.
 
-    Reuses a single Philox instance, resetting its counter block per call;
-    equality with fresh construction is asserted in the test suite.
+    Reuses a single Philox instance, resetting its counter block per call,
+    which costs a fraction of a fresh construction; equality with a fresh
+    ``Philox(key=seed, counter=[0, traj, basis_input, cell])`` is asserted
+    in the test suite.  A stream is valid until the next ``stream`` call.
     """
 
     def __init__(self, seed: int):
@@ -122,6 +118,13 @@ class _StreamFactory:
         state["buffer_pos"] = 4  # mark the output buffer exhausted
         self._philox.state = state
         return np.random.Generator(self._philox)
+
+
+def substream(seed: int, *, traj: int = 0, basis_input: int = 0,
+              cell: int = 0) -> np.random.Generator:
+    """Deterministic counter-based stream for one trajectory."""
+    return _StreamFactory(seed).stream(traj=int(traj), basis_input=int(basis_input),
+                                       cell=int(cell))
 
 
 def jitter_factors(schedule: Schedule, epsilon: float,
@@ -264,9 +267,12 @@ class _Block:
     """Final states and records of a block of trajectories, one row each."""
 
     space: CompositeSpace
-    states: np.ndarray                          # (n, dim), normalized
+    states: np.ndarray                          # (n, dim)
     jump_times: tuple[tuple[float, ...], ...]
     durations: np.ndarray                       # (n, n_segments)
+
+    def normalized(self) -> "_Block":
+        return replace(self, states=self.states / np.sqrt(_sq_norms(self.states))[:, None])
 
     def result(self, row: int) -> TrajectoryResult:
         return TrajectoryResult(StateVector(self.space, self.states[row]),
@@ -354,19 +360,19 @@ def _decay(ev: _DriftEvolver, psi: np.ndarray, duration: np.ndarray,
     return psi, events
 
 
-def _evolve(compiled: _CompiledSchedule, psi0: np.ndarray, noise: NoiseParams,
+def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
             factors: np.ndarray, thresholds: np.ndarray,
-            redraw: Callable[[int], float]) -> _Block:
-    """Evolve one block of trajectories together, one row of (n, dim) each.
+            redraw: Optional[Callable[[int], float]]) -> _Block:
+    """Evolve the start rows ``psi`` (n, dim) together, one trajectory each.
 
     ``factors`` (n, n_segments) are the rows' jitter factors and
     ``thresholds`` (n,) their first jump thresholds; ``redraw(row)`` gives
-    a row's next threshold after each of its jumps.
+    a row's next threshold after each of its jumps (None if no segment
+    decays).  The final rows are not renormalized.
     """
     segments = compiled.schedule.segments
     n = len(factors)
     durations = np.array([seg.nominal_duration for seg in segments]) * factors
-    psi = np.repeat(psi0[None, :], n, axis=0)
     thresholds = np.array(thresholds, dtype=np.float64)
     jump_times: list[list[float]] = [[] for _ in range(n)]
     elapsed = np.zeros(n)
@@ -385,8 +391,7 @@ def _evolve(compiled: _CompiledSchedule, psi0: np.ndarray, noise: NoiseParams,
                 for row, t in zip(rows, elapsed[rows] + t_done + t_jump):
                     jump_times[row].append(float(t))
         elapsed += durations[:, k]
-    states = psi / np.sqrt(_sq_norms(psi))[:, None]
-    return _Block(compiled.schedule.space, states,
+    return _Block(compiled.schedule.space, psi,
                   tuple(tuple(times) for times in jump_times), durations)
 
 
@@ -427,8 +432,9 @@ def _run_block(compiled: _CompiledSchedule, psi0: StateVector, noise: NoiseParam
         drawn[row] += 1
         return threshold
 
-    return _evolve(compiled, psi0.amplitudes, noise, np.array(factors),
-                   np.array(thresholds), redraw)
+    psi = np.repeat(psi0.amplitudes[None, :], len(trajs), axis=0)
+    return _evolve(compiled, psi, noise, np.array(factors), np.array(thresholds),
+                   redraw).normalized()
 
 
 def _trajectory_blocks(compiled: _CompiledSchedule, psi0: StateVector,
@@ -452,9 +458,29 @@ def mcwf_trajectory(schedule: Schedule, psi0: StateVector, noise: NoiseParams,
     _check_initial_state(schedule, psi0)
     compiled = _compile(schedule, noise)
     factors, threshold = _draw(compiled, noise, rng)
-    block = _evolve(compiled, psi0.amplitudes, noise, factors[None, :],
+    block = _evolve(compiled, psi0.amplitudes[None, :], noise, factors[None, :],
                     np.array([threshold]), lambda row: rng.random())
-    return block.result(0)
+    return block.normalized().result(0)
+
+
+def _ideal_states(schedule: Schedule, psi: np.ndarray) -> list[StateVector]:
+    """Rows ``psi`` (n, dim) through the lossless, jitter-free schedule.
+
+    The engine's kappa = 0 case, with unit factors and no jumps.  Its rows
+    are not renormalized, so a lossless evolution that leaks norm fails
+    the StateVector unit-norm check here.
+    """
+    noise = NoiseParams(tau=math.inf, epsilon=0.0)
+    n = len(psi)
+    block = _evolve(_compile(schedule, noise), psi, noise,
+                    np.ones((n, len(schedule.segments))), np.full(n, math.inf), None)
+    return [StateVector(schedule.space, row) for row in block.states]
+
+
+def run_ideal(schedule: Schedule, psi0: StateVector) -> StateVector:
+    """Noiseless execution: the engine's one-row, lossless, jitter-free call."""
+    _check_initial_state(schedule, psi0)
+    return _ideal_states(schedule, psi0.amplitudes[None, :])[0]
 
 
 def run_trajectories(schedule: Schedule, psi0: StateVector, noise: NoiseParams,

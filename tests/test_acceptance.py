@@ -22,20 +22,22 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from cavity_toffoli.analysis import (DEFAULT_EPSILON_GRID, DEFAULT_TAU_GRID,
                                      dispersive_validation, gate_fidelity,
-                                     sweep)
+                                     logical_process_matrix, sweep,
+                                     truth_table_fidelities)
 from cavity_toffoli.cli import main
-from cavity_toffoli.model import Level, annihilation
+from cavity_toffoli.model import (Level, annihilation, dispersive_hamiltonian,
+                                  jc_hamiltonian)
 from cavity_toffoli.protocol import (LOGICAL_BITS, Schedule, Segment,
-                                     encode_logical, logical_process_matrix,
-                                     process_phase_spread, segment_drift,
-                                     segment_unitary, toffoli_map,
-                                     toffoli_schedule, truth_table_fidelities)
+                                     encode_logical, process_phase_spread,
+                                     segment_drift, toffoli_map,
+                                     toffoli_schedule)
 from cavity_toffoli.qmath import (CompositeSpace, DensityMatrix, StateVector,
-                                  embed_operator, trace_distance)
+                                  embed_operator, propagator, trace_distance)
 from cavity_toffoli.trajectories import (NoiseParams, ensemble_density,
                                          lindblad_evolve, run_trajectories)
 
 from test_analysis import LINDBLAD_EPS0
+from test_protocol import _segment_unitary
 
 G, E, I = int(Level.g), int(Level.e), int(Level.i)
 
@@ -65,14 +67,14 @@ def test_criterion_2_encoding_step(params):
     returns |g,1> with a -1 sign."""
     schedule = toffoli_schedule(params)
     space = schedule.space
-    u1 = segment_unitary(schedule, schedule.segments[0]).entries
+    encode = schedule.segments[0]
+    u1 = propagator(segment_drift(schedule, encode), encode.nominal_duration).entries
 
     ket_1g = space.basis_state([1, G, G]).amplitudes
     ket_0e = space.basis_state([0, E, G]).amplitudes
     np.testing.assert_allclose(u1 @ ket_1g, -ket_0e, atol=1e-10)
 
-    from cavity_toffoli.model import rabi_propagator
-    u2pi, _ = rabi_propagator(params, 1, space, 2 * math.pi)
+    u2pi = propagator(jc_hamiltonian(params, 1, space), 2 * math.pi / params.omega)
     np.testing.assert_allclose(u2pi.entries @ ket_1g, -ket_1g, atol=1e-10)
 
 
@@ -87,9 +89,9 @@ def test_criterion_3_collision_map(params):
     ("Collision phases with a photon present") explains why the +1 claim
     cannot include |1, i, g>.
     """
-    from cavity_toffoli.model import collision_propagator
     space = params.protocol_space()
-    u = collision_propagator(params, 1, 2, space, params.t_collision).entries
+    u = propagator(dispersive_hamiltonian(params, 1, 2, space),
+                   params.t_collision).entries
 
     s = 1 / math.sqrt(2)
     for sign in (+1.0, -1.0):
@@ -182,7 +184,7 @@ def _jitter_averaged_channel_fidelity(params, tau: float,
         if seg.kind == "classical_pulse":
             avg = np.zeros_like(rhos)
             for scale, wk in zip(scales, w):
-                u = segment_unitary(schedule, seg, angle_scale=scale).entries
+                u = _segment_unitary(schedule, seg, angle_scale=scale).entries
                 avg += wk * (np.kron(u, u.conj()) @ rhos)
             rhos = avg
             continue

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cavity_toffoli.cli import main
 
 FAST = ["--n-traj", "25", "--seed", "7"]
@@ -77,6 +79,15 @@ def test_invalid_values_exit_1(capsys):
         code, _, err = run_cli(capsys, argv)
         assert code == 1, argv
         assert "error" in err.lower()
+
+
+@pytest.mark.parametrize("command", ["run", "truth-table", "validate"])
+def test_outside_dispersive_regime_exits_1(capsys, command):
+    """delta < 2 omega is a usage error, reported before any output."""
+    code, out, err = run_cli(capsys, [command, "--delta-over-omega", "1.5"])
+    assert code == 1
+    assert err.startswith("error:") and "delta >= 2*omega" in err
+    assert out == ""
 
 
 # ---------------------------------------------------------------- config file

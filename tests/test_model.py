@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavity_toffoli.model import (Level, PhysicalParams, annihilation,
-                                  collision_propagator, dispersive_hamiltonian,
+                                  dispersive_hamiltonian,
                                   full_detuned_hamiltonian, jc_hamiltonian,
-                                  number_operator, rabi_propagator, rge_pulse,
-                                  rig_pulse)
-from cavity_toffoli.qmath import CompositeSpace, StateVector, embed_operator
+                                  number_operator, rge_block, rig_block)
+from cavity_toffoli.protocol import segment_drift, toffoli_schedule
+from cavity_toffoli.qmath import (CompositeSpace, OperatorMatrix, StateVector,
+                                  embed_operator, propagator)
 
 G, E, I = int(Level.g), int(Level.e), int(Level.i)
 
@@ -50,17 +51,16 @@ def test_params_validation():
 
 
 def test_collision_guard_on_detuning():
-    space = CompositeSpace((3, 3, 3))
     bad = PhysicalParams(omega=1.0, delta=1.5)
     with pytest.raises(ValueError):
-        collision_propagator(bad, 1, 2, space, 1.0)
+        toffoli_schedule(bad)
     marginal = PhysicalParams(omega=1.0, delta=3.0)
     with pytest.warns(UserWarning):
-        collision_propagator(marginal, 1, 2, space, 1.0)
+        toffoli_schedule(marginal)
 
 
-def test_no_warning_at_operating_point(params, space, recwarn):
-    collision_propagator(params, 1, 2, space, params.t_collision)
+def test_no_warning_at_operating_point(params, recwarn):
+    toffoli_schedule(params)
     assert len(recwarn) == 0
 
 
@@ -117,7 +117,7 @@ def test_jc_conserves_i_population(seed):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     psi = StateVector(space, amps / np.linalg.norm(amps))
-    u, _ = rabi_propagator(params, 1, space, rng.uniform(0.1, 6.0))
+    u = propagator(jc_hamiltonian(params, 1, space), rng.uniform(0.1, 6.0) / params.omega)
     before = psi.subsystem_populations(1)[I]
     after = u.apply(psi).subsystem_populations(1)[I]
     assert abs(before - after) <= 1e-10
@@ -131,8 +131,8 @@ def test_collision_conserves_i_population_of_both_atoms(seed):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(27) + 1j * rng.standard_normal(27)
     psi = StateVector(space, amps / np.linalg.norm(amps))
-    u = collision_propagator(params, 1, 2, space,
-                             rng.uniform(0.05, 1.5) * params.t_collision)
+    u = propagator(dispersive_hamiltonian(params, 1, 2, space),
+                   rng.uniform(0.05, 1.5) * params.t_collision)
     out = u.apply(psi)
     for atom in (1, 2):
         before = psi.subsystem_populations(atom)[I]
@@ -142,9 +142,13 @@ def test_collision_conserves_i_population_of_both_atoms(seed):
 
 # ---------------------------------------------------------------- pi-Rabi
 
+def rabi(params, space, angle):
+    """Resonant Rabi rotation of atom 1 by ``angle`` (duration angle/omega)."""
+    return propagator(jc_hamiltonian(params, 1, space), angle / params.omega)
+
+
 def test_pi_rabi_swap_signs(params, pair_space):
-    u, t = rabi_propagator(params, 1, pair_space, math.pi)
-    assert t == pytest.approx(math.pi / params.omega)
+    u = rabi(params, pair_space, math.pi)
     ket_1g = pair_space.basis_state([1, G]).amplitudes
     ket_0e = pair_space.basis_state([0, E]).amplitudes
     np.testing.assert_allclose(u.entries @ ket_1g, -ket_0e, atol=1e-12)
@@ -152,7 +156,7 @@ def test_pi_rabi_swap_signs(params, pair_space):
 
 
 def test_two_pi_rabi_sign_flip(params, pair_space):
-    u, _ = rabi_propagator(params, 1, pair_space, 2 * math.pi)
+    u = rabi(params, pair_space, 2 * math.pi)
     ket_1g = pair_space.basis_state([1, G]).amplitudes
     ket_0e = pair_space.basis_state([0, E]).amplitudes
     np.testing.assert_allclose(u.entries @ ket_1g, -ket_1g, atol=1e-10)
@@ -160,22 +164,22 @@ def test_two_pi_rabi_sign_flip(params, pair_space):
 
 
 def test_pi_squared_equals_two_pi(params, pair_space):
-    u_pi, _ = rabi_propagator(params, 1, pair_space, math.pi)
-    u_2pi, _ = rabi_propagator(params, 1, pair_space, 2 * math.pi)
-    np.testing.assert_allclose((u_pi @ u_pi).entries, u_2pi.entries, atol=1e-10)
+    u_pi = rabi(params, pair_space, math.pi).entries
+    u_2pi = rabi(params, pair_space, 2 * math.pi).entries
+    np.testing.assert_allclose(u_pi @ u_pi, u_2pi, atol=1e-10)
 
 
-def test_adjoint_rabi_inverts(params, pair_space):
-    u, _ = rabi_propagator(params, 1, pair_space, math.pi)
-    u_adj, t = rabi_propagator(params, 1, pair_space, math.pi, adjoint=True)
-    assert t == pytest.approx(math.pi / params.omega)
-    np.testing.assert_allclose((u_adj @ u).entries,
-                               np.eye(pair_space.total_dim), atol=1e-10)
-
-
-def test_rabi_rejects_nonpositive_angle(params, pair_space):
-    with pytest.raises(ValueError):
-        rabi_propagator(params, 1, pair_space, 0.0)
+def test_adjoint_rabi_inverts(params):
+    """The decoding segment's sign-flipped generator inverts the encoding
+    pulse over the same duration."""
+    schedule = toffoli_schedule(params)
+    encode, decode = schedule.segments[0], schedule.segments[-1]
+    assert decode.adjoint and decode.nominal_duration == encode.nominal_duration
+    assert encode.nominal_duration == pytest.approx(math.pi / params.omega)
+    u = propagator(segment_drift(schedule, encode), encode.nominal_duration)
+    u_adj = propagator(segment_drift(schedule, decode), decode.nominal_duration)
+    np.testing.assert_allclose(u_adj.entries @ u.entries,
+                               np.eye(schedule.space.total_dim), atol=1e-10)
 
 
 # ---------------------------------------------------------------- collision
@@ -207,7 +211,6 @@ def test_dispersive_commutes_with_total_excitation(params, space):
     h = dispersive_hamiltonian(params, 1, 2, space).entries
     proj_e = np.zeros((3, 3))
     proj_e[E, E] = 1.0
-    from cavity_toffoli.qmath import OperatorMatrix
     atom_op = OperatorMatrix(CompositeSpace((3,)), proj_e, hermitian=True)
     n_tot = embed_operator(space, [0], number_operator(space.subsystem_dims[0])).entries
     n_tot = n_tot + embed_operator(space, [1], atom_op).entries
@@ -216,7 +219,8 @@ def test_dispersive_commutes_with_total_excitation(params, space):
 
 
 def test_collision_flips_target_conditioned_on_i_control(params, space):
-    u = collision_propagator(params, 1, 2, space, params.t_collision).entries
+    u = propagator(dispersive_hamiltonian(params, 1, 2, space),
+                   params.t_collision).entries
     s = 1 / math.sqrt(2)
     for sign in (+1.0, -1.0):
         amps = (space.basis_state([0, I, G]).amplitudes
@@ -233,14 +237,16 @@ def test_collision_exchange_block_returns_with_plus_one(params, space):
     eigs = np.linalg.eigvalsh(block)
     np.testing.assert_allclose(sorted(eigs * params.t_collision),
                                [0.0, 2 * math.pi], atol=1e-9)
-    u = collision_propagator(params, 1, 2, space, params.t_collision).entries
+    u = propagator(dispersive_hamiltonian(params, 1, 2, space),
+                   params.t_collision).entries
     ket = space.basis_state([0, E, G]).amplitudes
     out = u @ ket
     assert np.vdot(ket, out).real == pytest.approx(1.0, abs=1e-9)
 
 
 def test_collision_ignores_double_i(params, space):
-    u = collision_propagator(params, 1, 2, space, 0.37 * params.t_collision).entries
+    u = propagator(dispersive_hamiltonian(params, 1, 2, space),
+                   0.37 * params.t_collision).entries
     for n in range(space.subsystem_dims[0]):
         ket = space.basis_state([n, I, I]).amplitudes
         np.testing.assert_allclose(u @ ket, ket, atol=1e-12)
@@ -256,7 +262,8 @@ def test_collision_basis_states_phase_map(params, space):
     gate only ever reaches the (n=0, i) pair, whose e-component flip is
     the conditional dynamics the protocol exploits.
     """
-    u = collision_propagator(params, 1, 2, space, params.t_collision).entries
+    u = propagator(dispersive_hamiltonian(params, 1, 2, space),
+                   params.t_collision).entries
     expected_phase = {
         (0, I, G): 1.0, (0, I, E): -1.0,   # the conditional flip pair
         (1, I, G): -1.0, (1, I, E): 1.0,   # unreachable by the protocol
@@ -274,8 +281,14 @@ def test_collision_basis_states_phase_map(params, space):
 
 # ---------------------------------------------------------------- pulses
 
+def pulse(space, atom, block):
+    """A 3x3 classical-pulse block embedded on ``atom``; asserts unitarity."""
+    op = OperatorMatrix(CompositeSpace((3,)), block, unitary=True)
+    return embed_operator(space, [atom], op)
+
+
 def test_rig_pulse_swaps_i_and_g(params, space):
-    u = rig_pulse(1, space).entries
+    u = pulse(space, 1, rig_block()).entries
     ig = space.basis_state([0, I, G]).amplitudes
     gg = space.basis_state([0, G, G]).amplitudes
     np.testing.assert_allclose(u @ ig, gg, atol=0)
@@ -283,22 +296,22 @@ def test_rig_pulse_swaps_i_and_g(params, space):
 
 
 def test_rig_pulse_involution_and_e_invariance(params, space):
-    u = rig_pulse(1, space).entries
+    u = pulse(space, 1, rig_block()).entries
     np.testing.assert_allclose(u @ u, np.eye(space.total_dim), atol=0)
     eg = space.basis_state([1, E, G]).amplitudes
     np.testing.assert_allclose(u @ eg, eg, atol=0)
 
 
 def test_rig_pulse_angle_family_hits_swap_at_pi(params, space):
-    u_exact = rig_pulse(1, space).entries
-    u_near = rig_pulse(1, space, angle=math.pi * (1 + 1e-12)).entries
+    u_exact = pulse(space, 1, rig_block()).entries
+    u_near = pulse(space, 1, rig_block(math.pi * (1 + 1e-12))).entries
     assert np.max(np.abs(u_exact - u_near)) < 1e-10
-    u_j = rig_pulse(1, space, angle=math.pi * 1.05)
+    u_j = pulse(space, 1, rig_block(math.pi * 1.05))
     assert u_j.unitary  # construction asserts unitarity
 
 
 def test_rge_pulse_prepares_superposition(params, space):
-    u = rge_pulse(2, space, math.pi / 2, 0.0).entries
+    u = pulse(space, 2, rge_block(math.pi / 2, 0.0)).entries
     g = space.basis_state([0, G, G]).amplitudes
     s = 1 / math.sqrt(2)
     expected = (space.basis_state([0, G, G]).amplitudes
@@ -307,7 +320,7 @@ def test_rge_pulse_prepares_superposition(params, space):
 
 
 def test_rge_pulse_zero_angle_is_identity(params, space):
-    np.testing.assert_allclose(rge_pulse(2, space, 0.0, 1.3).entries,
+    np.testing.assert_allclose(pulse(space, 2, rge_block(0.0, 1.3)).entries,
                                np.eye(space.total_dim), atol=0)
 
 

@@ -2,20 +2,61 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavity_toffoli.model import Level, PhysicalParams
+from cavity_toffoli.analysis import (_collision_inputs, dispersive_validation,
+                                     logical_process_matrix,
+                                     truth_table_fidelities)
+from cavity_toffoli.model import (ATOM_DIM, Level, PhysicalParams,
+                                  dispersive_hamiltonian,
+                                  full_detuned_hamiltonian, jc_hamiltonian,
+                                  rge_block, rig_block)
 from cavity_toffoli.protocol import (LOGICAL_BITS, Segment, encode_logical,
-                                     logical_process_matrix, prepare_cavity,
-                                     process_phase_spread, retrieve_cavity,
-                                     run_ideal, segment_unitary, toffoli_map,
-                                     toffoli_schedule, truth_table_fidelities)
-from cavity_toffoli.qmath import CompositeSpace, StateVector, state_fidelity
+                                     prepare_cavity, process_phase_spread,
+                                     retrieve_cavity, segment_drift,
+                                     toffoli_map, toffoli_schedule)
+from cavity_toffoli.qmath import (CompositeSpace, OperatorMatrix, StateVector,
+                                  embed_operator, propagator, state_fidelity)
+from cavity_toffoli.trajectories import run_ideal
 
 G, E, I = int(Level.g), int(Level.e), int(Level.i)
+
+
+def _segment_unitary(schedule, seg, *, duration=None, angle_scale=1.0):
+    """Dense unitary of one segment, built without the engine.
+
+    Timed segments: exp(-i H t) at ``duration`` (the nominal one by
+    default), an adjoint Rabi segment as the adjoint of the forward pulse;
+    classical pulses: their 3x3 block at ``angle_scale`` times the nominal
+    angle, embedded on the pulsed atom.  Construction asserts unitarity.
+    """
+    if seg.kind == "classical_pulse":
+        block = (rig_block(math.pi * angle_scale) if seg.pulse == "rig"
+                 else rge_block(seg.theta * angle_scale, seg.phi))
+        op = OperatorMatrix(CompositeSpace((ATOM_DIM,)), block, unitary=True)
+        return embed_operator(schedule.space, [seg.atom], op)
+    t = seg.nominal_duration if duration is None else duration
+    if seg.kind == "resonant_rabi":
+        u = propagator(jc_hamiltonian(schedule.params, seg.atom, schedule.space), t)
+        return u.dag() if seg.adjoint else u
+    return propagator(segment_drift(schedule, seg), t)
+
+
+def _dense_ideal(schedule, amps):
+    """``amps`` (one state or rows of states) through every segment's
+    dense unitary, in order."""
+    for seg in schedule.segments:
+        amps = amps @ _segment_unitary(schedule, seg).entries.T
+    return amps
+
+
+def _prefix(schedule, k):
+    """The schedule cut after its first k segments."""
+    return replace(schedule, segments=schedule.segments[:k])
 
 
 @pytest.fixture
@@ -152,6 +193,47 @@ def test_run_ideal_validates_input(schedule, params):
     other = CompositeSpace((4, 3, 3)).basis_state([0, 0, 0])
     with pytest.raises(ValueError):
         run_ideal(schedule, other)
+    unnormalized = StateVector(schedule.space, 2 * schedule.space.basis_state(
+        [0, 0, 0]).amplitudes, normalized=False)
+    with pytest.raises(ValueError):
+        run_ideal(schedule, unnormalized)
+
+
+_IDEAL_CASES = {
+    "default": ({}, {}),
+    "decode-forward": ({}, {"decode_adjoint": False}),
+    "fock-4": ({"fock_dim": 4}, {}),
+    "collision-loss": ({}, {"loss_scope": "collision_only"}),
+}
+
+
+@pytest.mark.parametrize("case", list(_IDEAL_CASES))
+def test_ideal_path_matches_dense_reference(case):
+    """The engine's ideal path equals the product of dense segment
+    unitaries within 1e-12: the process matrix, each run_ideal output, and
+    the collision inputs of the dispersive check, whose overlaps then equal
+    those of the dense route (the computation they were first made by)."""
+    param_kw, schedule_kw = _IDEAL_CASES[case]
+    params = PhysicalParams.from_frequency(**param_kw)
+    schedule = toffoli_schedule(params, **schedule_kw)
+    space = schedule.space
+    basis = np.stack([encode_logical(b, space).amplitudes for b in LOGICAL_BITS])
+    dense = _dense_ideal(schedule, basis)
+    assert np.max(np.abs(logical_process_matrix(schedule)
+                         - basis.conj() @ dense.T)) <= 1e-12
+    for psi, expected in zip(basis, dense):
+        out = run_ideal(schedule, StateVector(space, psi)).amplitudes
+        assert np.max(np.abs(out - expected)) <= 1e-12
+
+    inputs = _dense_ideal(_prefix(schedule, 2), basis)
+    assert np.max(np.abs(np.stack(_collision_inputs(params)) - inputs)) <= 1e-12
+    for rep in dispersive_validation(params):
+        p = replace(params, delta=rep.ratio * params.omega)
+        u_disp = propagator(dispersive_hamiltonian(p, 1, 2, space), p.t_collision)
+        u_full = propagator(full_detuned_hamiltonian(p, 1, 2, space), p.t_collision)
+        compare = u_full.entries.conj().T @ u_disp.entries
+        overlaps = [min(abs(np.vdot(psi, compare @ psi)) ** 2, 1.0) for psi in inputs]
+        np.testing.assert_allclose(rep.overlaps, overlaps, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- process matrix
@@ -206,19 +288,17 @@ def test_photon_population_never_escapes_single_excitation(schedule):
     """Population of n >= 2 stays below 1e-12 throughout, for every input."""
     ceiling = 0.0
     for bits in LOGICAL_BITS:
-        psi = encode_logical(bits, schedule.space)
-        for seg in schedule.segments:
-            psi = segment_unitary(schedule, seg).apply(psi)
-            pops = psi.subsystem_populations(0)
+        psi0 = encode_logical(bits, schedule.space)
+        for k in range(1, len(schedule.segments) + 1):
+            pops = run_ideal(_prefix(schedule, k), psi0).subsystem_populations(0)
             ceiling = max(ceiling, float(pops[2:].sum()))
     assert ceiling <= 1e-12
 
 
 def test_encoding_step_flips_1g_branch(schedule):
     """After segment 1: |1_c>|g_c> -> -|0_c>|e_c> (amplitude exactly -1)."""
-    u1 = segment_unitary(schedule, schedule.segments[0])
     for t in (0, 1):
-        psi = u1.apply(encode_logical((0, 1, t), schedule.space))
+        psi = run_ideal(_prefix(schedule, 1), encode_logical((0, 1, t), schedule.space))
         sign = 1.0 if t == 0 else -1.0
         s = 1 / math.sqrt(2)
         expect = np.zeros(27, dtype=complex)
@@ -230,9 +310,7 @@ def test_encoding_step_flips_1g_branch(schedule):
 def test_collision_stage_swaps_11_branch(schedule):
     """After segment 3 the (1,1,t) input carries the +/- swapped target."""
     for t in (0, 1):
-        psi = encode_logical((1, 1, t), schedule.space)
-        for seg in schedule.segments[:3]:
-            psi = segment_unitary(schedule, seg).apply(psi)
+        psi = run_ideal(_prefix(schedule, 3), encode_logical((1, 1, t), schedule.space))
         s = 1 / math.sqrt(2)
         sign = 1.0 if t == 0 else -1.0
         expect = np.zeros(27, dtype=complex)

@@ -8,9 +8,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from cavity_toffoli.qmath import (CompositeSpace, DensityMatrix, OperatorMatrix,
-                                  StateVector, embed_operator, partial_trace,
-                                  propagator, state_fidelity, tensor_operator,
-                                  tensor_state, trace_distance)
+                                  StateVector, embed_operator, propagator,
+                                  state_fidelity, tensor_state, trace_distance)
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -146,24 +145,11 @@ def test_embed_reversed_targets_transposes_factors():
     space = CompositeSpace((2, 3))
     a = random_hermitian(2, rng)
     b = random_hermitian(3, rng)
-    ab = tensor_operator(a, b)
     # embedding (b (x) a) on targets [1, 0] must equal a (x) b on [0, 1]
-    ba = tensor_operator(b, a)
+    ba = OperatorMatrix(CompositeSpace((3, 2)), np.kron(b.entries, a.entries),
+                        hermitian=True)
     out = embed_operator(space, [1, 0], ba)
-    np.testing.assert_allclose(out.entries, ab.entries, atol=1e-14)
-
-
-@given(SEEDS)
-@settings(max_examples=25, deadline=None)
-def test_tensor_operator_consistency(seed):
-    """(A (x) B)(psi (x) phi) = (A psi) (x) (B phi) within 1e-12."""
-    rng = np.random.default_rng(seed)
-    sa, sb = CompositeSpace((3,)), CompositeSpace((2,))
-    a, b = random_hermitian(3, rng), random_hermitian(2, rng)
-    psi, phi = random_state(sa, rng), random_state(sb, rng)
-    lhs = tensor_operator(a, b).entries @ tensor_state(psi, phi).amplitudes
-    rhs = np.kron(a.entries @ psi.amplitudes, b.entries @ phi.amplitudes)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+    np.testing.assert_allclose(out.entries, np.kron(a.entries, b.entries), atol=1e-14)
 
 
 # ---------------------------------------------------------------- propagator
@@ -224,7 +210,7 @@ def test_propagator_adjoint_inverts(seed):
     rng = np.random.default_rng(seed)
     h = random_hermitian(4, rng, scale=1e5)
     u = propagator(h, 7e-6)
-    np.testing.assert_allclose((u @ u.dag()).entries, np.eye(4), atol=1e-10)
+    np.testing.assert_allclose(u.entries @ u.dag().entries, np.eye(4), atol=1e-10)
 
 
 @given(SEEDS)
@@ -253,38 +239,6 @@ def test_fidelity_space_mismatch_raises():
     with pytest.raises(ValueError):
         state_fidelity(CompositeSpace((2,)).basis_state([0]),
                        CompositeSpace((3,)).basis_state([0]))
-
-
-# ---------------------------------------------------------------- partial trace
-
-def test_partial_trace_product_state_is_pure():
-    rng = np.random.default_rng(3)
-    a = random_state(CompositeSpace((3,)), rng)
-    b = random_state(CompositeSpace((2,)), rng)
-    rho = partial_trace(tensor_state(a, b), keep=[0])
-    assert abs(rho.purity() - 1.0) <= 1e-10
-    np.testing.assert_allclose(rho.entries, np.outer(a.amplitudes,
-                                                     a.amplitudes.conj()),
-                               atol=1e-12)
-
-
-def test_partial_trace_bell_state_is_maximally_mixed():
-    space = CompositeSpace((2, 2))
-    bell = StateVector(space, np.array([1, 0, 0, 1]) / math.sqrt(2))
-    rho = partial_trace(bell, keep=[1])
-    np.testing.assert_allclose(rho.entries, np.eye(2) / 2, atol=1e-15)
-
-
-def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(11)
-    space = CompositeSpace((2, 3, 2))
-    psi = random_state(space, rng)
-    rho = partial_trace(psi, keep=[0, 2])
-    assert abs(np.trace(rho.entries) - 1.0) <= 1e-12
-    # and from a density-matrix input
-    rho_full = DensityMatrix.from_state(psi)
-    rho2 = partial_trace(rho_full, keep=[0, 2])
-    np.testing.assert_allclose(rho.entries, rho2.entries, atol=1e-12)
 
 
 def test_trace_distance_extremes():

@@ -15,16 +15,18 @@ import cavity_toffoli
 from cavity_toffoli import trajectories
 from cavity_toffoli.model import PhysicalParams, annihilation
 from cavity_toffoli.protocol import (LOGICAL_BITS, Schedule, Segment,
-                                     encode_logical, run_ideal, segment_drift,
-                                     segment_unitary, toffoli_schedule)
-from cavity_toffoli.qmath import (CompositeSpace, DensityMatrix,
+                                     encode_logical, segment_drift,
+                                     toffoli_schedule)
+from cavity_toffoli.qmath import (CompositeSpace, DensityMatrix, StateVector,
                                   embed_operator, state_fidelity,
                                   trace_distance)
 from cavity_toffoli.trajectories import (_BLOCK_ROWS, NoiseParams,
                                          _StreamFactory, ensemble_density,
                                          jitter_factors, lindblad_evolve,
-                                         mcwf_trajectory, run_trajectories,
-                                         substream)
+                                         mcwf_trajectory, run_ideal,
+                                         run_trajectories, substream)
+
+from test_protocol import _dense_ideal, _segment_unitary
 
 
 @pytest.fixture
@@ -70,12 +72,16 @@ def test_substream_counter_blocks_are_independent():
 
 
 def test_stream_factory_matches_substream():
+    """One reused factory, and substream, give the fresh Philox block
+    (0, traj, input, cell) of the root seed, whatever was drawn before."""
     factory = _StreamFactory(123)
-    for key in [(0, 0, 0), (17, 3, 2), (999, 7, 65)]:
-        fresh = substream(123, traj=key[0], basis_input=key[1], cell=key[2])
+    for key in [(0, 0, 0), (17, 3, 2), (999, 7, 65), (0, 0, 0)]:
+        fresh = np.random.Generator(np.random.Philox(
+            key=np.uint64(123), counter=[0, *key])).standard_normal(16)
         reused = factory.stream(traj=key[0], basis_input=key[1], cell=key[2])
-        np.testing.assert_array_equal(fresh.standard_normal(16),
-                                      reused.standard_normal(16))
+        np.testing.assert_array_equal(reused.standard_normal(16), fresh)
+        single = substream(123, traj=key[0], basis_input=key[1], cell=key[2])
+        np.testing.assert_array_equal(single.standard_normal(16), fresh)
 
 
 @pytest.mark.parametrize("n_traj, traj", [
@@ -129,7 +135,8 @@ def test_lossless_trajectory_reproduces_ideal(schedule):
         psi0 = encode_logical(bits, schedule.space)
         res = mcwf_trajectory(schedule, psi0, noise, substream(4))
         assert res.jump_times == ()
-        assert state_fidelity(res.final_state, run_ideal(schedule, psi0)) >= 1 - 1e-8
+        ideal = StateVector(schedule.space, _dense_ideal(schedule, psi0.amplitudes))
+        assert state_fidelity(res.final_state, ideal) >= 1 - 1e-8
         assert res.perturbed_durations == tuple(
             seg.nominal_duration for seg in schedule.segments)
 
@@ -143,9 +150,9 @@ def test_lossless_jittered_trajectory_matches_manual_replay(schedule):
     psi = psi0
     for k, seg in enumerate(schedule.segments):
         if seg.kind == "classical_pulse":
-            psi = segment_unitary(schedule, seg, angle_scale=factors[k]).apply(psi)
+            psi = _segment_unitary(schedule, seg, angle_scale=factors[k]).apply(psi)
         else:
-            psi = segment_unitary(
+            psi = _segment_unitary(
                 schedule, seg, duration=seg.nominal_duration * factors[k]).apply(psi)
     assert state_fidelity(res.final_state, psi) >= 1 - 1e-8
     np.testing.assert_allclose(
@@ -193,7 +200,7 @@ def _reference_trajectory(schedule, psi0, noise, rng):
     psi, threshold, jumps, elapsed = psi0.amplitudes, None, [], 0.0
     for seg, factor in zip(schedule.segments, factors):
         if seg.kind == "classical_pulse":
-            psi = segment_unitary(schedule, seg, angle_scale=factor).entries @ psi
+            psi = _segment_unitary(schedule, seg, angle_scale=factor).entries @ psi
             continue
         duration = seg.nominal_duration * factor
         kappa = noise.kappa if seg.loss_active else 0.0
