@@ -19,7 +19,7 @@ from .qmath import (CompositeSpace, DensityMatrix, OperatorMatrix, StateVector,
                     trace_distance)
 from .trajectories import (NoiseParams, TrajectoryResult, ensemble_density,
                            lindblad_evolve, mcwf_trajectory, run_ideal,
-                           run_trajectories, substream)
+                           run_trajectories)
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,7 @@ __all__ = [
     "jc_hamiltonian", "dispersive_hamiltonian", "full_detuned_hamiltonian",
     "Segment", "Schedule", "LOGICAL_BITS", "encode_logical", "toffoli_map",
     "toffoli_schedule", "prepare_cavity", "retrieve_cavity",
-    "NoiseParams", "TrajectoryResult", "substream", "run_ideal",
+    "NoiseParams", "TrajectoryResult", "run_ideal",
     "mcwf_trajectory", "run_trajectories", "ensemble_density",
     "lindblad_evolve",
     "FidelityResult", "FidelityGrid", "DispersiveOverlap", "gate_fidelity",

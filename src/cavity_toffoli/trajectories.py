@@ -21,13 +21,15 @@ result does not depend on which other rows share its block.  The ideal
 gate (``run_ideal``) is the same engine at kappa = 0 with unit jitter
 factors: no row ever decays, so none draws or jumps.
 
-Randomness contract: one root seed; the stream for trajectory k of basis
-input b in grid cell c is the counter-based Philox block with counter
-(0, k, b, c).  Streams are independent of execution order, so results
-are bit-reproducible no matter how trajectories are scheduled.  Each
-trajectory first draws its per-segment jitter factors (one truncated
-Gaussian per jittered segment, in segment order), then jump thresholds
-as needed.
+Randomness contract: one root seed.  Word j of trajectory k of basis
+input b in grid cell c is element j % 4 of Philox4x64-10 (Salmon et al.,
+SC'11) at counter (j // 4 + 1, k, b, c) under key (seed, 0), i.e. the j-th
+``random_raw`` output of numpy's ``Philox(key=seed, counter=[0, k, b, c])``.
+A word depends on its indices only, so results are bit-reproducible however
+trajectories are scheduled, and a block's words come from one vectorised
+pass.  Word k < n_segments is segment k's jitter word, used or not; word
+n_segments + n is the n-th jump threshold.  Word w is used as the uniform
+((w >> 12) + 1/2) 2^-52, never 0 or 1.
 """
 
 from __future__ import annotations
@@ -97,51 +99,96 @@ class TrajectoryResult:
     perturbed_durations: tuple[float, ...]
 
 
-class _StreamFactory:
-    """The counter-based streams of one root seed.
+#: Philox4x64 multipliers, split into 32-bit halves for the 64-bit mulhi,
+#: and Weyl key increments (Salmon et al., SC'11)
+_LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _32
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
-    Reuses a single Philox instance, resetting its counter block per call,
-    which costs a fraction of a fresh construction; equality with a fresh
-    ``Philox(key=seed, counter=[0, traj, basis_input, cell])`` is asserted
-    in the test suite.  A stream is valid until the next ``stream`` call.
+#: AS241 (Wichura, Appl. Statist. 37, 477 (1988)) numerator and denominator
+#: coefficients, highest power first: |p - 1/2| <= 0.425, tails r <= 5, r > 5
+_AS241 = (
+    ((2509.0809287301227, 33430.57558358813, 67265.7709270087, 45921.95393154987,
+      13731.69376550946, 1971.5909503065513, 133.14166789178438, 3.3871328727963665),
+     (5226.495278852854, 28729.085735721943, 39307.89580009271, 21213.794301586597,
+      5394.196021424751, 687.1870074920579, 42.31333070160091, 1.0)),
+    ((0.0007745450142783414, 0.022723844989269184, 0.2417807251774506, 1.2704582524523684,
+      3.6478483247632045, 5.769497221460691, 4.630337846156546, 1.4234371107496835),
+     (1.0507500716444169e-09, 0.0005475938084995345, 0.015198666563616457,
+      0.14810397642748008, 0.6897673349851, 1.6763848301838038, 2.053191626637759, 1.0)),
+    ((2.0103343992922881e-07, 2.7115555687434876e-05, 0.0012426609473880784,
+      0.026532189526576124, 0.29656057182850487, 1.7848265399172913, 5.463784911164114,
+      6.657904643501103),
+     (2.0442631033899397e-15, 1.421511758316446e-07, 1.8463183175100548e-05,
+      0.0007868691311456133, 0.014875361290850615, 0.1369298809227358, 0.599832206555888,
+      1.0)),
+)
+
+
+def _philox(seed: int, trajs, blocks, basis_input: int, cell: int) -> np.ndarray:
+    """Philox4x64-10 at counters (blocks + 1, trajs, basis_input, cell), key
+    (seed, 0): words 4 blocks .. 4 blocks + 3 of the streams, on a new last
+    axis.  Counter words 0, 2 (``even``) and 1, 3 (``odd``) run as stacked
+    pairs; the round keys are formed as Python ints mod 2^64.
     """
-
-    def __init__(self, seed: int):
-        self._philox = np.random.Philox(key=np.uint64(seed))
-        self._template = self._philox.state
-
-    def stream(self, *, traj: int = 0, basis_input: int = 0,
-               cell: int = 0) -> np.random.Generator:
-        state = self._template
-        state["state"]["counter"] = np.array(
-            [0, traj, basis_input, cell], dtype=np.uint64)
-        state["buffer_pos"] = 4  # mark the output buffer exhausted
-        self._philox.state = state
-        return np.random.Generator(self._philox)
-
-
-def substream(seed: int, *, traj: int = 0, basis_input: int = 0,
-              cell: int = 0) -> np.random.Generator:
-    """Deterministic counter-based stream for one trajectory."""
-    return _StreamFactory(seed).stream(traj=int(traj), basis_input=int(basis_input),
-                                       cell=int(cell))
+    counters = np.broadcast_arrays(np.add(blocks, 1), trajs, basis_input, cell)
+    x = np.array(counters, dtype=np.uint64).reshape(4, -1)
+    even, odd = x[0::2], x[1::2]
+    keys = np.array([[(seed + r * _PHILOX_W[0]) % 2 ** 64, r * _PHILOX_W[1] % 2 ** 64]
+                     for r in range(10)], dtype=np.uint64)
+    for key in keys[:, :, None]:
+        lo, hi = even & _LO32, even >> _32
+        lo_lo, lo_hi, hi_lo = lo * _PHILOX_M_LO, lo * _PHILOX_M_HI, hi * _PHILOX_M_LO
+        carry = ((lo_lo >> _32) + (lo_hi & _LO32) + (hi_lo & _LO32)) >> _32
+        mul_hi = hi * _PHILOX_M_HI + (lo_hi >> _32) + (hi_lo >> _32) + carry
+        even, odd = mul_hi[::-1] ^ odd ^ key, (even * _PHILOX_M)[::-1]
+    return np.stack((even[0], odd[0], even[1], odd[1]), -1).reshape(*counters[0].shape, 4)
 
 
-def jitter_factors(schedule: Schedule, epsilon: float,
-                   rng: np.random.Generator) -> np.ndarray:
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """((w >> 12) + 1/2) 2^-52 per word: in [2^-53, 1 - 2^-53], never 0 or 1."""
+    return ((words >> 12) + 0.5) * 2.0 ** -52
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile by AS241, equal to ``NormalDist().inv_cdf``.
+
+    Each branch runs on its own entries only.  The tails take ``math.log``
+    per entry, as numpy's vectorised log can differ from libm's in the last bit.
+    """
+    q = p - 0.5
+    x = np.empty_like(q)
+    central = np.abs(q) <= 0.425
+    qc, qt = q[central], q[~central]
+    r = 0.180625 - qc * qc
+    x[central] = np.polyval(_AS241[0][0], r) * qc / np.polyval(_AS241[0][1], r)
+    lows = np.where(qt <= 0.0, p[~central], 1.0 - p[~central])
+    r = np.sqrt(-np.array([math.log(v) for v in lows.tolist()]))
+    xt = np.empty_like(r)
+    for near, (num, den), shift in ((r <= 5.0, _AS241[1], 1.6), (r > 5.0, _AS241[2], 5.0)):
+        xt[near] = np.polyval(num, r[near] - shift) / np.polyval(den, r[near] - shift)
+    x[~central] = np.where(qt < 0.0, -xt, xt)
+    return x
+
+
+def jitter_factors(schedule: Schedule, epsilon: float, u: np.ndarray) -> np.ndarray:
     """Per-segment scale factors 1 + eta, eta ~ N(0, epsilon^2) truncated > -1.
 
-    Segments with jitter_applies=False get exactly 1.0; zero-duration
-    segments use their factor as a rotation-angle scale instead.
+    One row per row of the uniforms ``u`` (n, n_segments).  eta = epsilon
+    Phi^-1(p0 + u (1 - p0)), p0 = Phi(-1/epsilon), inverts the truncated
+    law's CDF, so the cut is exact; 1 + eta is clamped to the smallest
+    positive normal double, as rounding next to the cut can give <= 0.
+    Segments with jitter_applies=False, and all at epsilon = 0, get exactly
+    1.0; zero-duration segments use their factor as a rotation-angle scale.
     """
-    factors = np.ones(len(schedule.segments))
-    for k, seg in enumerate(schedule.segments):
-        if not seg.jitter_applies:
-            continue
-        eta = rng.standard_normal() * epsilon
-        while eta <= -1.0:
-            eta = rng.standard_normal() * epsilon
-        factors[k] = 1.0 + eta
+    factors = np.ones(np.shape(u))
+    if epsilon == 0.0:
+        return factors
+    jittered = np.array([seg.jitter_applies for seg in schedule.segments], dtype=bool)
+    p0 = 0.5 * math.erfc(1.0 / (epsilon * math.sqrt(2.0)))
+    eta = epsilon * _ndtri(p0 + u[:, jittered] * (1.0 - p0))
+    factors[:, jittered] = np.maximum(1.0 + eta, np.finfo(np.float64).tiny)
     return factors
 
 
@@ -281,14 +328,14 @@ class _Block:
 
 def _decay(ev: _DriftEvolver, psi: np.ndarray, duration: np.ndarray,
            dt_max: float, annihilator: np.ndarray, thresholds: np.ndarray,
-           redraw: Callable[[int], float]) -> tuple[np.ndarray, list]:
+           next_thresholds: Callable[..., np.ndarray]) -> tuple[np.ndarray, list]:
     """Rows of ``psi`` through one lossy segment of per-row ``duration``.
 
     Each row runs from its last jump (or the segment start) on a grid of
     equal substeps of at most dt_max, checking its squared norm at every
     substep unless its threshold is too low to be reached on the grid.  A
     row whose norm falls below its threshold has the crossing bisected to
-    dt_max/100, jumps there, draws its next threshold into
+    dt_max/100, jumps there, takes its next threshold into
     ``thresholds`` and runs again from the jump.  Returns the final rows
     and, per pass with jumps, (rows, time done before the pass, jump time
     within the pass).
@@ -353,8 +400,7 @@ def _decay(ev: _DriftEvolver, psi: np.ndarray, duration: np.ndarray,
             raise RuntimeError("norm underflow: jump operator annihilated the state")
         psi[rows] = jumped / jumped_norms[:, None]
         events.append((rows, t_done[rows], t_jump))
-        for row in rows:
-            thresholds[row] = redraw(row)
+        thresholds[rows] = next_thresholds(rows)
         t_done[rows] += t_jump
         running = rows[duration[rows] - t_done[rows] > 0.0]
     return psi, events
@@ -362,13 +408,13 @@ def _decay(ev: _DriftEvolver, psi: np.ndarray, duration: np.ndarray,
 
 def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
             factors: np.ndarray, thresholds: np.ndarray,
-            redraw: Optional[Callable[[int], float]]) -> _Block:
+            next_thresholds: Optional[Callable[..., np.ndarray]]) -> _Block:
     """Evolve the start rows ``psi`` (n, dim) together, one trajectory each.
 
     ``factors`` (n, n_segments) are the rows' jitter factors and
-    ``thresholds`` (n,) their first jump thresholds; ``redraw(row)`` gives
-    a row's next threshold after each of its jumps (None if no segment
-    decays).  The final rows are not renormalized.
+    ``thresholds`` (n,) their first jump thresholds; ``next_thresholds(rows)``
+    gives the next thresholds of ``rows`` after they jump (None if no
+    segment decays).  The final rows are not renormalized.
     """
     segments = compiled.schedule.segments
     n = len(factors)
@@ -386,21 +432,13 @@ def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
             psi = ev.evolve(ev.coefficients(psi), durations[:, k])
         else:
             psi, events = _decay(ev, psi, durations[:, k], noise.effective_dt_max(),
-                                 compiled.annihilator, thresholds, redraw)
+                                 compiled.annihilator, thresholds, next_thresholds)
             for rows, t_done, t_jump in events:
                 for row, t in zip(rows, elapsed[rows] + t_done + t_jump):
                     jump_times[row].append(float(t))
         elapsed += durations[:, k]
     return _Block(compiled.schedule.space, psi,
                   tuple(tuple(times) for times in jump_times), durations)
-
-
-def _draw(compiled: _CompiledSchedule, noise: NoiseParams,
-          rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """A trajectory's draws before it runs: its jitter factors, then its
-    first jump threshold when the schedule decays."""
-    factors = jitter_factors(compiled.schedule, noise.epsilon, rng)
-    return factors, (rng.random() if compiled.decays else math.inf)
 
 
 def _check_initial_state(schedule: Schedule, psi0: StateVector) -> None:
@@ -411,30 +449,35 @@ def _check_initial_state(schedule: Schedule, psi0: StateVector) -> None:
 
 
 def _run_block(compiled: _CompiledSchedule, psi0: StateVector, noise: NoiseParams,
-               streams: _StreamFactory, trajs: range, basis_input: int,
-               cell: int) -> _Block:
+               trajs: range, basis_input: int, cell: int) -> _Block:
     """Trajectories ``trajs`` of one basis input as one block.
 
-    A row that jumps draws its next threshold by replaying its own stream
-    past the draws it has made, so no per-row generator is kept.
+    One Philox call draws the whole 4-word blocks holding every row's jitter
+    words and first threshold; a row whose thresholds outrun them gets the
+    Philox block of its next one.
     """
-    def stream(row: int) -> np.random.Generator:
-        return streams.stream(traj=trajs[row], basis_input=basis_input, cell=cell)
+    n_seg, seed = len(compiled.schedule.segments), int(noise.seed)
+    index = np.arange(trajs.start, trajs.stop)
+    n_cached = 4 * -(-(n_seg + compiled.decays) // 4)
+    words = _philox(seed, index[:, None], np.arange(n_cached // 4), basis_input,
+                    cell).reshape(len(index), n_cached)
+    next_word = np.full(len(index), n_seg)
 
-    factors, thresholds = zip(*(_draw(compiled, noise, stream(row))
-                                for row in range(len(trajs))))
-    drawn = np.ones(len(trajs), dtype=np.int64)
+    def next_thresholds(rows: np.ndarray) -> np.ndarray:
+        j = next_word[rows]
+        next_word[rows] += 1
+        drawn = words[rows, np.minimum(j, n_cached - 1)]
+        far = np.nonzero(j >= n_cached)[0]
+        if far.size:
+            blocks = _philox(seed, index[rows[far]], j[far] // 4, basis_input, cell)
+            drawn[far] = blocks[np.arange(far.size), j[far] % 4]
+        return _uniforms(drawn)
 
-    def redraw(row: int) -> float:
-        rng = stream(row)
-        _draw(compiled, noise, rng)
-        threshold = rng.random(drawn[row])[-1]
-        drawn[row] += 1
-        return threshold
-
-    psi = np.repeat(psi0.amplitudes[None, :], len(trajs), axis=0)
-    return _evolve(compiled, psi, noise, np.array(factors), np.array(thresholds),
-                   redraw).normalized()
+    factors = jitter_factors(compiled.schedule, noise.epsilon, _uniforms(words[:, :n_seg]))
+    thresholds = (next_thresholds(np.arange(len(index))) if compiled.decays
+                  else np.full(len(index), math.inf))
+    psi = np.repeat(psi0.amplitudes[None, :], len(index), axis=0)
+    return _evolve(compiled, psi, noise, factors, thresholds, next_thresholds).normalized()
 
 
 def _trajectory_blocks(compiled: _CompiledSchedule, psi0: StateVector,
@@ -442,25 +485,21 @@ def _trajectory_blocks(compiled: _CompiledSchedule, psi0: StateVector,
                        cell: int = 0) -> Iterator[_Block]:
     """The n_traj trajectories of one basis input, ``_BLOCK_ROWS`` at a time."""
     _check_initial_state(compiled.schedule, psi0)
-    streams = _StreamFactory(noise.seed)
     for first in range(0, noise.n_traj, _BLOCK_ROWS):
         trajs = range(first, min(first + _BLOCK_ROWS, noise.n_traj))
-        yield _run_block(compiled, psi0, noise, streams, trajs, basis_input, cell)
+        yield _run_block(compiled, psi0, noise, trajs, basis_input, cell)
 
 
-def mcwf_trajectory(schedule: Schedule, psi0: StateVector, noise: NoiseParams,
-                    rng: np.random.Generator) -> TrajectoryResult:
+def mcwf_trajectory(schedule: Schedule, psi0: StateVector, noise: NoiseParams, *,
+                    traj: int = 0, basis_input: int = 0, cell: int = 0) -> TrajectoryResult:
     """One Monte Carlo wavefunction realization of the schedule.
 
-    The engine's one-row case.  Consumes ``rng`` in a fixed order: jitter
-    factors first, then one uniform threshold per decay record.
+    The engine's one-row block: bit for bit trajectory ``traj`` of
+    ``run_trajectories`` at the same ``basis_input`` and ``cell``.
     """
     _check_initial_state(schedule, psi0)
-    compiled = _compile(schedule, noise)
-    factors, threshold = _draw(compiled, noise, rng)
-    block = _evolve(compiled, psi0.amplitudes[None, :], noise, factors[None, :],
-                    np.array([threshold]), lambda row: rng.random())
-    return block.normalized().result(0)
+    return _run_block(_compile(schedule, noise), psi0, noise, range(traj, traj + 1),
+                      basis_input, cell).result(0)
 
 
 def _ideal_states(schedule: Schedule, psi: np.ndarray) -> list[StateVector]:
@@ -485,7 +524,7 @@ def run_ideal(schedule: Schedule, psi0: StateVector) -> StateVector:
 
 def run_trajectories(schedule: Schedule, psi0: StateVector, noise: NoiseParams,
                      *, basis_input: int = 0, cell: int = 0) -> list[TrajectoryResult]:
-    """n_traj independent trajectories with per-index derived streams."""
+    """n_traj independent trajectories, each on its own counter-based stream."""
     blocks = _trajectory_blocks(_compile(schedule, noise), psi0, noise,
                                 basis_input=basis_input, cell=cell)
     return [block.result(row) for block in blocks for row in range(len(block.states))]

@@ -2,6 +2,7 @@
 
 import math
 import os
+import statistics
 import subprocess
 import sys
 import textwrap
@@ -21,10 +22,9 @@ from cavity_toffoli.qmath import (CompositeSpace, DensityMatrix, StateVector,
                                   embed_operator, state_fidelity,
                                   trace_distance)
 from cavity_toffoli.trajectories import (_BLOCK_ROWS, NoiseParams,
-                                         _StreamFactory, ensemble_density,
-                                         jitter_factors, lindblad_evolve,
-                                         mcwf_trajectory, run_ideal,
-                                         run_trajectories, substream)
+                                         ensemble_density, jitter_factors,
+                                         lindblad_evolve, mcwf_trajectory,
+                                         run_ideal, run_trajectories)
 
 from test_protocol import _dense_ideal, _segment_unitary
 
@@ -37,6 +37,15 @@ def schedule(params):
 def idle_schedule(params, duration, fock_dim=3):
     space = CompositeSpace((fock_dim,))
     return Schedule(space, (Segment("idle", duration),), params)
+
+
+def stream_uniforms(seed, n_rows, n_words):
+    """Uniforms of words 0 .. n_words - 1 of trajectories 0 .. n_rows - 1
+    of basis input 0 in cell 0."""
+    blocks = np.arange(-(-n_words // 4))
+    words = trajectories._philox(seed, np.arange(n_rows)[:, None], blocks,
+                                 0, 0).reshape(n_rows, -1)
+    return trajectories._uniforms(words[:, :n_words])
 
 
 # ---------------------------------------------------------------- NoiseParams
@@ -63,25 +72,38 @@ def test_kappa_definition():
 
 # ---------------------------------------------------------------- RNG contract
 
-def test_substream_counter_blocks_are_independent():
-    a = substream(42, traj=1).standard_normal(4)
-    b = substream(42, traj=2).standard_normal(4)
-    assert not np.array_equal(a, b)
-    again = substream(42, traj=1).standard_normal(4)
-    np.testing.assert_array_equal(a, again)
+def test_philox_words_match_numpy_philox():
+    """Word j of stream (traj, input, cell) is the j-th raw output of numpy's
+    Philox(key=seed, counter=[0, traj, input, cell]), bit for bit, across
+    4-word blocks, for a traj beyond 32 bits and a cell beyond 63, alone or
+    batched; distinct counters give distinct words."""
+    trajs = [0, 17, 2 ** 32 + 5]
+    for seed in (0, 123, 2 ** 64 - 1):
+        seen = set()
+        for basis_input, cell in [(0, 0), (7, 65)]:
+            batched = trajectories._philox(seed, np.array(trajs)[:, None], np.arange(3),
+                                           basis_input, cell).reshape(len(trajs), -1)
+            for row, traj in enumerate(trajs):
+                expected = np.random.Philox(
+                    key=seed, counter=[0, traj, basis_input, cell]).random_raw(11)
+                alone = trajectories._philox(seed, traj, np.arange(3), basis_input, cell)
+                np.testing.assert_array_equal(alone.reshape(-1)[:11], expected)
+                np.testing.assert_array_equal(batched[row, :11], expected)
+                seen.update(expected.tolist())
+        assert len(seen) == 11 * 2 * len(trajs)
 
 
-def test_stream_factory_matches_substream():
-    """One reused factory, and substream, give the fresh Philox block
-    (0, traj, input, cell) of the root seed, whatever was drawn before."""
-    factory = _StreamFactory(123)
-    for key in [(0, 0, 0), (17, 3, 2), (999, 7, 65), (0, 0, 0)]:
-        fresh = np.random.Generator(np.random.Philox(
-            key=np.uint64(123), counter=[0, *key])).standard_normal(16)
-        reused = factory.stream(traj=key[0], basis_input=key[1], cell=key[2])
-        np.testing.assert_array_equal(reused.standard_normal(16), fresh)
-        single = substream(123, traj=key[0], basis_input=key[1], cell=key[2])
-        np.testing.assert_array_equal(single.standard_normal(16), fresh)
+def test_ndtri_equals_stdlib_inv_cdf():
+    """The AS241 port gives NormalDist().inv_cdf exactly, extremes included."""
+    rng = np.random.default_rng(9)
+    deep = np.exp(-745.0 * rng.random(5000))
+    p = np.concatenate([
+        stream_uniforms(5, 2500, 4).reshape(-1), deep, 1.0 - deep,
+        [2.0 ** -53, 1.0 - 2.0 ** -53, 0.5, 0.075, 0.925, math.exp(-25.0)]])
+    p = p[(p > 0.0) & (p < 1.0)]
+    assert p.size >= 10 ** 4
+    expected = np.array([statistics.NormalDist().inv_cdf(v) for v in p.tolist()])
+    np.testing.assert_array_equal(trajectories._ndtri(p), expected)
 
 
 @pytest.mark.parametrize("n_traj, traj", [
@@ -94,7 +116,7 @@ def test_trajectory_bit_reproducible_out_of_order(schedule, n_traj, traj):
     noise = NoiseParams(tau=1e-3, epsilon=0.03, n_traj=n_traj, seed=77)
     psi0 = encode_logical((0, 0, 0), schedule.space)
     batch = run_trajectories(schedule, psi0, noise)
-    solo = mcwf_trajectory(schedule, psi0, noise, substream(77, traj=traj))
+    solo = mcwf_trajectory(schedule, psi0, noise, traj=traj)
     np.testing.assert_array_equal(solo.final_state.amplitudes,
                                   batch[traj].final_state.amplitudes)
     assert solo.jump_times == batch[traj].jump_times
@@ -104,25 +126,47 @@ def test_trajectory_bit_reproducible_out_of_order(schedule, n_traj, traj):
 # ---------------------------------------------------------------- jitter
 
 def test_jitter_zero_epsilon_is_exact(schedule):
-    factors = jitter_factors(schedule, 0.0, substream(1))
-    assert list(factors) == [1.0] * len(schedule.segments)
+    u = stream_uniforms(1, 4, len(schedule.segments))
+    factors = jitter_factors(schedule, 0.0, u)
+    assert factors.tolist() == [[1.0] * len(schedule.segments)] * 4
+
+
+@pytest.mark.parametrize("eps", [0.03, 0.08, 0.5, 0.9, 0.999])
+def test_jitter_extreme_words_give_positive_factors(schedule, eps):
+    """The lowest and highest words land next to the cut and far in the
+    tail; both give finite positive factors."""
+    words = np.array([[0], [2 ** 64 - 1]], dtype=np.uint64).repeat(
+        len(schedule.segments), axis=1)
+    factors = jitter_factors(schedule, eps, trajectories._uniforms(words))
+    assert np.all(np.isfinite(factors)) and np.all(factors > 0.0)
 
 
 def test_jitter_sample_mean(schedule):
     """Mean of T(1+eta) over 1e5 draws lands within 3 standard errors of T."""
     eps = 0.05
-    rng = substream(2024)
-    draws = np.array([jitter_factors(schedule, eps, rng)
-                      for _ in range(20000)])   # 5 segments -> 1e5 factors
-    factors = draws.reshape(-1)
+    u = stream_uniforms(2024, 20000, len(schedule.segments))  # 5 segments -> 1e5
+    factors = jitter_factors(schedule, eps, u).reshape(-1)
     se = eps / math.sqrt(factors.size)
     assert abs(factors.mean() - 1.0) <= 3 * se
     assert np.all(factors > 0.0)
 
 
+def test_jitter_truncated_mean(schedule):
+    """At eps = 0.5 the cut eta > -1 matters: the mean of 1e5 factors is
+    the truncated law's, 1 + eps phi(1/eps) / (1 - Phi(-1/eps)), within 3
+    standard errors."""
+    eps = 0.5
+    u = stream_uniforms(2025, 20000, len(schedule.segments))
+    factors = jitter_factors(schedule, eps, u).reshape(-1)
+    phi = math.exp(-0.5 / eps ** 2) / math.sqrt(2.0 * math.pi)
+    mean = 1.0 + eps * phi / (1.0 - 0.5 * math.erfc(1.0 / (eps * math.sqrt(2.0))))
+    se = factors.std() / math.sqrt(factors.size)
+    assert abs(factors.mean() - mean) <= 3 * se
+
+
 def test_jitter_respects_segment_flags(params):
     sched = toffoli_schedule(params, jitter_scope="interactions_only")
-    factors = jitter_factors(sched, 0.5, substream(3))
+    factors = jitter_factors(sched, 0.5, stream_uniforms(3, 1, len(sched.segments)))[0]
     assert factors[1] == 1.0 and factors[3] == 1.0    # classical pulses exempt
     assert factors[0] != 1.0 and factors[2] != 1.0
 
@@ -133,7 +177,7 @@ def test_lossless_trajectory_reproduces_ideal(schedule):
     noise = NoiseParams(tau=math.inf, epsilon=0.0, n_traj=1, seed=4)
     for bits in LOGICAL_BITS:
         psi0 = encode_logical(bits, schedule.space)
-        res = mcwf_trajectory(schedule, psi0, noise, substream(4))
+        res = mcwf_trajectory(schedule, psi0, noise)
         assert res.jump_times == ()
         ideal = StateVector(schedule.space, _dense_ideal(schedule, psi0.amplitudes))
         assert state_fidelity(res.final_state, ideal) >= 1 - 1e-8
@@ -145,8 +189,9 @@ def test_lossless_jittered_trajectory_matches_manual_replay(schedule):
     """tau = inf with jitter equals the unitary product at the drawn durations."""
     noise = NoiseParams(tau=math.inf, epsilon=0.05, n_traj=1, seed=11)
     psi0 = encode_logical((0, 1, 0), schedule.space)
-    res = mcwf_trajectory(schedule, psi0, noise, substream(11, traj=3))
-    factors = jitter_factors(schedule, 0.05, substream(11, traj=3))
+    res = mcwf_trajectory(schedule, psi0, noise, traj=3)
+    u = stream_uniforms(11, 4, len(schedule.segments))[3:]   # segment k: word k
+    factors = jitter_factors(schedule, 0.05, u)[0]
     psi = psi0
     for k, seg in enumerate(schedule.segments):
         if seg.kind == "classical_pulse":
@@ -186,17 +231,25 @@ def test_jump_times_ordered_and_in_range(schedule):
         assert abs(res.final_state.norm() - 1.0) <= 1e-12
 
 
-def _reference_trajectory(schedule, psi0, noise, rng):
+def _reference_trajectory(schedule, psi0, noise, traj, basis_input):
     """The quantum-jump algorithm as a plain loop over one trajectory.
 
     Same draws, substep grid, bisection and jump rule as the engine, with
-    every state computed afresh from a dense eigendecomposition.
+    every state computed afresh from a dense eigendecomposition.  The draws
+    are numpy's own Philox words, read in order: one per segment, then one
+    per threshold.
     """
+    bits = np.random.Philox(key=noise.seed, counter=[0, traj, basis_input, 0])
+
+    def uniform():
+        return ((int(bits.random_raw()) >> 12) + 0.5) * 2.0 ** -52
+
     space = schedule.space
     a = embed_operator(space, [0], annihilation(space.subsystem_dims[0])).entries
     n_cav = a.conj().T @ a
     dt_max = noise.effective_dt_max()
-    factors = jitter_factors(schedule, noise.epsilon, rng)
+    u = np.array([[uniform() for _ in schedule.segments]])
+    factors = jitter_factors(schedule, noise.epsilon, u)[0]
     psi, threshold, jumps, elapsed = psi0.amplitudes, None, [], 0.0
     for seg, factor in zip(schedule.segments, factors):
         if seg.kind == "classical_pulse":
@@ -216,7 +269,7 @@ def _reference_trajectory(schedule, psi0, noise, rng):
             elapsed += duration
             continue
         if threshold is None:
-            threshold = rng.uniform()
+            threshold = uniform()
         t_done = 0.0
         while duration - t_done > 0.0:
             def at(t, start=psi):
@@ -239,29 +292,33 @@ def _reference_trajectory(schedule, psi0, noise, rng):
             psi = a @ at(t_jump)
             psi = psi / math.sqrt(norm_sq(psi))
             jumps.append(elapsed + t_done + t_jump)
-            threshold = rng.uniform()
+            threshold = uniform()
             t_done += t_jump
         elapsed += duration
     return psi / math.sqrt(norm_sq(psi)), jumps
 
 
-@pytest.mark.parametrize("case", ["toffoli", "two_photons"])
+@pytest.mark.parametrize("case", ["toffoli", "two_photons", "three_photons"])
 def test_batched_engine_matches_reference_loop(params, case):
     """Every row of a block follows the one-trajectory algorithm, jumps included."""
     if case == "toffoli":
         schedule = toffoli_schedule(params)
         psi0 = encode_logical((0, 0, 0), schedule.space)   # photon-carrying
-    else:   # two photons leave one by one: a second threshold, a second pass
+    elif case == "two_photons":   # one by one: a second threshold, a second pass
         schedule = idle_schedule(params, 3e-4)
         psi0 = schedule.space.basis_state([2])
+    else:   # a fourth threshold: word 4, past the one Philox block drawn up front
+        schedule = idle_schedule(params, 6e-4, fock_dim=4)
+        psi0 = schedule.space.basis_state([3])
     noise = NoiseParams(tau=2e-4, epsilon=0.05, n_traj=40, seed=31)
     batch = run_trajectories(schedule, psi0, noise, basis_input=3)
-    assert sum(len(res.jump_times) == 1 for res in batch) >= 10
-    if case == "two_photons":
-        assert sum(len(res.jump_times) == 2 for res in batch) >= 10
+    n_jumps = [len(res.jump_times) for res in batch]
+    expected = {"toffoli": {1: 10}, "two_photons": {1: 10, 2: 10},
+                "three_photons": {3: 10}}[case]
+    for count, at_least in expected.items():
+        assert n_jumps.count(count) >= at_least
     for k, res in enumerate(batch):
-        final, jumps = _reference_trajectory(schedule, psi0, noise,
-                                             substream(31, traj=k, basis_input=3))
+        final, jumps = _reference_trajectory(schedule, psi0, noise, k, 3)
         assert len(res.jump_times) == len(jumps)
         np.testing.assert_allclose(res.jump_times, jumps, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(res.final_state.amplitudes, final, atol=1e-10)
@@ -289,6 +346,22 @@ def test_expm_fallback_matches_eigenbasis(schedule, monkeypatch):
         np.testing.assert_allclose(a.jump_times, b.jump_times, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(a.final_state.amplitudes,
                                    b.final_state.amplitudes, atol=1e-12)
+
+
+def test_block_partition_leaves_results_unchanged(schedule, monkeypatch):
+    """1, 7 and 256 rows per block give byte-identical trajectories."""
+    noise = NoiseParams(tau=2e-4, epsilon=0.05, n_traj=20, seed=3)
+    psi0 = encode_logical((0, 0, 0), schedule.space)
+    runs = []
+    for block_rows in (1, 7, 256):
+        monkeypatch.setattr(trajectories, "_BLOCK_ROWS", block_rows)
+        runs.append(run_trajectories(schedule, psi0, noise))
+    assert sum(len(res.jump_times) for res in runs[0]) >= 5
+    for run in runs[1:]:
+        for a, b in zip(runs[0], run):
+            assert a.final_state.amplitudes.tobytes() == b.final_state.amplitudes.tobytes()
+            assert a.jump_times == b.jump_times
+            assert a.perturbed_durations == b.perturbed_durations
 
 
 def test_jumped_state_ends_in_vacuum_sector(params):
@@ -321,7 +394,7 @@ _GAINING_DRIFT = textwrap.dedent("""
     schedule = toffoli_schedule(PhysicalParams.from_frequency())
     psi0 = encode_logical((0, 0, 0), schedule.space)
     try:
-        tr.mcwf_trajectory(schedule, psi0, tr.NoiseParams(), tr.substream(1))
+        tr.mcwf_trajectory(schedule, psi0, tr.NoiseParams())
     except RuntimeError as exc:
         print(exc)
         sys.exit(0)
@@ -345,7 +418,7 @@ def test_mcwf_validates_input(schedule):
     noise = NoiseParams()
     with pytest.raises(ValueError):
         mcwf_trajectory(schedule, CompositeSpace((2, 3, 3)).basis_state([0, 0, 0]),
-                        noise, substream(1))
+                        noise)
 
 
 # ---------------------------------------------------------------- ensembles
