@@ -72,15 +72,31 @@ def test_kappa_definition():
 
 # ---------------------------------------------------------------- RNG contract
 
-def test_philox_words_match_numpy_philox():
-    """Word j of stream (traj, input, cell) is the j-th raw output of numpy's
-    Philox(key=seed, counter=[0, traj, input, cell]), bit for bit, across
-    4-word blocks, for a traj beyond 32 bits and a cell beyond 63, alone or
-    batched; distinct counters give distinct words."""
+def test_substream_counter_blocks_are_independent():
+    """Distinct (traj, input, cell) counters give distinct words, for a traj
+    beyond 32 bits and a cell beyond 63, and the same counter gives the same
+    words again."""
     trajs = [0, 17, 2 ** 32 + 5]
     for seed in (0, 123, 2 ** 64 - 1):
         seen = set()
         for basis_input, cell in [(0, 0), (7, 65)]:
+            words = trajectories._philox(seed, np.array(trajs)[:, None], np.arange(3),
+                                         basis_input, cell).reshape(len(trajs), -1)
+            again = trajectories._philox(seed, np.array(trajs)[:, None], np.arange(3),
+                                         basis_input, cell).reshape(len(trajs), -1)
+            np.testing.assert_array_equal(words, again)
+            seen.update(words.reshape(-1).tolist())
+        assert len(seen) == 12 * 2 * len(trajs)
+
+
+def test_stream_factory_matches_substream():
+    """Word j of stream (traj, input, cell) is the j-th raw output of numpy's
+    Philox(key=seed, counter=[0, traj, input, cell]), bit for bit, across
+    4-word blocks, whether the stream is drawn alone or batched with others
+    and whatever was drawn before it."""
+    trajs = [0, 17, 2 ** 32 + 5]
+    for seed in (0, 123, 2 ** 64 - 1):
+        for basis_input, cell in [(0, 0), (7, 65), (0, 0)]:
             batched = trajectories._philox(seed, np.array(trajs)[:, None], np.arange(3),
                                            basis_input, cell).reshape(len(trajs), -1)
             for row, traj in enumerate(trajs):
@@ -89,8 +105,6 @@ def test_philox_words_match_numpy_philox():
                 alone = trajectories._philox(seed, traj, np.arange(3), basis_input, cell)
                 np.testing.assert_array_equal(alone.reshape(-1)[:11], expected)
                 np.testing.assert_array_equal(batched[row, :11], expected)
-                seen.update(expected.tolist())
-        assert len(seen) == 11 * 2 * len(trajs)
 
 
 def test_ndtri_equals_stdlib_inv_cdf():
