@@ -13,13 +13,13 @@ not grow with n_traj; a single trajectory (``mcwf_trajectory``) is the
 one-row case.  Each row evolves its unnormalized state under
 K = H - (i/2) kappa a^dag a exactly per segment, at its own jittered
 duration, by broadcasting exp(-i w t) over per-row times in the
-eigenbasis of K.  Each row monitors its squared norm on its own grid of
-substeps of at most dt_max and fires a jump when the norm crosses the
-row's uniform threshold; the crossing time is refined by bisection to
-dt_max/100 on the rows that crossed, and only those rows jump.  A row's
-result does not depend on which other rows share its block.  The ideal
-gate (``run_ideal``) is the same engine at kappa = 0 with unit jitter
-factors: no row ever decays, so none draws or jumps.
+eigenbasis of K.  Between jumps a row's squared norm only falls, so each
+pass evaluates it once, at the end point of the row's remaining time; a
+row whose norm has fallen below its uniform threshold there bisects the
+crossing to dt_max/100, the only role of dt_max, and only those rows
+jump.  A row's result does not depend on which other rows share its
+block.  The ideal gate (``run_ideal``) is the same engine at kappa = 0
+with unit jitter factors: no row ever decays, so none draws or jumps.
 
 Randomness contract: one root seed.  Word j of trajectory k of basis
 input b in grid cell c is element j % 4 of Philox4x64-10 (Salmon et al.,
@@ -57,7 +57,7 @@ class NoiseParams:
     epsilon  relative timing/angle error, std of the per-segment Gaussian
     n_traj   trajectories per initial state
     seed     64-bit root seed
-    dt_max   norm-monitoring substep bound; defaults to tau/100
+    dt_max   sets the jump-time resolution dt_max/100; defaults to tau/100
     """
 
     tau: float = 1e-3
@@ -86,7 +86,9 @@ class NoiseParams:
         return 0.0 if math.isinf(self.tau) else 1.0 / self.tau
 
     def effective_dt_max(self) -> float:
-        """Norm-monitoring substep bound: dt_max, else tau/100 (inf if lossless)."""
+        """dt_max, else tau/100 (inf if lossless).  Its one role: jump times
+        are bisected to dt_max/100.  A row's norm is evaluated once per
+        pass, at its end point, however long the pass."""
         return self.tau / 100.0 if self.dt_max is None else self.dt_max
 
 
@@ -248,8 +250,6 @@ class _DriftEvolver:
         self.lossy = kappa > 0.0
         self.kappa = kappa
         self.k = h - 0.5j * kappa * n_cav if self.lossy else h
-        #: d|psi|^2/dt = -kappa <N> >= -max_decay_rate |psi|^2
-        self.max_decay_rate = kappa * float(np.max(np.diag(n_cav).real))
         if not self.lossy:
             w, v = np.linalg.eigh(h)
             self._w = w.astype(np.complex128)
@@ -331,11 +331,11 @@ def _decay(ev: _DriftEvolver, psi: np.ndarray, duration: np.ndarray,
            next_thresholds: Callable[..., np.ndarray]) -> tuple[np.ndarray, list]:
     """Rows of ``psi`` through one lossy segment of per-row ``duration``.
 
-    Each row runs from its last jump (or the segment start) on a grid of
-    equal substeps of at most dt_max, checking its squared norm at every
-    substep unless its threshold is too low to be reached on the grid.  A
-    row whose norm falls below its threshold has the crossing bisected to
-    dt_max/100, jumps there, takes its next threshold into
+    Between jumps a row's squared norm only falls, so each pass evaluates
+    every running row once, at the end of its remaining time.  A row still
+    at or above its threshold there keeps that state and is done.  A row
+    below it bisects [0, remaining] until the bracket is at most dt_max/100
+    wide, jumps at the bracket's midpoint, takes its next threshold into
     ``thresholds`` and runs again from the jump.  Returns the final rows
     and, per pass with jumps, (rows, time done before the pass, jump time
     within the pass).
@@ -344,53 +344,35 @@ def _decay(ev: _DriftEvolver, psi: np.ndarray, duration: np.ndarray,
     t_done = np.zeros(len(psi))
     events = []
     running = np.arange(len(psi))
+    resolution = dt_max / 100.0
     while running.size:
         start = ev.coefficients(psi[running])
         remaining = duration[running] - t_done[running]
-        n_sub = np.maximum(1.0, np.ceil(remaining / dt_max))
-        step = remaining / n_sub
         norms = _sq_norms(psi[running])
         slack = 1e-12 * norms
-        t_lo = np.zeros(len(running))
-        t_hi = np.zeros(len(running))
-        crossed = np.zeros(len(running), dtype=bool)
-        # the squared norm decays no faster than exp(-max_decay_rate t), so a
-        # row whose threshold lies below that bound at the end of its grid
-        # cannot cross on it: its grid shrinks to that one end point
-        floor = norms * np.exp(-ev.max_decay_rate * step * n_sub) * (1.0 - 1e-6)
-        clear = thresholds[running] < floor
-        step = np.where(clear, step * n_sub, step)
-        n_sub = np.where(clear, 1.0, n_sub)
-        scan = np.arange(len(running))
-        substep = 0
-        while scan.size:
-            substep += 1
-            times = step[scan] * substep
-            states = ev.evolve(start[scan], times)
-            new = _sq_norms(states)
-            if not np.all(new <= norms[scan] + slack[scan]):
-                raise RuntimeError("squared norm must be non-increasing between jumps")
-            fell = new < thresholds[running[scan]]
-            last = ~fell & (n_sub[scan] == substep)
-            psi[running[scan[last]]] = states[last]
-            hit = scan[fell]
-            crossed[hit] = True
-            t_lo[hit] = step[hit] * (substep - 1)
-            t_hi[hit] = times[fell]
-            norms[scan] = new
-            scan = scan[~(fell | last)]
-
-        hit = np.nonzero(crossed)[0]
+        ends = ev.evolve(start, remaining)
+        end_norms = _sq_norms(ends)
+        if not np.all(end_norms <= norms + slack):
+            raise RuntimeError("squared norm must be non-increasing between jumps")
+        fell = end_norms < thresholds[running]
+        psi[running[~fell]] = ends[~fell]
+        hit = np.nonzero(fell)[0]
         if hit.size == 0:
             break
-        lo, hi, rows = t_lo[hit], t_hi[hit], running[hit]
-        resolution = dt_max / 100.0
+        rows = running[hit]
+        lo, hi = np.zeros(hit.size), remaining[hit]
+        lo_norms, hi_norms, slack = norms[hit], end_norms[hit], slack[hit]
         bisect = np.nonzero(hi - lo > resolution)[0]
         while bisect.size:
             mid = 0.5 * (lo[bisect] + hi[bisect])
-            fell = _sq_norms(ev.evolve(start[hit[bisect]], mid)) < thresholds[rows[bisect]]
-            hi[bisect] = np.where(fell, mid, hi[bisect])
-            lo[bisect] = np.where(fell, lo[bisect], mid)
+            new = _sq_norms(ev.evolve(start[hit[bisect]], mid))
+            if not np.all((new <= lo_norms[bisect] + slack[bisect])
+                          & (new >= hi_norms[bisect] - slack[bisect])):
+                raise RuntimeError("squared norm at a bisection midpoint must lie "
+                                   "between the norms at its bracket's ends")
+            fell = new < thresholds[rows[bisect]]
+            hi[bisect[fell]], hi_norms[bisect[fell]] = mid[fell], new[fell]
+            lo[bisect[~fell]], lo_norms[bisect[~fell]] = mid[~fell], new[~fell]
             bisect = bisect[hi[bisect] - lo[bisect] > resolution]
         t_jump = 0.5 * (lo + hi)
 

@@ -72,6 +72,16 @@ def test_trajectory_estimate_pinned_to_lindblad_reference(params, tau):
     assert abs(res.mean - LINDBLAD_EPS0[tau]) <= 3 * res.std_error
 
 
+def test_loss_dominated_estimate_pinned_to_lindblad(params):
+    """At tau = 0.2 ms, where jumps are most frequent, the epsilon = 0
+    estimate lies within 3 SE of the exact channel (0.83948)."""
+    exact = lindblad_gate_fidelity(params, 0.2e-3)
+    assert exact == pytest.approx(0.83948, abs=1e-5)
+    noise = NoiseParams(tau=0.2e-3, epsilon=0.0, n_traj=2000, seed=42)
+    res = gate_fidelity(params, noise)
+    assert abs(res.mean - exact) <= 3 * res.std_error
+
+
 @pytest.mark.parametrize("tau", sorted(LINDBLAD_EPS0))
 def test_lindblad_reference_regression(params, tau):
     assert lindblad_gate_fidelity(params, tau) == pytest.approx(

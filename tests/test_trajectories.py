@@ -248,7 +248,7 @@ def test_jump_times_ordered_and_in_range(schedule):
 def _reference_trajectory(schedule, psi0, noise, traj, basis_input):
     """The quantum-jump algorithm as a plain loop over one trajectory.
 
-    Same draws, substep grid, bisection and jump rule as the engine, with
+    Same draws, end-point check, bisection and jump rule as the engine, with
     every state computed afresh from a dense eigendecomposition.  The draws
     are numpy's own Philox words, read in order: one per segment, then one
     per threshold.
@@ -290,15 +290,11 @@ def _reference_trajectory(schedule, psi0, noise, traj, basis_input):
                 return v @ (np.exp(-1j * w * t) * (vinv @ start))
 
             remaining = duration - t_done
-            n_sub = max(1, math.ceil(remaining / dt_max))
-            times = (remaining / n_sub) * np.arange(1, n_sub + 1)
-            crossing = next((j for j, t in enumerate(times)
-                             if norm_sq(at(t)) < threshold), None)
-            if crossing is None:
-                psi = at(times[-1])
+            end = at(remaining)
+            if norm_sq(end) >= threshold:
+                psi = end
                 break
-            lo = 0.0 if crossing == 0 else times[crossing - 1]
-            hi = times[crossing]
+            lo, hi = 0.0, remaining
             while hi - lo > dt_max / 100.0:
                 mid = 0.5 * (lo + hi)
                 lo, hi = (lo, mid) if norm_sq(at(mid)) < threshold else (mid, hi)
@@ -336,6 +332,52 @@ def test_batched_engine_matches_reference_loop(params, case):
         assert len(res.jump_times) == len(jumps)
         np.testing.assert_allclose(res.jump_times, jumps, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(res.final_state.amplitudes, final, atol=1e-10)
+
+
+def test_jump_times_match_closed_form(params):
+    """In Fock state n the squared norm is exactly exp(-n kappa t), so from
+    |3> waiting time k is -ln(u_k) / ((4 - k) kappa), u_k the k-th threshold
+    (word k of the one-segment stream), to within half the bisection
+    resolution; a row that stops short of three jumps would have jumped
+    next only past the segment's end."""
+    duration = 6e-4
+    schedule = idle_schedule(params, duration, fock_dim=4)
+    noise = NoiseParams(tau=2e-4, epsilon=0.0, n_traj=200, seed=5)
+    dt_max = noise.effective_dt_max()
+    u = stream_uniforms(noise.seed, noise.n_traj, 4)
+    results = run_trajectories(schedule, schedule.space.basis_state([3]), noise)
+    assert sum(len(res.jump_times) for res in results) >= 400
+    for row, res in enumerate(results):
+        exact = [-math.log(u[row, k]) / ((4 - k) * noise.kappa) for k in (1, 2, 3)]
+        t_prev = 0.0
+        for t, wait in zip(res.jump_times, exact):
+            assert abs((t - t_prev) - wait) <= dt_max / 200.0
+            t_prev = t
+        if len(res.jump_times) < 3:
+            assert t_prev + exact[len(res.jump_times)] > duration - dt_max / 100.0
+
+
+def test_bisection_midpoint_outside_bracket_raises(params, monkeypatch):
+    """A norm that dips below its bracket at a bisection midpoint, while
+    the end point is in order, is a RuntimeError, not a silent jump time."""
+    duration = 6e-4
+    schedule = idle_schedule(params, duration, fock_dim=4)
+    compile_exact = trajectories._compile
+
+    def compile_dipping(sched, noise_params):
+        compiled = compile_exact(sched, noise_params)
+        for ev in compiled.evolvers:
+            if ev.lossy:
+                def evolve(coeffs, t, exact=ev.evolve):
+                    dip = 1.0 - 0.999 * np.sin(np.pi * t / duration)   # 1.0 at the end
+                    return exact(coeffs, t) * dip[:, None]
+                ev.evolve = evolve
+        return compiled
+
+    monkeypatch.setattr(trajectories, "_compile", compile_dipping)
+    noise = NoiseParams(tau=2e-4, epsilon=0.0, n_traj=20, seed=5)
+    with pytest.raises(RuntimeError, match="bisection midpoint"):
+        run_trajectories(schedule, schedule.space.basis_state([3]), noise)
 
 
 def test_expm_fallback_matches_eigenbasis(schedule, monkeypatch):
