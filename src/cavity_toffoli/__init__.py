@@ -15,8 +15,7 @@ from .protocol import (LOGICAL_BITS, Schedule, Segment, encode_logical,
                        prepare_cavity, retrieve_cavity, toffoli_map,
                        toffoli_schedule)
 from .qmath import (CompositeSpace, DensityMatrix, OperatorMatrix, StateVector,
-                    embed_operator, propagator, state_fidelity, tensor_state,
-                    trace_distance)
+                    embed_operator, propagator, tensor_state, trace_distance)
 from .trajectories import (NoiseParams, TrajectoryResult, ensemble_density,
                            lindblad_evolve, mcwf_trajectory, run_ideal,
                            run_trajectories)
@@ -25,8 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CompositeSpace", "StateVector", "OperatorMatrix", "DensityMatrix",
-    "tensor_state", "embed_operator", "propagator", "state_fidelity",
-    "trace_distance",
+    "tensor_state", "embed_operator", "propagator", "trace_distance",
     "Level", "PhysicalParams", "annihilation", "number_operator",
     "jc_hamiltonian", "dispersive_hamiltonian", "full_detuned_hamiltonian",
     "Segment", "Schedule", "LOGICAL_BITS", "encode_logical", "toffoli_map",

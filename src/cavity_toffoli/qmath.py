@@ -1,7 +1,7 @@
 """Dense complex linear algebra for small composite quantum systems.
 
-States, operators, tensor embedding, exact propagation and fidelity
-primitives.  Everything is a plain numpy array wrapped in a frozen
+States, operators, tensor embedding, exact propagation and the trace
+distance.  Everything is a plain numpy array wrapped in a frozen
 dataclass that validates its own invariants at construction time.
 
 Conventions (fixed once, asserted in tests):
@@ -173,9 +173,6 @@ class DensityMatrix:
         amps = state.unit().amplitudes
         return cls(state.space, np.outer(amps, amps.conj()))
 
-    def purity(self) -> float:
-        return float(np.trace(self.entries @ self.entries).real)
-
 
 def tensor_state(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product of two states; dims of ``a`` come first (slowest)."""
@@ -227,14 +224,6 @@ def propagator(h: OperatorMatrix, t: float) -> OperatorMatrix:
     w, v = np.linalg.eigh(h.entries)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     return OperatorMatrix(h.space, u, unitary=True)
-
-
-def state_fidelity(psi: StateVector, phi: StateVector) -> float:
-    """|<psi|phi>|^2 for normalized states on the same space."""
-    if psi.space != phi.space:
-        raise ValueError("state_fidelity: states live on different spaces")
-    f = abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2
-    return float(min(f, 1.0))
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

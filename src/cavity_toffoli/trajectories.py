@@ -4,7 +4,7 @@ Photon loss is the only decay channel (zero temperature): collapse
 operator sqrt(kappa) a with kappa = 1/tau, tau the photon lifetime, so
 <n> decays as exp(-t/tau).  Atomic decay is neglected (circular states).
 The Lindblad oracle (``lindblad_evolve``) applies each timed segment's
-exact channel exp(L T), block by block, to a stack of density matrices.
+exact exp(L T), per block from one batched eig, to stacked density matrices.
 
 The jump unraveling is one batched quantum-jump engine.  The
 trajectories of a basis input evolve together as the rows of an
@@ -47,6 +47,8 @@ from .qmath import (CompositeSpace, DensityMatrix, StateVector, embed_operator)
 
 #: trajectories evolved together; bounds the engine's memory for any n_traj
 _BLOCK_ROWS = 256
+#: cond_1(V) above which a Liouvillian block takes expm, not V exp(w T) V^-1
+_EIG_COND_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -513,17 +515,15 @@ def run_trajectories(schedule: Schedule, psi0: StateVector, noise: NoiseParams,
 
 
 def ensemble_density(results: Sequence[TrajectoryResult]) -> DensityMatrix:
-    """(1/N) sum |psi_k><psi_k|, accumulated in trajectory-index order."""
+    """(1/N) sum |psi_k><psi_k|, one stacked product per ``_BLOCK_ROWS`` states."""
     if len(results) == 0:
         raise ValueError("ensemble_density needs at least one trajectory")
     space = results[0].final_state.space
-    acc = np.zeros((space.total_dim,) * 2, dtype=np.complex128)
-    for res in results:
-        if res.final_state.space != space:
-            raise ValueError("trajectories live on different spaces")
-        amps = res.final_state.amplitudes
-        acc += np.outer(amps, amps.conj())
-    return DensityMatrix(space, acc / len(results))
+    if any(res.final_state.space != space for res in results):
+        raise ValueError("trajectories live on different spaces")
+    rows = [res.final_state.amplitudes for res in results]
+    blocks = (np.stack(rows[i:i + _BLOCK_ROWS]) for i in range(0, len(rows), _BLOCK_ROWS))
+    return DensityMatrix(space, sum(b.T @ b.conj() for b in blocks) / len(rows))
 
 
 def _components(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -537,6 +537,19 @@ def _components(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.unique(labels, return_inverse=True)[1]
 
 
+def _block_exponentials(gen: np.ndarray, duration: float) -> np.ndarray:
+    """exp(G T) per block G of ``gen``: V diag(exp(w T)) V^-1 from one batched eig,
+    or expm where cond_1(V) > _EIG_COND_MAX: the eig form errs by ~cond(V) x rounding
+    (Moler & Van Loan, SIAM Rev. 45, 3 (2003)) even where V diag(w) V^-1 ~ G to 1e-9."""
+    w, v = np.linalg.eig(gen)
+    vinv = np.linalg.inv(v)
+    props = (v * np.exp(w * duration)[:, None, :]) @ vinv
+    cond = np.abs(v).sum(axis=1).max(axis=1) * np.abs(vinv).sum(axis=1).max(axis=1)
+    for b in np.flatnonzero(cond > _EIG_COND_MAX):
+        props[b] = scipy.linalg.expm(gen[b] * duration)
+    return props
+
+
 def _liouvillian_blocks(ev: _DriftEvolver, annihilator: np.ndarray,
                         duration: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Exact channel exp(L T) of one timed segment, as independent blocks.
@@ -546,9 +559,9 @@ def _liouvillian_blocks(ev: _DriftEvolver, annihilator: np.ndarray,
     couples the pair index i*dim + j only within products of K's connected
     components, joined where the jump lowers both indices, so it splits into
     small blocks read off the nonzero patterns of K and a.  Yields, per block
-    size, the pair indices (n_blocks, size) and their exp(L T) blocks, from
-    one stacked scipy.linalg.expm call; no dim^2 x dim^2 operand is formed,
-    and a connected pattern gives one block, the dense expm.
+    size, the pair indices (n_blocks, size) and their exp(L T) blocks from
+    ``_block_exponentials`` (on the default schedules only the collision's
+    largest block takes expm); no dim^2 x dim^2 operand is formed.
     """
     k_op, dim = ev.k, len(ev.k)
     jump = math.sqrt(ev.kappa) * annihilator
@@ -565,7 +578,7 @@ def _liouvillian_blocks(ev: _DriftEvolver, annihilator: np.ndarray,
         k, l = divmod(idx[:, None, :], dim)
         gen = (-1j * (k_op[i, k] * (j == l) - (i == k) * k_op[j, l].conj())
                + jump[i, k] * jump[j, l].conj())
-        yield idx, scipy.linalg.expm(gen * duration)
+        yield idx, _block_exponentials(gen, duration)
 
 
 def _lindblad_stack(schedule: Schedule, rho0s: Sequence[DensityMatrix],

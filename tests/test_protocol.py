@@ -20,7 +20,7 @@ from cavity_toffoli.protocol import (LOGICAL_BITS, Segment, encode_logical,
                                      retrieve_cavity, segment_drift,
                                      toffoli_map, toffoli_schedule)
 from cavity_toffoli.qmath import (CompositeSpace, OperatorMatrix, StateVector,
-                                  embed_operator, propagator, state_fidelity)
+                                  embed_operator, propagator)
 from cavity_toffoli.trajectories import run_ideal
 
 G, E, I = int(Level.g), int(Level.e), int(Level.i)
@@ -166,7 +166,7 @@ def test_segment_validation():
 def test_gate_flips_target_iff_both_controls_set(schedule):
     out = run_ideal(schedule, encode_logical((1, 1, 0), schedule.space))
     target = encode_logical((1, 1, 1), schedule.space)
-    assert state_fidelity(out, target) >= 1 - 1e-9
+    assert abs(np.vdot(out.amplitudes, target.amplitudes)) ** 2 >= 1 - 1e-9
     # and with the exact +1 coefficient
     assert target.overlap(out).real == pytest.approx(1.0, abs=1e-9)
 
@@ -378,7 +378,7 @@ def test_retrieve_inverts_prepare(transfer_space):
             + beta * transfer_space.basis_state([0, E]).amplitudes) / norm
     psi = StateVector(transfer_space, amps)
     round_trip = retrieve_cavity(prepare_cavity(psi))
-    assert state_fidelity(round_trip, psi) >= 1 - 1e-10
+    assert abs(np.vdot(round_trip.amplitudes, psi.amplitudes)) ** 2 >= 1 - 1e-10
 
 
 def test_retrieve_leaves_vacuum_alone(transfer_space):

@@ -1,4 +1,4 @@
-"""Linear-algebra layer: tensor structure, propagation, fidelity."""
+"""Linear-algebra layer: tensor structure, propagation, density matrices."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cavity_toffoli.qmath import (CompositeSpace, DensityMatrix, OperatorMatrix,
                                   StateVector, embed_operator, propagator,
-                                  state_fidelity, tensor_state, trace_distance)
+                                  tensor_state, trace_distance)
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -224,22 +224,7 @@ def test_propagator_preserves_norm(seed):
     assert abs(out.norm() - psi.norm()) <= 1e-10
 
 
-# ---------------------------------------------------------------- fidelity
-
-def test_fidelity_basic_values():
-    space = CompositeSpace((2,))
-    zero, one = space.basis_state([0]), space.basis_state([1])
-    plus = StateVector(space, np.array([1, 1]) / math.sqrt(2))
-    assert state_fidelity(zero, zero) == 1.0
-    assert state_fidelity(zero, one) == 0.0
-    assert abs(state_fidelity(plus, zero) - 0.5) < 1e-15
-
-
-def test_fidelity_space_mismatch_raises():
-    with pytest.raises(ValueError):
-        state_fidelity(CompositeSpace((2,)).basis_state([0]),
-                       CompositeSpace((3,)).basis_state([0]))
-
+# ---------------------------------------------------------------- trace distance
 
 def test_trace_distance_extremes():
     space = CompositeSpace((2,))
