@@ -22,7 +22,7 @@ from .protocol import (LOGICAL_BITS, Schedule, encode_logical, toffoli_map,
                        toffoli_schedule)
 from .qmath import DensityMatrix, propagator
 from .trajectories import (NoiseParams, _compile, _ideal_states, _lindblad_stack,
-                           _trajectory_blocks)
+                           _rows_matmul, _trajectory_blocks)
 # perfbench/selftest.py checks that its tracer patches this binding too
 from .trajectories import mcwf_trajectory  # noqa: F401
 
@@ -89,6 +89,10 @@ class FidelityGrid:
         }
 
 
+#: row of LOGICAL_BITS holding the Toffoli image of each basis input
+_IMAGES = [LOGICAL_BITS.index(toffoli_map(bits)) for bits in LOGICAL_BITS]
+
+
 def _logical_basis(schedule: Schedule) -> np.ndarray:
     """Rows are the 8 encoded basis states, in LOGICAL_BITS order."""
     return np.stack([encode_logical(bits, schedule.space).amplitudes
@@ -109,8 +113,7 @@ def logical_process_matrix(schedule: Schedule) -> np.ndarray:
 def truth_table_fidelities(schedule: Schedule) -> np.ndarray:
     """Per-input |<encode(Toffoli(b))| U |encode(b)>|^2, in LOGICAL_BITS order."""
     process = logical_process_matrix(schedule)
-    images = [LOGICAL_BITS.index(toffoli_map(bits)) for bits in LOGICAL_BITS]
-    return np.abs(process[images, range(len(LOGICAL_BITS))]) ** 2
+    return np.abs(process[_IMAGES, range(len(LOGICAL_BITS))]) ** 2
 
 
 def gate_fidelity(params: PhysicalParams, noise: NoiseParams, *,
@@ -118,21 +121,21 @@ def gate_fidelity(params: PhysicalParams, noise: NoiseParams, *,
                   cell_index: int = 0) -> FidelityResult:
     """Trajectory-averaged Toffoli fidelity over the 8 logical basis inputs.
 
+    The 8 inputs run as one input-major row set, so an input's rows in a
+    block are contiguous and the overlaps come out in input-major order.
     Per-trajectory fidelities are pooled across inputs for the standard
     error.  ``cell_index`` selects the RNG counter block; sweeps pass the
     row-major cell index so each cell is an independent stream family.
     """
     if schedule is None:
         schedule = toffoli_schedule(params)
-    compiled = _compile(schedule, noise)
-    fids = np.empty((len(LOGICAL_BITS), noise.n_traj))
-    for b_idx, bits in enumerate(LOGICAL_BITS):
-        psi0 = encode_logical(bits, schedule.space)
-        target = encode_logical(toffoli_map(bits), schedule.space).amplitudes
-        blocks = _trajectory_blocks(compiled, psi0, noise, basis_input=b_idx,
-                                    cell=cell_index)
-        overlaps = np.concatenate([block.states @ target.conj() for block in blocks])
-        fids[b_idx] = np.minimum(overlaps.real ** 2 + overlaps.imag ** 2, 1.0)
+    basis = _logical_basis(schedule)
+    targets = basis[_IMAGES].conj()
+    blocks = _trajectory_blocks(_compile(schedule, noise), basis, noise,
+                                np.arange(len(LOGICAL_BITS)), cell_index)
+    overlaps = np.concatenate([_rows_matmul(block.states[block.inputs == b], targets[b])
+                               for block in blocks for b in np.unique(block.inputs)])
+    fids = np.minimum(overlaps.real ** 2 + overlaps.imag ** 2, 1.0).reshape(-1, noise.n_traj)
     mean = float(fids.mean())
     std_error = float(fids.std(ddof=1) / math.sqrt(fids.size))
     return FidelityResult(mean=mean, std_error=std_error, n_traj=noise.n_traj,
@@ -149,13 +152,11 @@ def lindblad_gate_fidelity(params: PhysicalParams, tau: float, *,
     """
     if schedule is None:
         schedule = toffoli_schedule(params)
-    rho0s = [DensityMatrix.from_state(encode_logical(bits, schedule.space))
-             for bits in LOGICAL_BITS]
-    total = 0.0
-    for bits, rho in zip(LOGICAL_BITS, _lindblad_stack(schedule, rho0s, tau)):
-        target = encode_logical(toffoli_map(bits), schedule.space).amplitudes
-        total += float(np.vdot(target, rho.entries @ target).real)
-    return total / len(LOGICAL_BITS)
+    basis = _logical_basis(schedule)
+    rho0s = [DensityMatrix(schedule.space, np.outer(ket, ket.conj())) for ket in basis]
+    rhos = _lindblad_stack(schedule, rho0s, tau)
+    return sum(float(np.vdot(target, rho.entries @ target).real)
+               for target, rho in zip(basis[_IMAGES], rhos)) / len(LOGICAL_BITS)
 
 
 def sweep(params: PhysicalParams, tau_values, epsilon_values, n_traj: int,

@@ -4,13 +4,14 @@ Photon loss is the only decay channel (zero temperature): collapse
 operator sqrt(kappa) a with kappa = 1/tau, tau the photon lifetime, so
 <n> decays as exp(-t/tau).  Atomic decay is neglected (circular states).
 The Lindblad oracle (``lindblad_evolve``) applies each timed segment's
-exact exp(L T), per block from one batched eig, to stacked density matrices.
+exact exp(L T), per block from one batched eig (ill-conditioned blocks
+take ``_expm``, Pade-13 in numpy), to stacked density matrices.
 
 The jump unraveling is one batched quantum-jump engine.  The
-trajectories of a basis input evolve together as the rows of an
-(n, dim) array, in blocks of ``_BLOCK_ROWS`` rows so that memory does
-not grow with n_traj; a single trajectory (``mcwf_trajectory``) is the
-one-row case.  Each row evolves its unnormalized state under
+trajectories of a cell's basis inputs evolve together as one input-major
+row set of an (n, dim) array, in blocks of ``_BLOCK_ROWS`` rows so that
+memory does not grow with n_traj; a single trajectory (``mcwf_trajectory``)
+is the one-row case.  Each row evolves its unnormalized state under
 K = H - (i/2) kappa a^dag a exactly per segment, at its own jittered
 duration, by broadcasting exp(-i w t) over per-row times in the
 eigenbasis of K.  Between jumps a row's squared norm only falls, so each
@@ -39,16 +40,20 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .model import annihilation, number_operator, rge_block, rig_block
 from .protocol import Schedule, Segment, segment_drift
 from .qmath import (CompositeSpace, DensityMatrix, StateVector, embed_operator)
 
 #: trajectories evolved together; bounds the engine's memory for any n_traj
-_BLOCK_ROWS = 256
+_BLOCK_ROWS = 2048
 #: cond_1(V) above which a Liouvillian block takes expm, not V exp(w T) V^-1
 _EIG_COND_MAX = 1e4
+#: Pade-13 coefficients b_j = (26 - j)! / (j! (13 - j)!) and the 1-norm up to which
+#: no squaring is needed (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
+_PADE13 = [math.factorial(26 - j) // (math.factorial(j) * math.factorial(13 - j))
+           for j in range(14)]
+_PADE13_THETA = 5.371920351148152
 
 
 @dataclass(frozen=True)
@@ -130,13 +135,13 @@ _AS241 = (
 )
 
 
-def _philox(seed: int, trajs, blocks, basis_input: int, cell: int) -> np.ndarray:
-    """Philox4x64-10 at counters (blocks + 1, trajs, basis_input, cell), key
+def _philox(seed: int, trajs, blocks, basis_inputs, cell: int) -> np.ndarray:
+    """Philox4x64-10 at counters (blocks + 1, trajs, basis_inputs, cell), key
     (seed, 0): words 4 blocks .. 4 blocks + 3 of the streams, on a new last
     axis.  Counter words 0, 2 (``even``) and 1, 3 (``odd``) run as stacked
     pairs; the round keys are formed as Python ints mod 2^64.
     """
-    counters = np.broadcast_arrays(np.add(blocks, 1), trajs, basis_input, cell)
+    counters = np.broadcast_arrays(np.add(blocks, 1), trajs, basis_inputs, cell)
     x = np.array(counters, dtype=np.uint64).reshape(4, -1)
     even, odd = x[0::2], x[1::2]
     keys = np.array([[(seed + r * _PHILOX_W[0]) % 2 ** 64, r * _PHILOX_W[1] % 2 ** 64]
@@ -215,6 +220,27 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", pairs, pairs)
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(A) per matrix A of the stack ``a`` (m, n, n): Pade-13 scaling and
+    squaring (Higham 2005).  Each A is scaled by 2^-s to 1-norm <= theta_13,
+    all r_13 come from one batched solve, and each is squared its own s times."""
+    norms = np.abs(a).sum(axis=1).max(axis=1)
+    s = np.ceil(np.log2(np.maximum(norms / _PADE13_THETA, 1.0))).astype(int)
+    a = a / 2.0 ** s[:, None, None]
+    b, eye = _PADE13, np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    x = np.linalg.solve(v - u, v + u)
+    for k in range(s.max(initial=0)):
+        x[s > k] = x[s > k] @ x[s > k]
+    return x
+
+
 class _PulseEvolver:
     """Instantaneous classical pulse, applied on the atom's tensor axis."""
 
@@ -243,9 +269,9 @@ class _DriftEvolver:
     """Exact evolution under K = H - (i/2) kappa N for one timed segment.
 
     Diagonalizes K once; evolving rows for their own times is then an
-    elementwise phase in the eigenbasis.  Falls back to dense expm if the
-    eigendecomposition reconstructs poorly (never the case away from
-    exceptional points, but cheap insurance).
+    elementwise phase in the eigenbasis.  Falls back to ``_expm``, one row at
+    a time, if the eigendecomposition reconstructs poorly (never the case
+    away from exceptional points, but cheap insurance).
     """
 
     def __init__(self, h: np.ndarray, kappa: float, n_cav: np.ndarray):
@@ -278,7 +304,7 @@ class _DriftEvolver:
         if self._exact:
             phases = np.exp(np.multiply.outer(t, -1j * self._w))
             return _rows_matmul(phases * coeffs, self._v.T)
-        return np.stack([scipy.linalg.expm(-1j * self.k * t_row) @ row
+        return np.stack([_expm(-1j * self.k[None] * t_row)[0] @ row
                          for row, t_row in zip(coeffs, t)])
 
 
@@ -319,9 +345,7 @@ class _Block:
     states: np.ndarray                          # (n, dim)
     jump_times: tuple[tuple[float, ...], ...]
     durations: np.ndarray                       # (n, n_segments)
-
-    def normalized(self) -> "_Block":
-        return replace(self, states=self.states / np.sqrt(_sq_norms(self.states))[:, None])
+    inputs: Optional[np.ndarray] = None         # (n,) basis input of each row
 
     def result(self, row: int) -> TrajectoryResult:
         return TrajectoryResult(StateVector(self.space, self.states[row]),
@@ -432,20 +456,20 @@ def _check_initial_state(schedule: Schedule, psi0: StateVector) -> None:
         raise ValueError("initial state must be normalized")
 
 
-def _run_block(compiled: _CompiledSchedule, psi0: StateVector, noise: NoiseParams,
-               trajs: range, basis_input: int, cell: int) -> _Block:
-    """Trajectories ``trajs`` of one basis input as one block.
+def _run_block(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
+               trajs: np.ndarray, inputs: np.ndarray, cell: int) -> _Block:
+    """Start rows ``psi`` (n, dim) as one block: row r is trajectory ``trajs[r]``
+    of basis input ``inputs[r]``.
 
     One Philox call draws the whole 4-word blocks holding every row's jitter
     words and first threshold; a row whose thresholds outrun them gets the
     Philox block of its next one.
     """
     n_seg, seed = len(compiled.schedule.segments), int(noise.seed)
-    index = np.arange(trajs.start, trajs.stop)
     n_cached = 4 * -(-(n_seg + compiled.decays) // 4)
-    words = _philox(seed, index[:, None], np.arange(n_cached // 4), basis_input,
-                    cell).reshape(len(index), n_cached)
-    next_word = np.full(len(index), n_seg)
+    words = _philox(seed, trajs[:, None], np.arange(n_cached // 4), inputs[:, None],
+                    cell).reshape(len(trajs), n_cached)
+    next_word = np.full(len(trajs), n_seg)
 
     def next_thresholds(rows: np.ndarray) -> np.ndarray:
         j = next_word[rows]
@@ -453,25 +477,26 @@ def _run_block(compiled: _CompiledSchedule, psi0: StateVector, noise: NoiseParam
         drawn = words[rows, np.minimum(j, n_cached - 1)]
         far = np.nonzero(j >= n_cached)[0]
         if far.size:
-            blocks = _philox(seed, index[rows[far]], j[far] // 4, basis_input, cell)
+            blocks = _philox(seed, trajs[rows[far]], j[far] // 4, inputs[rows[far]], cell)
             drawn[far] = blocks[np.arange(far.size), j[far] % 4]
         return _uniforms(drawn)
 
     factors = jitter_factors(compiled.schedule, noise.epsilon, _uniforms(words[:, :n_seg]))
-    thresholds = (next_thresholds(np.arange(len(index))) if compiled.decays
-                  else np.full(len(index), math.inf))
-    psi = np.repeat(psi0.amplitudes[None, :], len(index), axis=0)
-    return _evolve(compiled, psi, noise, factors, thresholds, next_thresholds).normalized()
+    thresholds = (next_thresholds(np.arange(len(trajs))) if compiled.decays
+                  else np.full(len(trajs), math.inf))
+    block = _evolve(compiled, psi, noise, factors, thresholds, next_thresholds)
+    return replace(block, states=block.states / np.sqrt(_sq_norms(block.states))[:, None],
+                   inputs=inputs)
 
 
-def _trajectory_blocks(compiled: _CompiledSchedule, psi0: StateVector,
-                       noise: NoiseParams, *, basis_input: int = 0,
-                       cell: int = 0) -> Iterator[_Block]:
-    """The n_traj trajectories of one basis input, ``_BLOCK_ROWS`` at a time."""
-    _check_initial_state(compiled.schedule, psi0)
-    for first in range(0, noise.n_traj, _BLOCK_ROWS):
-        trajs = range(first, min(first + _BLOCK_ROWS, noise.n_traj))
-        yield _run_block(compiled, psi0, noise, trajs, basis_input, cell)
+def _trajectory_blocks(compiled: _CompiledSchedule, starts: np.ndarray, noise: NoiseParams,
+                       inputs: np.ndarray, cell: int) -> Iterator[_Block]:
+    """n_traj trajectories from each start row ``starts[i]`` (basis input
+    ``inputs[i]``) as one input-major row set, ``_BLOCK_ROWS`` rows at a time."""
+    rows = np.arange(len(starts) * noise.n_traj)
+    for first in range(0, len(rows), _BLOCK_ROWS):
+        which, trajs = np.divmod(rows[first:first + _BLOCK_ROWS], noise.n_traj)
+        yield _run_block(compiled, starts[which], noise, trajs, inputs[which], cell)
 
 
 def mcwf_trajectory(schedule: Schedule, psi0: StateVector, noise: NoiseParams, *,
@@ -482,8 +507,8 @@ def mcwf_trajectory(schedule: Schedule, psi0: StateVector, noise: NoiseParams, *
     ``run_trajectories`` at the same ``basis_input`` and ``cell``.
     """
     _check_initial_state(schedule, psi0)
-    return _run_block(_compile(schedule, noise), psi0, noise, range(traj, traj + 1),
-                      basis_input, cell).result(0)
+    return _run_block(_compile(schedule, noise), psi0.amplitudes[None, :], noise,
+                      np.array([traj]), np.array([basis_input]), cell).result(0)
 
 
 def _ideal_states(schedule: Schedule, psi: np.ndarray) -> list[StateVector]:
@@ -509,8 +534,9 @@ def run_ideal(schedule: Schedule, psi0: StateVector) -> StateVector:
 def run_trajectories(schedule: Schedule, psi0: StateVector, noise: NoiseParams,
                      *, basis_input: int = 0, cell: int = 0) -> list[TrajectoryResult]:
     """n_traj independent trajectories, each on its own counter-based stream."""
-    blocks = _trajectory_blocks(_compile(schedule, noise), psi0, noise,
-                                basis_input=basis_input, cell=cell)
+    _check_initial_state(schedule, psi0)
+    blocks = _trajectory_blocks(_compile(schedule, noise), psi0.amplitudes[None, :],
+                                noise, np.array([basis_input]), cell)
     return [block.result(row) for block in blocks for row in range(len(block.states))]
 
 
@@ -539,14 +565,16 @@ def _components(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _block_exponentials(gen: np.ndarray, duration: float) -> np.ndarray:
     """exp(G T) per block G of ``gen``: V diag(exp(w T)) V^-1 from one batched eig,
-    or expm where cond_1(V) > _EIG_COND_MAX: the eig form errs by ~cond(V) x rounding
-    (Moler & Van Loan, SIAM Rev. 45, 3 (2003)) even where V diag(w) V^-1 ~ G to 1e-9."""
+    and ``_expm`` in one call for the blocks with cond_1(V) > _EIG_COND_MAX: the eig
+    form errs by ~cond(V) x rounding (Moler & Van Loan, SIAM Rev. 45, 3 (2003))
+    even where V diag(w) V^-1 ~ G to 1e-9."""
     w, v = np.linalg.eig(gen)
     vinv = np.linalg.inv(v)
     props = (v * np.exp(w * duration)[:, None, :]) @ vinv
     cond = np.abs(v).sum(axis=1).max(axis=1) * np.abs(vinv).sum(axis=1).max(axis=1)
-    for b in np.flatnonzero(cond > _EIG_COND_MAX):
-        props[b] = scipy.linalg.expm(gen[b] * duration)
+    bad = cond > _EIG_COND_MAX
+    if bad.any():
+        props[bad] = _expm(gen[bad] * duration)
     return props
 
 

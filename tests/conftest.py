@@ -1,7 +1,7 @@
 import os
 
 # One BLAS thread, before anything loads numpy, as perfbench/run.py does: the
-# simulator's 27x27 and (256, 27) products gain nothing from a second
+# simulator's 27x27 and (2048, 27) products gain nothing from a second
 # OpenBLAS thread, which only spins (the suite used ~1.6x its wall time in CPU).
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):

@@ -14,11 +14,11 @@ import scipy.linalg
 
 import cavity_toffoli
 from cavity_toffoli import trajectories
-from cavity_toffoli.analysis import DEFAULT_TAU_GRID
+from cavity_toffoli.analysis import DEFAULT_TAU_GRID, gate_fidelity
 from cavity_toffoli.model import PhysicalParams, annihilation
 from cavity_toffoli.protocol import (LOGICAL_BITS, Schedule, Segment,
                                      encode_logical, segment_drift,
-                                     toffoli_schedule)
+                                     toffoli_map, toffoli_schedule)
 from cavity_toffoli.qmath import (CompositeSpace, DensityMatrix, StateVector,
                                   embed_operator, trace_distance)
 from cavity_toffoli.trajectories import (_BLOCK_ROWS, NoiseParams,
@@ -406,11 +406,12 @@ def test_expm_fallback_matches_eigenbasis(schedule, monkeypatch):
 
 
 def test_block_partition_leaves_results_unchanged(schedule, monkeypatch):
-    """1, 7 and 256 rows per block give byte-identical trajectories."""
+    """1, 7, 256 and the default rows per block give byte-identical
+    trajectories."""
     noise = NoiseParams(tau=2e-4, epsilon=0.05, n_traj=20, seed=3)
     psi0 = encode_logical((0, 0, 0), schedule.space)
     runs = []
-    for block_rows in (1, 7, 256):
+    for block_rows in (1, 7, 256, _BLOCK_ROWS):
         monkeypatch.setattr(trajectories, "_BLOCK_ROWS", block_rows)
         runs.append(run_trajectories(schedule, psi0, noise))
     assert sum(len(res.jump_times) for res in runs[0]) >= 5
@@ -419,6 +420,47 @@ def test_block_partition_leaves_results_unchanged(schedule, monkeypatch):
             assert a.final_state.amplitudes.tobytes() == b.final_state.amplitudes.tobytes()
             assert a.jump_times == b.jump_times
             assert a.perturbed_durations == b.perturbed_durations
+
+
+def test_gate_fidelity_row_sets_cross_inputs(params, schedule, monkeypatch):
+    """gate_fidelity runs its 8 inputs as one input-major row set: 1, 7, 256
+    and the default rows per block give byte-identical mean and standard
+    error, with 256-row blocks ending inside an input.  Row (b, k) draws its
+    jitter from numpy's Philox(counter=[0, k, b, cell]) and starts from input
+    b, so each input's rows are its own ``run_trajectories``."""
+    noise = NoiseParams(tau=2e-4, epsilon=0.05, n_traj=40, seed=3)
+    real_run_block, blocks = trajectories._run_block, []
+
+    def recording_run_block(*args):
+        blocks.append(real_run_block(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(trajectories, "_run_block", recording_run_block)
+    results = []
+    for block_rows in (1, 7, 256, _BLOCK_ROWS):
+        blocks.clear()
+        monkeypatch.setattr(trajectories, "_BLOCK_ROWS", block_rows)
+        res = gate_fidelity(params, noise, cell_index=4)
+        results.append((res.mean.hex(), res.std_error.hex()))
+    assert 256 % noise.n_traj != 0 and len(LOGICAL_BITS) * noise.n_traj > 256
+    assert results[1:] == results[:1] * 3
+    assert sum(len(t) for block in blocks for t in block.jump_times) >= 20
+    inputs = np.concatenate([block.inputs for block in blocks])
+    durations = np.concatenate([block.durations for block in blocks])
+    n_seg = len(schedule.segments)
+    nominal = np.array([seg.nominal_duration for seg in schedule.segments])
+    for row, (b, k) in enumerate(np.ndindex(len(LOGICAL_BITS), noise.n_traj)):
+        words = np.random.Philox(key=3, counter=[0, k, b, 4]).random_raw(n_seg)
+        factors = jitter_factors(schedule, 0.05, trajectories._uniforms(words)[None])
+        assert inputs[row] == b
+        np.testing.assert_array_equal(durations[row], nominal * factors[0])
+    per_input = []
+    for b, bits in enumerate(LOGICAL_BITS):
+        target = encode_logical(toffoli_map(bits), schedule.space).amplitudes
+        runs = run_trajectories(schedule, encode_logical(bits, schedule.space), noise,
+                                basis_input=b, cell=4)
+        per_input += [abs(np.vdot(target, r.final_state.amplitudes)) ** 2 for r in runs]
+    assert float.fromhex(results[0][0]) == pytest.approx(np.mean(per_input), abs=1e-14)
 
 
 def test_jumped_state_ends_in_vacuum_sector(params):
@@ -589,18 +631,19 @@ def test_liouvillian_block_exponentials_match_expm(fock_dim, monkeypatch):
     reconstruct the block to 1e-9."""
     schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim))
     real_expm, real_blocks = scipy.linalg.expm, trajectories._block_exponentials
+    package_expm = trajectories._expm
     calls, fallbacks = [], []
 
     def recording_blocks(gen, duration):
         calls.append((gen, duration, real_blocks(gen, duration)))
         return calls[-1][2]
 
-    def counting_expm(a):
-        fallbacks.append(len(a))
-        return real_expm(a)
+    def counting_expm(stack):
+        fallbacks.extend(len(a) for a in stack)
+        return package_expm(stack)
 
     monkeypatch.setattr(trajectories, "_block_exponentials", recording_blocks)
-    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    monkeypatch.setattr(trajectories, "_expm", counting_expm)
     for tau in (*DEFAULT_TAU_GRID, 2e-5):
         compiled = trajectories._compile(schedule, NoiseParams(tau=tau, epsilon=0.0))
         for seg, ev in zip(schedule.segments, compiled.evolvers):
@@ -619,24 +662,71 @@ def test_liouvillian_block_exponentials_match_expm(fock_dim, monkeypatch):
 
 
 def test_block_exponentials_fall_back_on_defective_block(monkeypatch):
-    """A defective Jordan block takes scipy's expm; a diagonalizable block in
-    the same stack stays on the eigenbasis path and still equals expm."""
+    """A defective Jordan block takes the package's expm; a diagonalizable
+    block in the same stack stays on the eigenbasis path.  Both equal
+    scipy's expm."""
     lam, t = -0.5 + 2j, 0.7
     jordan = np.array([[lam, 1.0], [0.0, lam]])
     diagonalizable = np.array([[-1.0, 0.5], [0.2, -2.0 + 1j]])
-    real_expm, fallbacks = scipy.linalg.expm, []
+    real_expm, package_expm, fallbacks = scipy.linalg.expm, trajectories._expm, []
 
-    def counting_expm(a):
-        fallbacks.append(a.copy())
-        return real_expm(a)
+    def counting_expm(stack):
+        fallbacks.extend(a.copy() for a in stack)
+        return package_expm(stack)
 
-    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    monkeypatch.setattr(trajectories, "_expm", counting_expm)
     props = trajectories._block_exponentials(np.stack([jordan, diagonalizable]), t)
     assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], jordan * t)
     closed_form = np.exp(lam * t) * np.array([[1.0, t], [0.0, 1.0]])
     assert np.max(np.abs(props[0] - real_expm(jordan * t))) <= 1e-15
     assert np.max(np.abs(props[0] - closed_form)) <= 1e-15
     assert np.max(np.abs(props[1] - real_expm(diagonalizable * t))) <= 1e-14
+
+
+def test_expm_matches_scipy_on_mixed_stack():
+    """One ``_expm`` call over a stack mixing a block that needs no scaling,
+    one that needs at least 3 squarings, a complex non-normal block and a
+    Jordan block equals scipy's expm of each within 1e-13 relative."""
+    rng = np.random.default_rng(11)
+    lam = -0.5 + 2j
+    stack = np.stack([
+        0.3 * rng.standard_normal((4, 4)) + 0j,
+        12.0 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))),
+        np.triu(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) * 3.0,
+        np.pad(0.7 * np.array([[lam, 1.0], [0.0, lam]]), ((0, 2), (0, 2))),
+    ])
+    norms = np.abs(stack).sum(axis=1).max(axis=1)
+    assert norms[0] <= trajectories._PADE13_THETA
+    assert norms[1] > 4 * trajectories._PADE13_THETA
+    props = trajectories._expm(stack)
+    for block, prop in zip(stack, props):
+        exact = scipy.linalg.expm(block)
+        assert np.max(np.abs(prop - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+def test_runtime_does_not_import_scipy():
+    """The trajectory estimate, the Lindblad oracle and `validate --quick`
+    run without importing scipy, which is a test-only dependency."""
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import cavity_toffoli
+        from cavity_toffoli import analysis, cli
+        from cavity_toffoli.trajectories import NoiseParams
+        params = cavity_toffoli.PhysicalParams.from_frequency()
+        analysis.gate_fidelity(params, NoiseParams(tau=2e-4, n_traj=20, seed=1))
+        analysis.lindblad_gate_fidelity(params, 1e-3)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["validate", "--quick"]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = str(Path(cavity_toffoli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_lindblad_idle_photon_decay_curve(params):
