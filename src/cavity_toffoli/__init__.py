@@ -12,8 +12,7 @@ from .analysis import (DispersiveOverlap, FidelityGrid, FidelityResult,
 from .model import (Level, PhysicalParams, annihilation, dispersive_hamiltonian,
                     full_detuned_hamiltonian, jc_hamiltonian, number_operator)
 from .protocol import (LOGICAL_BITS, Schedule, Segment, encode_logical,
-                       prepare_cavity, retrieve_cavity, toffoli_map,
-                       toffoli_schedule)
+                       toffoli_map, toffoli_schedule)
 from .qmath import (CompositeSpace, DensityMatrix, OperatorMatrix, StateVector,
                     embed_operator, propagator, tensor_state, trace_distance)
 from .trajectories import (NoiseParams, TrajectoryResult, ensemble_density,
@@ -28,7 +27,7 @@ __all__ = [
     "Level", "PhysicalParams", "annihilation", "number_operator",
     "jc_hamiltonian", "dispersive_hamiltonian", "full_detuned_hamiltonian",
     "Segment", "Schedule", "LOGICAL_BITS", "encode_logical", "toffoli_map",
-    "toffoli_schedule", "prepare_cavity", "retrieve_cavity",
+    "toffoli_schedule",
     "NoiseParams", "TrajectoryResult", "run_ideal",
     "mcwf_trajectory", "run_trajectories", "ensemble_density",
     "lindblad_evolve",

@@ -21,8 +21,8 @@ from .model import PhysicalParams, dispersive_hamiltonian, full_detuned_hamilton
 from .protocol import (LOGICAL_BITS, Schedule, encode_logical, toffoli_map,
                        toffoli_schedule)
 from .qmath import DensityMatrix, propagator
-from .trajectories import (NoiseParams, _compile, _ideal_states, _lindblad_stack,
-                           _rows_matmul, _trajectory_blocks)
+from .trajectories import (NoiseParams, _check_counter_words, _compile, _ideal_states,
+                           _lindblad_stack, _rows_matmul, _trajectory_blocks)
 # perfbench/selftest.py checks that its tracer patches this binding too
 from .trajectories import mcwf_trajectory  # noqa: F401
 
@@ -127,6 +127,7 @@ def gate_fidelity(params: PhysicalParams, noise: NoiseParams, *,
     error.  ``cell_index`` selects the RNG counter block; sweeps pass the
     row-major cell index so each cell is an independent stream family.
     """
+    _check_counter_words(cell_index=cell_index)
     if schedule is None:
         schedule = toffoli_schedule(params)
     basis = _logical_basis(schedule)
@@ -165,20 +166,18 @@ def sweep(params: PhysicalParams, tau_values, epsilon_values, n_traj: int,
 
     Cell (i, j) uses the RNG stream family of cell index i*len(eps)+j, so
     a 1x1 grid reproduces a direct ``gate_fidelity`` call bit for bit.
+    Every cell's settings are checked before the first cell runs.
     """
     tau_values = tuple(float(t) for t in tau_values)
     epsilon_values = tuple(float(e) for e in epsilon_values)
     if not tau_values or not epsilon_values:
         raise ValueError("sweep grids must be nonempty")
-    rows = []
-    for i, tau in enumerate(tau_values):
-        row = []
-        for j, eps in enumerate(epsilon_values):
-            noise = NoiseParams(tau=tau, epsilon=eps, n_traj=n_traj, seed=seed)
-            row.append(gate_fidelity(params, noise, schedule=schedule,
-                                     cell_index=i * len(epsilon_values) + j))
-        rows.append(tuple(row))
-    return FidelityGrid(tau_values, epsilon_values, tuple(rows))
+    noises = [[NoiseParams(tau=tau, epsilon=eps, n_traj=n_traj, seed=seed)
+               for eps in epsilon_values] for tau in tau_values]
+    cells = tuple(tuple(gate_fidelity(params, noise, schedule=schedule,
+                                      cell_index=i * len(row) + j)
+                        for j, noise in enumerate(row)) for i, row in enumerate(noises))
+    return FidelityGrid(tau_values, epsilon_values, cells)
 
 
 @dataclass(frozen=True)

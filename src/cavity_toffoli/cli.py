@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -93,7 +93,10 @@ def _parse_grid(text: str, *, tau: bool = False) -> tuple[float, ...]:
         if count < 1:
             raise ValueError("grid count must be >= 1")
         return tuple(float(x) for x in np.linspace(start, stop, count))
-    return tuple(parse_one(v) for v in text.split(",") if v.strip())
+    values = tuple(parse_one(v) for v in text.split(",") if v.strip())
+    if not values:
+        raise ValueError(f"grid spec {text!r} holds no value")
+    return values
 
 
 _CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
@@ -194,11 +197,11 @@ def cmd_truth_table(config: RunConfig, schedule: Schedule,
         return 0
 
     process = logical_process_matrix(schedule)
+    entries = [process[LOGICAL_BITS.index(toffoli_map(bits)), k]
+               for k, bits in enumerate(LOGICAL_BITS)]
     ok = True
     print("ideal truth table (fidelity and process-entry phase per input):")
-    for k, bits in enumerate(LOGICAL_BITS):
-        target_idx = LOGICAL_BITS.index(toffoli_map(bits))
-        entry = process[target_idx, k]
+    for bits, entry in zip(LOGICAL_BITS, entries):
         fid = abs(entry) ** 2
         label = "".join(str(b) for b in bits)
         target = "".join(str(b) for b in toffoli_map(bits))
@@ -216,15 +219,11 @@ def cmd_truth_table(config: RunConfig, schedule: Schedule,
     print(f"phase spread: {spread!r} rad")
     if not spread <= 1e-9:
         ok = False
-        ref = None
-        for k, bits in enumerate(LOGICAL_BITS):
-            entry = process[LOGICAL_BITS.index(toffoli_map(bits)), k]
-            if ref is None:
-                ref = entry
-            if abs(np.angle(entry / ref)) > 1e-9:
+        for bits, entry in zip(LOGICAL_BITS, entries):
+            if abs(np.angle(entry / entries[0])) > 1e-9:
                 label = "".join(str(b) for b in bits)
                 print(f"  PHASE DEFECT on input {label}: "
-                      f"relative phase {np.angle(entry / ref):+.6f} rad")
+                      f"relative phase {np.angle(entry / entries[0]):+.6f} rad")
     print("truth table: " + ("OK" if ok else "FAILED"))
     return 0 if ok else 2
 
@@ -241,6 +240,10 @@ def cmd_sweep(config: RunConfig, schedule: Schedule, args: argparse.Namespace) -
                       if args.tau_grid else DEFAULT_TAU_GRID)
         eps_values = (_parse_grid(args.eps_grid)
                       if args.eps_grid else DEFAULT_EPSILON_GRID)
+        # a bad value fails here, not after every cell before it has run
+        for tau in tau_values:
+            for eps in eps_values:
+                replace(config, tau_s=tau, epsilon=eps).noise_params()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -204,24 +204,6 @@ def rig_block(angle: float | np.ndarray = math.pi) -> np.ndarray:
     return block
 
 
-def rge_block(theta: float | np.ndarray, phi: float = 0.0) -> np.ndarray:
-    """3x3 unitary rotating the |g>, |e> block, identity on |i>.
-
-    |g> -> cos(theta/2)|g> + e^{i phi} sin(theta/2)|e> plus the unitary
-    completion.  An array of angles theta gives one block per entry,
-    stacked on its shape.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    ph = complex(math.cos(phi), math.sin(phi))
-    block = np.zeros(theta.shape + (3, 3), dtype=np.complex128)
-    block[..., 0, 0] = block[..., 1, 1] = c
-    block[..., 0, 1] = -s * ph.conjugate()
-    block[..., 1, 0] = s * ph
-    block[..., 2, 2] = 1.0
-    return block
-
-
 def full_detuned_hamiltonian(params: PhysicalParams, atom1: int, atom2: int,
                              space: CompositeSpace) -> OperatorMatrix:
     """Two atoms resonantly coupled to a cavity detuned by delta (atom frame).

@@ -27,8 +27,7 @@ import numpy as np
 
 from .model import (ATOM_DIM, Level, PhysicalParams, jc_hamiltonian,
                     dispersive_hamiltonian, require_dispersive_regime)
-from .qmath import (CompositeSpace, OperatorMatrix, StateVector, propagator,
-                    tensor_state)
+from .qmath import CompositeSpace, OperatorMatrix, StateVector, tensor_state
 
 CAVITY = 0
 CONTROL_ATOM = 1
@@ -51,9 +50,7 @@ class Segment:
     atom: Optional[int] = None
     angle: Optional[float] = None   # resonant_rabi rotation angle
     adjoint: bool = False
-    pulse: Optional[str] = None     # classical_pulse: "rig" | "rge"
-    theta: Optional[float] = None   # rge parameters
-    phi: Optional[float] = None
+    pulse: Optional[str] = None     # classical_pulse: "rig", the R_ig swap
 
     def __post_init__(self):
         if self.kind not in SEGMENT_KINDS:
@@ -63,10 +60,8 @@ class Segment:
         if self.kind == "classical_pulse":
             if self.nominal_duration != 0.0:
                 raise ValueError("classical pulses are instantaneous")
-            if self.pulse not in ("rig", "rge"):
+            if self.pulse != "rig":
                 raise ValueError(f"unknown pulse {self.pulse!r}")
-            if self.pulse == "rge" and (self.theta is None or self.phi is None):
-                raise ValueError("rge pulse needs theta and phi")
             if self.atom is None:
                 raise ValueError("classical pulse needs a target atom")
         if self.kind == "resonant_rabi" and (self.atom is None or self.angle is None):
@@ -75,7 +70,7 @@ class Segment:
     def to_jsonable(self) -> dict:
         out = {"kind": self.kind, "nominal_duration": self.nominal_duration,
                "jitter_applies": self.jitter_applies, "loss_active": self.loss_active}
-        for key in ("atom", "angle", "pulse", "theta", "phi"):
+        for key in ("atom", "angle", "pulse"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
@@ -202,40 +197,3 @@ def process_phase_spread(process: np.ndarray, modulus_floor: float = 0.5) -> flo
         return math.pi
     rel = significant / significant[0]
     return float(np.max(np.abs(np.angle(rel))))
-
-
-def _transfer_pulse(space: CompositeSpace, adjoint: bool) -> OperatorMatrix:
-    # pi-Rabi on a (fock, atom) pair space; omega drops out of the map.
-    dummy = PhysicalParams(omega=1.0, delta=4.0, fock_dim=3)
-    u = propagator(jc_hamiltonian(dummy, 1, space), math.pi / dummy.omega)
-    return u.dag() if adjoint else u
-
-
-def prepare_cavity(psi_atom: StateVector) -> StateVector:
-    """Load an ancilla atom's qubit into the cavity field.
-
-    (alpha|g> + beta|e>) x |0>  ->  |g> x (alpha|0> + beta|1>), exactly,
-    with this module's pi-Rabi convention.  The input lives on a
-    (fock, atom) pair space, cavity first.
-    """
-    space = psi_atom.space
-    dims = space.subsystem_dims
-    if len(dims) != 2 or dims[1] != ATOM_DIM:
-        raise ValueError(f"expected a (fock, 3) space, got dims {dims}")
-    amps = psi_atom.amplitudes.reshape(dims)
-    if np.max(np.abs(amps[:, int(Level.i)])) > 1e-12:
-        raise ValueError("transfer undefined for population in |i>")
-    if np.max(np.abs(amps[1:, :])) > 1e-12:
-        raise ValueError("cavity must start in |0> before the transfer")
-    return _transfer_pulse(space, adjoint=False).apply(psi_atom)
-
-
-def retrieve_cavity(psi: StateVector) -> StateVector:
-    """Read the cavity qubit back into a fresh atom (the inverse transfer).
-
-    |g> x (alpha|0> + beta|1>)  ->  (alpha|g> + beta|e>) x |0>.
-    """
-    dims = psi.space.subsystem_dims
-    if len(dims) != 2 or dims[1] != ATOM_DIM:
-        raise ValueError(f"expected a (fock, 3) space, got dims {dims}")
-    return _transfer_pulse(psi.space, adjoint=True).apply(psi)

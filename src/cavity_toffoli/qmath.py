@@ -102,13 +102,6 @@ class StateVector:
             raise ValueError("overlap: states live on different spaces")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def subsystem_populations(self, subsystem: int) -> np.ndarray:
-        """Marginal occupation probabilities of one subsystem."""
-        dims = self.space.subsystem_dims
-        probs = np.abs(self.amplitudes.reshape(dims)) ** 2
-        axes = tuple(k for k in range(len(dims)) if k != subsystem)
-        return probs.sum(axis=axes)
-
 
 @dataclass(frozen=True)
 class OperatorMatrix:

@@ -4,8 +4,9 @@ Photon loss is the only decay channel (zero temperature): collapse
 operator sqrt(kappa) a with kappa = 1/tau, tau the photon lifetime, so
 <n> decays as exp(-t/tau).  Atomic decay is neglected (circular states).
 The Lindblad oracle (``lindblad_evolve``) applies each timed segment's
-exact exp(L T), per block from one batched eig (ill-conditioned blocks
-take ``_expm``, Pade-13 in numpy), to stacked density matrices.
+exact exp(L T), block by block, to stacked density matrices.  ``_eig``
+diagonalizes every non-Hermitian generator (K below, Liouvillian blocks);
+one with ill-conditioned eigenvectors takes ``_expm``, Pade-13 in numpy.
 
 The jump unraveling is one batched quantum-jump engine.  The
 trajectories of a cell's basis inputs evolve together as one input-major
@@ -17,10 +18,10 @@ duration, by broadcasting exp(-i w t) over per-row times in the
 eigenbasis of K.  Between jumps a row's squared norm only falls, so each
 pass evaluates it once, at the end point of the row's remaining time; a
 row whose norm has fallen below its uniform threshold there bisects the
-crossing to dt_max/100, the only role of dt_max, and only those rows
-jump.  A row's result does not depend on which other rows share its
-block.  The ideal gate (``run_ideal``) is the same engine at kappa = 0
-with unit jitter factors: no row ever decays, so none draws or jumps.
+crossing to tau/10^4, and only those rows jump.  A row's result does not
+depend on which other rows share its block.  The ideal gate
+(``run_ideal``) is the same engine at kappa = 0 with unit jitter factors:
+no row ever decays, so none draws or jumps.
 
 Randomness contract: one root seed.  Word j of trajectory k of basis
 input b in grid cell c is element j % 4 of Philox4x64-10 (Salmon et al.,
@@ -41,13 +42,13 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .model import annihilation, number_operator, rge_block, rig_block
+from .model import annihilation, number_operator, rig_block
 from .protocol import Schedule, Segment, segment_drift
 from .qmath import (CompositeSpace, DensityMatrix, StateVector, embed_operator)
 
 #: trajectories evolved together; bounds the engine's memory for any n_traj
 _BLOCK_ROWS = 2048
-#: cond_1(V) above which a Liouvillian block takes expm, not V exp(w T) V^-1
+#: cond_1(V) above which a generator takes expm, not V exp(w T) V^-1
 _EIG_COND_MAX = 1e4
 #: Pade-13 coefficients b_j = (26 - j)! / (j! (13 - j)!) and the 1-norm up to which
 #: no squaring is needed (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
@@ -64,14 +65,12 @@ class NoiseParams:
     epsilon  relative timing/angle error, std of the per-segment Gaussian
     n_traj   trajectories per initial state
     seed     64-bit root seed
-    dt_max   sets the jump-time resolution dt_max/100; defaults to tau/100
     """
 
     tau: float = 1e-3
     epsilon: float = 0.03
     n_traj: int = 2000
     seed: int = 42
-    dt_max: Optional[float] = None
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -80,23 +79,11 @@ class NoiseParams:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
         if self.n_traj < 1:
             raise ValueError("n_traj must be positive")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if self.dt_max is not None:
-            if not self.dt_max > 0:
-                raise ValueError("dt_max must be positive")
-            if math.isfinite(self.tau) and self.dt_max > self.tau / 100.0:
-                raise ValueError("dt_max must not exceed tau/100")
+        _check_counter_words(seed=self.seed)
 
     @property
     def kappa(self) -> float:
         return 0.0 if math.isinf(self.tau) else 1.0 / self.tau
-
-    def effective_dt_max(self) -> float:
-        """dt_max, else tau/100 (inf if lossless).  Its one role: jump times
-        are bisected to dt_max/100.  A row's norm is evaluated once per
-        pass, at its end point, however long the pass."""
-        return self.tau / 100.0 if self.dt_max is None else self.dt_max
 
 
 @dataclass(frozen=True)
@@ -133,6 +120,14 @@ _AS241 = (
       0.0007868691311456133, 0.014875361290850615, 0.1369298809227358, 0.599832206555888,
       1.0)),
 )
+
+
+def _check_counter_words(**words: int) -> None:
+    """Philox takes the seed and each counter index as one 64-bit word; a
+    value outside [0, 2^64) would wrap onto another stream or overflow."""
+    for name, value in words.items():
+        if not 0 <= int(value) < 2 ** 64:
+            raise ValueError(f"{name} must be in [0, 2^64), got {value}")
 
 
 def _philox(seed: int, trajs, blocks, basis_inputs, cell: int) -> np.ndarray:
@@ -241,11 +236,20 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return x
 
 
+def _eig(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(w, V, V^-1, cond_1(V) <= _EIG_COND_MAX) of G = V diag(w) V^-1 per matrix G
+    of the stack ``gen``.  V diag(exp(w T)) V^-1 errs by ~cond(V) x rounding (Moler
+    & Van Loan, SIAM Rev. 45, 3 (2003)), even where V, w reconstruct G to 1e-9."""
+    w, v = np.linalg.eig(gen)
+    vinv = np.linalg.inv(v)
+    cond = np.abs(v).sum(axis=-2).max(axis=-1) * np.abs(vinv).sum(axis=-2).max(axis=-1)
+    return w, v, vinv, cond <= _EIG_COND_MAX
+
+
 class _PulseEvolver:
     """Instantaneous classical pulse, applied on the atom's tensor axis."""
 
     def __init__(self, schedule: Schedule, seg: Segment):
-        self._seg = seg
         dims = schedule.space.subsystem_dims
         self._axis = seg.atom
         self.lossy = False
@@ -255,12 +259,8 @@ class _PulseEvolver:
         self._trail = math.prod(dims[self._axis + 1:])
 
     def apply(self, psi: np.ndarray, angle_scales: np.ndarray) -> np.ndarray:
-        """Rows of ``psi`` after the pulse, each at its own angle scale."""
-        seg = self._seg
-        if seg.pulse == "rig":
-            blocks = rig_block(math.pi * angle_scales)
-        else:
-            blocks = rge_block(seg.theta * angle_scales, seg.phi)
+        """Rows of ``psi`` after the R_ig pulse, each at its own angle scale."""
+        blocks = rig_block(math.pi * angle_scales)
         tensor = psi.reshape(len(psi), self._lead, self._dim, self._trail)
         return (blocks[:, None] @ tensor).reshape(len(psi), -1)
 
@@ -270,30 +270,19 @@ class _DriftEvolver:
 
     Diagonalizes K once; evolving rows for their own times is then an
     elementwise phase in the eigenbasis.  Falls back to ``_expm``, one row at
-    a time, if the eigendecomposition reconstructs poorly (never the case
-    away from exceptional points, but cheap insurance).
+    a time, if ``_eig`` finds the eigenvectors ill conditioned (never on the
+    gate's segments, whose K have cond_1(V) near 5).
     """
 
     def __init__(self, h: np.ndarray, kappa: float, n_cav: np.ndarray):
         self.lossy = kappa > 0.0
         self.kappa = kappa
         self.k = h - 0.5j * kappa * n_cav if self.lossy else h
-        if not self.lossy:
+        if self.lossy:
+            self._w, self._v, self._vinv, self._exact = _eig(self.k)
+        else:
             w, v = np.linalg.eigh(h)
-            self._w = w.astype(np.complex128)
-            self._v = v
-            self._vinv = v.conj().T
-            self._exact = True
-            return
-        w, v = np.linalg.eig(self.k)
-        vinv = np.linalg.inv(v)
-        recon_err = np.max(np.abs((v * w) @ vinv - self.k))
-        scale = max(np.max(np.abs(self.k)), 1.0)
-        self._exact = recon_err <= 1e-9 * scale
-        if self._exact:
-            self._w = w
-            self._v = v
-            self._vinv = vinv
+            self._w, self._v, self._vinv, self._exact = w.astype(complex), v, v.conj().T, True
 
     def coefficients(self, psi: np.ndarray) -> np.ndarray:
         """Rows of ``psi`` in the eigenbasis of K (unchanged on the expm path)."""
@@ -353,14 +342,14 @@ class _Block:
 
 
 def _decay(ev: _DriftEvolver, psi: np.ndarray, duration: np.ndarray,
-           dt_max: float, annihilator: np.ndarray, thresholds: np.ndarray,
+           resolution: float, annihilator: np.ndarray, thresholds: np.ndarray,
            next_thresholds: Callable[..., np.ndarray]) -> tuple[np.ndarray, list]:
     """Rows of ``psi`` through one lossy segment of per-row ``duration``.
 
     Between jumps a row's squared norm only falls, so each pass evaluates
     every running row once, at the end of its remaining time.  A row still
     at or above its threshold there keeps that state and is done.  A row
-    below it bisects [0, remaining] until the bracket is at most dt_max/100
+    below it bisects [0, remaining] until the bracket is at most ``resolution``
     wide, jumps at the bracket's midpoint, takes its next threshold into
     ``thresholds`` and runs again from the jump.  Returns the final rows
     and, per pass with jumps, (rows, time done before the pass, jump time
@@ -370,7 +359,6 @@ def _decay(ev: _DriftEvolver, psi: np.ndarray, duration: np.ndarray,
     t_done = np.zeros(len(psi))
     events = []
     running = np.arange(len(psi))
-    resolution = dt_max / 100.0
     while running.size:
         start = ev.coefficients(psi[running])
         remaining = duration[running] - t_done[running]
@@ -439,7 +427,7 @@ def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
         if not ev.lossy:
             psi = ev.evolve(ev.coefficients(psi), durations[:, k])
         else:
-            psi, events = _decay(ev, psi, durations[:, k], noise.effective_dt_max(),
+            psi, events = _decay(ev, psi, durations[:, k], noise.tau / 100.0 / 100.0,
                                  compiled.annihilator, thresholds, next_thresholds)
             for rows, t_done, t_jump in events:
                 for row, t in zip(rows, elapsed[rows] + t_done + t_jump):
@@ -507,6 +495,7 @@ def mcwf_trajectory(schedule: Schedule, psi0: StateVector, noise: NoiseParams, *
     ``run_trajectories`` at the same ``basis_input`` and ``cell``.
     """
     _check_initial_state(schedule, psi0)
+    _check_counter_words(traj=traj, basis_input=basis_input, cell=cell)
     return _run_block(_compile(schedule, noise), psi0.amplitudes[None, :], noise,
                       np.array([traj]), np.array([basis_input]), cell).result(0)
 
@@ -535,6 +524,7 @@ def run_trajectories(schedule: Schedule, psi0: StateVector, noise: NoiseParams,
                      *, basis_input: int = 0, cell: int = 0) -> list[TrajectoryResult]:
     """n_traj independent trajectories, each on its own counter-based stream."""
     _check_initial_state(schedule, psi0)
+    _check_counter_words(basis_input=basis_input, cell=cell)
     blocks = _trajectory_blocks(_compile(schedule, noise), psi0.amplitudes[None, :],
                                 noise, np.array([basis_input]), cell)
     return [block.result(row) for block in blocks for row in range(len(block.states))]
@@ -564,17 +554,12 @@ def _components(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _block_exponentials(gen: np.ndarray, duration: float) -> np.ndarray:
-    """exp(G T) per block G of ``gen``: V diag(exp(w T)) V^-1 from one batched eig,
-    and ``_expm`` in one call for the blocks with cond_1(V) > _EIG_COND_MAX: the eig
-    form errs by ~cond(V) x rounding (Moler & Van Loan, SIAM Rev. 45, 3 (2003))
-    even where V diag(w) V^-1 ~ G to 1e-9."""
-    w, v = np.linalg.eig(gen)
-    vinv = np.linalg.inv(v)
+    """exp(G T) per block G of ``gen``: V diag(exp(w T)) V^-1 from one batched
+    ``_eig``, and ``_expm`` in one call for the blocks it finds ill conditioned."""
+    w, v, vinv, ok = _eig(gen)
     props = (v * np.exp(w * duration)[:, None, :]) @ vinv
-    cond = np.abs(v).sum(axis=1).max(axis=1) * np.abs(vinv).sum(axis=1).max(axis=1)
-    bad = cond > _EIG_COND_MAX
-    if bad.any():
-        props[bad] = _expm(gen[bad] * duration)
+    if not ok.all():
+        props[~ok] = _expm(gen[~ok] * duration)
     return props
 
 

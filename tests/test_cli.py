@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cavity_toffoli
 from cavity_toffoli.cli import main
 
 FAST = ["--n-traj", "25", "--seed", "7"]
@@ -157,10 +159,15 @@ def test_sweep_unwritable_path_exits_1(capsys, tmp_path):
     assert "cannot write" in err
 
 
-def test_sweep_bad_grid_spec_exits_1(capsys):
-    code, _, err = run_cli(capsys, ["sweep", "--tau-grid", "1:2:3:4",
-                                    "--n-traj", "5"])
-    assert code == 1
+def test_sweep_bad_grid_spec_exits_1(capsys, tmp_path):
+    """A malformed or out-of-range grid is a usage error before any cell runs."""
+    out = tmp_path / "s.csv"
+    for grid in (["--tau-grid", "1:2:3:4"], ["--tau-grid", ","],
+                 ["--eps-grid", "0,1.5"], ["--tau-grid", "nan"]):
+        code, _, err = run_cli(capsys, ["sweep", *grid, "--n-traj", "5", "--out", str(out)])
+        assert code == 1, grid
+        assert err.startswith("error:"), grid
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------- validate
@@ -174,6 +181,19 @@ def test_validate_quick_passes(capsys):
 
 
 # ---------------------------------------------------------------- end to end
+
+def test_package_exports_resolve():
+    """Every name in ``__all__`` is bound, so no deletion leaves a stale export."""
+    missing = [name for name in cavity_toffoli.__all__ if not hasattr(cavity_toffoli, name)]
+    assert missing == []
+
+
+def test_collision_accuracy_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "collision_accuracy.py"
+    done = subprocess.run([sys.executable, str(script), "--ratios", "4,50"],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) >= 3
 
 def test_module_entry_point_end_to_end(tmp_path):
     """Exit codes through the real process boundary."""

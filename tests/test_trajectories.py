@@ -27,7 +27,7 @@ from cavity_toffoli.trajectories import (_BLOCK_ROWS, NoiseParams,
                                          lindblad_evolve, mcwf_trajectory,
                                          run_ideal, run_trajectories)
 
-from test_protocol import _dense_ideal, _segment_unitary
+from test_protocol import _dense_ideal, _marginal, _segment_unitary
 
 
 @pytest.fixture
@@ -60,9 +60,6 @@ def test_noise_params_validation():
         NoiseParams(epsilon=-0.1)
     with pytest.raises(ValueError):
         NoiseParams(n_traj=0)
-    with pytest.raises(ValueError):
-        NoiseParams(dt_max=2e-5, tau=1e-3)   # above tau/100
-    NoiseParams(dt_max=1e-5, tau=1e-3)
     NoiseParams(tau=math.inf, epsilon=0.0)
 
 
@@ -136,6 +133,33 @@ def test_trajectory_bit_reproducible_out_of_order(schedule, n_traj, traj):
                                   batch[traj].final_state.amplitudes)
     assert solo.jump_times == batch[traj].jump_times
     assert solo.perturbed_durations == batch[traj].perturbed_durations
+
+
+def test_counter_indices_outside_64_bits_raise(params, schedule):
+    """A seed, trajectory, basis-input or cell index outside [0, 2^64) is a
+    ValueError at every public entry point, not a wrapped stream (traj -1
+    would be trajectory 2^64 - 1).  The largest index draws numpy's own
+    Philox words at that counter."""
+    psi0 = encode_logical((0, 0, 0), schedule.space)
+    noise = NoiseParams(tau=1e-3, epsilon=0.03, n_traj=2, seed=5)
+    for bad in (-1, 2 ** 64):
+        for name in ("traj", "basis_input", "cell"):
+            with pytest.raises(ValueError, match=name):
+                mcwf_trajectory(schedule, psi0, noise, **{name: bad})
+        for name in ("basis_input", "cell"):
+            with pytest.raises(ValueError, match=name):
+                run_trajectories(schedule, psi0, noise, **{name: bad})
+        with pytest.raises(ValueError, match="cell_index"):
+            gate_fidelity(params, noise, cell_index=bad)
+        with pytest.raises(ValueError, match="seed"):
+            NoiseParams(seed=bad)
+    top = 2 ** 64 - 1
+    res = mcwf_trajectory(schedule, psi0, noise, traj=top, basis_input=top, cell=top)
+    counter = np.array([0, top, top, top], dtype=np.uint64)
+    words = np.random.Philox(key=5, counter=counter).random_raw(5)
+    factors = jitter_factors(schedule, 0.03, trajectories._uniforms(words)[None])[0]
+    nominal = np.array([seg.nominal_duration for seg in schedule.segments])
+    np.testing.assert_array_equal(res.perturbed_durations, nominal * factors)
 
 
 # ---------------------------------------------------------------- jitter
@@ -262,7 +286,7 @@ def _reference_trajectory(schedule, psi0, noise, traj, basis_input):
     space = schedule.space
     a = embed_operator(space, [0], annihilation(space.subsystem_dims[0])).entries
     n_cav = a.conj().T @ a
-    dt_max = noise.effective_dt_max()
+    dt_max = noise.tau / 100.0
     u = np.array([[uniform() for _ in schedule.segments]])
     factors = jitter_factors(schedule, noise.epsilon, u)[0]
     psi, threshold, jumps, elapsed = psi0.amplitudes, None, [], 0.0
@@ -344,7 +368,7 @@ def test_jump_times_match_closed_form(params):
     duration = 6e-4
     schedule = idle_schedule(params, duration, fock_dim=4)
     noise = NoiseParams(tau=2e-4, epsilon=0.0, n_traj=200, seed=5)
-    dt_max = noise.effective_dt_max()
+    dt_max = noise.tau / 100.0
     u = stream_uniforms(noise.seed, noise.n_traj, 4)
     results = run_trajectories(schedule, schedule.space.basis_state([3]), noise)
     assert sum(len(res.jump_times) for res in results) >= 400
@@ -382,8 +406,8 @@ def test_bisection_midpoint_outside_bracket_raises(params, monkeypatch):
 
 
 def test_expm_fallback_matches_eigenbasis(schedule, monkeypatch):
-    """The dense expm path, taken when an eigendecomposition reconstructs
-    poorly, gives the eigenbasis path's trajectories."""
+    """The dense expm path, taken when ``_eig`` finds K's eigenvectors ill
+    conditioned, gives the eigenbasis path's trajectories."""
     noise = NoiseParams(tau=2e-4, epsilon=0.05, n_traj=20, seed=3)
     psi0 = encode_logical((0, 0, 0), schedule.space)
     exact = run_trajectories(schedule, psi0, noise)
@@ -403,6 +427,37 @@ def test_expm_fallback_matches_eigenbasis(schedule, monkeypatch):
         np.testing.assert_allclose(a.jump_times, b.jump_times, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(a.final_state.amplitudes,
                                    b.final_state.amplitudes, atol=1e-12)
+
+
+def test_drift_evolver_falls_back_on_ill_conditioned_k():
+    """``_DriftEvolver`` shares ``_eig``'s cond_1(V) guard with the Liouvillian
+    blocks: a nearly defective K (cond ~ 1e8) evolves its rows through
+    ``_expm``, each for its own time, and matches scipy's expm."""
+    h = np.array([[0.0, 1.0], [0.0, 0.0]])   # with the loss, K is nearly a Jordan block
+    ev = trajectories._DriftEvolver(h, 1e-8, np.diag([0.0, 1.0]))
+    assert not ev._exact
+    rows = np.array([[1.0, 0.0], [0.3, 0.8j]], dtype=complex)
+    times = np.array([0.4, 1.3])
+    out = ev.evolve(ev.coefficients(rows), times)
+    for row, t, got in zip(rows, times, out):
+        expected = scipy.linalg.expm(-1j * ev.k * t) @ row
+        assert np.max(np.abs(got - expected)) <= 1e-14
+
+
+def test_gate_drift_generators_stay_on_eigenbasis_path():
+    """Every lossy segment's K, at 3 to 5 Fock levels, under both loss scopes,
+    over the default tau grid and tau = 2e-5, 1e-5 and 1e-6, has cond_1(V)
+    below 10, far under the guard, so no trajectory takes the expm path."""
+    for fock_dim in (3, 4, 5):
+        params = PhysicalParams.from_frequency(fock_dim=fock_dim)
+        for scope in ("all_segments", "collision_only"):
+            schedule = toffoli_schedule(params, loss_scope=scope)
+            for tau in DEFAULT_TAU_GRID + (2e-5, 1e-5, 1e-6):
+                compiled = trajectories._compile(schedule, NoiseParams(tau=tau, epsilon=0.0))
+                for ev in compiled.evolvers:
+                    if ev.lossy:
+                        assert ev._exact, (fock_dim, scope, tau)
+                        assert np.linalg.cond(ev._v, 1) < 10.0, (fock_dim, scope, tau)
 
 
 def test_block_partition_leaves_results_unchanged(schedule, monkeypatch):
@@ -470,7 +525,7 @@ def test_jumped_state_ends_in_vacuum_sector(params):
     noise = NoiseParams(tau=5e-4, epsilon=0.0, n_traj=50, seed=21)
     for res in run_trajectories(sched, one, noise):
         if res.jump_times:
-            np.testing.assert_allclose(res.final_state.subsystem_populations(0),
+            np.testing.assert_allclose(_marginal(res.final_state, 0),
                                        [1.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -582,10 +637,10 @@ def test_lindblad_rejects_bad_tau_and_foreign_space(params, schedule):
 @pytest.mark.parametrize("fock_dim, tau", [(3, 1e-3), (3, math.inf), (4, 1e-3)],
                          ids=["tau-1ms", "lossless", "fock-4"])
 def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau):
-    """Each timed segment's blockwise channel equals scipy's expm of the
-    dense Liouvillian on a random full-rank rho, within 1e-12, and its
-    blocks partition the pair indices with no nonzero of L between two
-    blocks."""
+    """Each timed segment's blocks partition the pair indices with no
+    nonzero of the dense Liouvillian L between two blocks, so exp(L T) is
+    scipy's expm of each block of L; the blockwise channel equals it on a
+    random full-rank rho within 1e-12."""
     schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim))
     space = schedule.space
     dim = space.total_dim
@@ -607,18 +662,21 @@ def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau):
                             - 0.5 * (np.kron(n, eye) + np.kron(eye, n.T))))
         block_of = np.full(dim * dim, -1)
         first = 0
+        vec0, exact = rho0.entries.reshape(-1), np.empty(dim * dim, dtype=complex)
         for idx, _ in trajectories._liouvillian_blocks(ev, compiled.annihilator,
                                                        seg.nominal_duration):
             assert np.all(block_of[idx] == -1)
             block_of[idx] = first + np.arange(len(idx))[:, None]
             first += len(idx)
+            blocks = scipy.linalg.expm(liouv[idx[:, :, None], idx[:, None, :]]
+                                       * seg.nominal_duration)
+            exact[idx] = (blocks @ vec0[idx][..., None])[..., 0]
         assert np.all(block_of >= 0)
         rows, cols = np.nonzero(liouv)
         assert np.array_equal(block_of[rows], block_of[cols]), seg.kind
 
         one_segment = Schedule(space, (seg,), schedule.params)
         rho = lindblad_evolve(one_segment, rho0, tau).entries.reshape(-1)
-        exact = scipy.linalg.expm(liouv * seg.nominal_duration) @ rho0.entries.reshape(-1)
         assert np.max(np.abs(rho - exact)) <= 1e-12, seg.kind
 
 
