@@ -21,8 +21,8 @@ from .model import PhysicalParams, dispersive_hamiltonian, full_detuned_hamilton
 from .protocol import (LOGICAL_BITS, Schedule, encode_logical, toffoli_map,
                        toffoli_schedule)
 from .qmath import DensityMatrix, propagator
-from .trajectories import (NoiseParams, _check_counter_words, _compile, _ideal_states,
-                           _lindblad_stack, _rows_matmul, _trajectory_blocks)
+from .trajectories import (NoiseParams, _check_counter_words, _compile, _CompiledSchedule,
+                           _ideal_states, _lindblad_stack, _rows_matmul, _trajectory_blocks)
 # perfbench/selftest.py checks that its tracer patches this binding too
 from .trajectories import mcwf_trajectory  # noqa: F401
 
@@ -130,10 +130,15 @@ def gate_fidelity(params: PhysicalParams, noise: NoiseParams, *,
     _check_counter_words(cell_index=cell_index)
     if schedule is None:
         schedule = toffoli_schedule(params)
-    basis = _logical_basis(schedule)
+    return _cell_fidelity(_compile(schedule, noise), _logical_basis(schedule), noise,
+                          cell_index)
+
+
+def _cell_fidelity(compiled: _CompiledSchedule, basis: np.ndarray, noise: NoiseParams,
+                   cell_index: int) -> FidelityResult:
+    """``gate_fidelity`` on the schedule compiled at ``noise.tau`` and its basis."""
     targets = basis[_IMAGES].conj()
-    blocks = _trajectory_blocks(_compile(schedule, noise), basis, noise,
-                                np.arange(len(LOGICAL_BITS)), cell_index)
+    blocks = _trajectory_blocks(compiled, basis, noise, np.arange(len(basis)), cell_index)
     overlaps = np.concatenate([_rows_matmul(block.states[block.inputs == b], targets[b])
                                for block in blocks for b in np.unique(block.inputs)])
     fids = np.minimum(overlaps.real ** 2 + overlaps.imag ** 2, 1.0).reshape(-1, noise.n_traj)
@@ -164,9 +169,9 @@ def sweep(params: PhysicalParams, tau_values, epsilon_values, n_traj: int,
           seed: int, *, schedule: Schedule | None = None) -> FidelityGrid:
     """Fidelity surface on the (tau, epsilon) grid, deterministic per seed.
 
-    Cell (i, j) uses the RNG stream family of cell index i*len(eps)+j, so
-    a 1x1 grid reproduces a direct ``gate_fidelity`` call bit for bit.
-    Every cell's settings are checked before the first cell runs.
+    Cell (i, j) uses the RNG stream family of cell index i*len(eps)+j, so a
+    1x1 grid reproduces a direct ``gate_fidelity`` call bit for bit.  Every
+    cell's settings are checked, and each tau compiled once, before any cell runs.
     """
     tau_values = tuple(float(t) for t in tau_values)
     epsilon_values = tuple(float(e) for e in epsilon_values)
@@ -174,8 +179,10 @@ def sweep(params: PhysicalParams, tau_values, epsilon_values, n_traj: int,
         raise ValueError("sweep grids must be nonempty")
     noises = [[NoiseParams(tau=tau, epsilon=eps, n_traj=n_traj, seed=seed)
                for eps in epsilon_values] for tau in tau_values]
-    cells = tuple(tuple(gate_fidelity(params, noise, schedule=schedule,
-                                      cell_index=i * len(row) + j)
+    if schedule is None:
+        schedule = toffoli_schedule(params)
+    basis, compiled = _logical_basis(schedule), [_compile(schedule, row[0]) for row in noises]
+    cells = tuple(tuple(_cell_fidelity(compiled[i], basis, noise, i * len(row) + j)
                         for j, noise in enumerate(row)) for i, row in enumerate(noises))
     return FidelityGrid(tau_values, epsilon_values, cells)
 

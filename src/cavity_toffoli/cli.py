@@ -63,7 +63,7 @@ class RunConfig:
     def physical_params(self) -> PhysicalParams:
         return PhysicalParams.from_frequency(
             omega_hz=self.omega_hz, delta_over_omega=self.delta_over_omega,
-            tau=self.tau_s, fock_dim=self.fock_dim)
+            fock_dim=self.fock_dim)
 
     def noise_params(self) -> NoiseParams:
         return NoiseParams(tau=self.tau_s, epsilon=self.epsilon,

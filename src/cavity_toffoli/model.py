@@ -39,14 +39,12 @@ class PhysicalParams:
 
     omega    vacuum Rabi coupling (rad/s)
     delta    cavity detuning used for the collision (rad/s)
-    tau      cavity photon lifetime in seconds (may be math.inf)
-    fock_dim cavity truncation; the protocol populates at most n = 1,
-             one extra guard level catches leakage bugs
+    fock_dim cavity truncation, exact at 3: H and R_ig conserve N = n +
+             [control in e] + [target in e], a lowers it, and inputs have N <= 2
     """
 
     omega: float
     delta: float
-    tau: float = 1e-3
     fock_dim: int = 3
 
     def __post_init__(self):
@@ -54,18 +52,15 @@ class PhysicalParams:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
         if self.fock_dim < 3:
             raise ValueError(f"fock_dim must be >= 3, got {self.fock_dim}")
 
     @classmethod
     def from_frequency(cls, omega_hz: float = 50e3, delta_over_omega: float = 4.0,
-                       tau: float = 1e-3, fock_dim: int = 3) -> "PhysicalParams":
+                       fock_dim: int = 3) -> "PhysicalParams":
         """Build from the coupling in Hz (omega/2pi) and the detuning ratio."""
         omega = 2.0 * math.pi * omega_hz
-        return cls(omega=omega, delta=delta_over_omega * omega, tau=tau,
-                   fock_dim=fock_dim)
+        return cls(omega=omega, delta=delta_over_omega * omega, fock_dim=fock_dim)
 
     @property
     def lam(self) -> float:

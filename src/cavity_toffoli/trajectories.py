@@ -4,9 +4,9 @@ Photon loss is the only decay channel (zero temperature): collapse
 operator sqrt(kappa) a with kappa = 1/tau, tau the photon lifetime, so
 <n> decays as exp(-t/tau).  Atomic decay is neglected (circular states).
 The Lindblad oracle (``lindblad_evolve``) applies each timed segment's
-exact exp(L T), block by block, to stacked density matrices.  ``_eig``
-diagonalizes every non-Hermitian generator (K below, Liouvillian blocks);
-one with ill-conditioned eigenvectors takes ``_expm``, Pade-13 in numpy.
+exact exp(L T), block by block, to stacked density matrices; each block
+size's stack takes one ``_expm`` call, Pade-13 in numpy, and no
+eigendecomposition.
 
 The jump unraveling is one batched quantum-jump engine.  The
 trajectories of a cell's basis inputs evolve together as one input-major
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -237,9 +238,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def _eig(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(w, V, V^-1, cond_1(V) <= _EIG_COND_MAX) of G = V diag(w) V^-1 per matrix G
-    of the stack ``gen``.  V diag(exp(w T)) V^-1 errs by ~cond(V) x rounding (Moler
-    & Van Loan, SIAM Rev. 45, 3 (2003)), even where V, w reconstruct G to 1e-9."""
+    """(w, V, V^-1, cond_1(V) <= _EIG_COND_MAX) of G = V diag(w) V^-1, the guard
+    of ``_DriftEvolver``'s eigenbasis path.  V diag(exp(w T)) V^-1 errs by
+    ~cond(V) x rounding, even where V, w reconstruct G to 1e-9."""
     w, v = np.linalg.eig(gen)
     vinv = np.linalg.inv(v)
     cond = np.abs(v).sum(axis=-2).max(axis=-1) * np.abs(vinv).sum(axis=-2).max(axis=-1)
@@ -268,33 +269,36 @@ class _PulseEvolver:
 class _DriftEvolver:
     """Exact evolution under K = H - (i/2) kappa N for one timed segment.
 
-    Diagonalizes K once; evolving rows for their own times is then an
-    elementwise phase in the eigenbasis.  Falls back to ``_expm``, one row at
-    a time, if ``_eig`` finds the eigenvectors ill conditioned (never on the
-    gate's segments, whose K have cond_1(V) near 5).
+    Diagonalizes K on first use; evolving rows for their own times is then
+    an elementwise phase in the eigenbasis.  Falls back to one batched
+    ``_expm`` over the rows if ``_eig`` finds the eigenvectors ill
+    conditioned (never on the gate's segments, whose K have cond_1(V) near 5).
     """
 
     def __init__(self, h: np.ndarray, kappa: float, n_cav: np.ndarray):
         self.lossy = kappa > 0.0
         self.kappa = kappa
         self.k = h - 0.5j * kappa * n_cav if self.lossy else h
+
+    @cached_property
+    def _eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """(w, V, V^-1, eigenbasis path taken) of K."""
         if self.lossy:
-            self._w, self._v, self._vinv, self._exact = _eig(self.k)
-        else:
-            w, v = np.linalg.eigh(h)
-            self._w, self._v, self._vinv, self._exact = w.astype(complex), v, v.conj().T, True
+            return _eig(self.k)
+        w, v = np.linalg.eigh(self.k)
+        return w.astype(complex), v, v.conj().T, True
 
     def coefficients(self, psi: np.ndarray) -> np.ndarray:
         """Rows of ``psi`` in the eigenbasis of K (unchanged on the expm path)."""
-        return _rows_matmul(psi, self._vinv.T) if self._exact else psi
+        _, _, vinv, exact = self._eigen
+        return _rows_matmul(psi, vinv.T) if exact else psi
 
     def evolve(self, coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
         """exp(-iKt) on rows given by ``coefficients``, each for its own time."""
-        if self._exact:
-            phases = np.exp(np.multiply.outer(t, -1j * self._w))
-            return _rows_matmul(phases * coeffs, self._v.T)
-        return np.stack([_expm(-1j * self.k[None] * t_row)[0] @ row
-                         for row, t_row in zip(coeffs, t)])
+        w, v, _, exact = self._eigen
+        if exact:
+            return _rows_matmul(np.exp(np.multiply.outer(t, -1j * w)) * coeffs, v.T)
+        return (_expm(-1j * self.k * t[:, None, None]) @ coeffs[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -553,16 +557,6 @@ def _components(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.unique(labels, return_inverse=True)[1]
 
 
-def _block_exponentials(gen: np.ndarray, duration: float) -> np.ndarray:
-    """exp(G T) per block G of ``gen``: V diag(exp(w T)) V^-1 from one batched
-    ``_eig``, and ``_expm`` in one call for the blocks it finds ill conditioned."""
-    w, v, vinv, ok = _eig(gen)
-    props = (v * np.exp(w * duration)[:, None, :]) @ vinv
-    if not ok.all():
-        props[~ok] = _expm(gen[~ok] * duration)
-    return props
-
-
 def _liouvillian_blocks(ev: _DriftEvolver, annihilator: np.ndarray,
                         duration: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Exact channel exp(L T) of one timed segment, as independent blocks.
@@ -572,9 +566,8 @@ def _liouvillian_blocks(ev: _DriftEvolver, annihilator: np.ndarray,
     couples the pair index i*dim + j only within products of K's connected
     components, joined where the jump lowers both indices, so it splits into
     small blocks read off the nonzero patterns of K and a.  Yields, per block
-    size, the pair indices (n_blocks, size) and their exp(L T) blocks from
-    ``_block_exponentials`` (on the default schedules only the collision's
-    largest block takes expm); no dim^2 x dim^2 operand is formed.
+    size, the pair indices (n_blocks, size) and their exp(L T) blocks from one
+    ``_expm`` call; no dim^2 x dim^2 operand is formed.
     """
     k_op, dim = ev.k, len(ev.k)
     jump = math.sqrt(ev.kappa) * annihilator
@@ -591,7 +584,7 @@ def _liouvillian_blocks(ev: _DriftEvolver, annihilator: np.ndarray,
         k, l = divmod(idx[:, None, :], dim)
         gen = (-1j * (k_op[i, k] * (j == l) - (i == k) * k_op[j, l].conj())
                + jump[i, k] * jump[j, l].conj())
-        yield idx, _block_exponentials(gen, duration)
+        yield idx, _expm(gen * duration)
 
 
 def _lindblad_stack(schedule: Schedule, rho0s: Sequence[DensityMatrix],

@@ -8,6 +8,7 @@ from cavity_toffoli.analysis import (DEFAULT_EPSILON_GRID, DEFAULT_TAU_GRID,
                                      FidelityGrid, FidelityResult,
                                      dispersive_validation, gate_fidelity,
                                      lindblad_gate_fidelity, sweep)
+from cavity_toffoli.model import PhysicalParams
 from cavity_toffoli.trajectories import NoiseParams
 
 # Sampling-free Lindblad reference for the epsilon = 0 column, frozen from
@@ -86,6 +87,21 @@ def test_loss_dominated_estimate_pinned_to_lindblad(params):
 def test_lindblad_reference_regression(params, tau):
     assert lindblad_gate_fidelity(params, tau) == pytest.approx(
         LINDBLAD_EPS0[tau], abs=1e-6)
+
+
+def test_fock_dim_4_reproduces_the_anchor(params):
+    """fock_dim = 3 is exact: H and R_ig conserve N = n + [control in e] +
+    [target in e], a lowers it and the inputs have N <= 2, so the level
+    n = 3 is never reached.  A fourth level gives the anchor bit for bit
+    and the 1 ms oracle within 1e-14."""
+    noise = NoiseParams(tau=1e-3, epsilon=0.03, n_traj=2000, seed=42)
+    four = PhysicalParams.from_frequency(fock_dim=4)
+    anchor, anchor_4 = gate_fidelity(params, noise), gate_fidelity(four, noise)
+    assert (anchor_4.mean, anchor_4.std_error) == (anchor.mean, anchor.std_error)
+    assert anchor.mean == pytest.approx(0.9440827276252367, abs=1e-12)
+    assert anchor.std_error == pytest.approx(0.0015836002602116882, abs=1e-12)
+    oracle, oracle_4 = (lindblad_gate_fidelity(p, 1e-3) for p in (params, four))
+    assert abs(oracle_4 - oracle) <= 1e-14
 
 
 # ---------------------------------------------------------------- sweep

@@ -48,8 +48,6 @@ def test_params_validation():
         PhysicalParams(omega=1.0, delta=0.0)
     with pytest.raises(ValueError):
         PhysicalParams(omega=1.0, delta=4.0, fock_dim=2)
-    with pytest.raises(ValueError):
-        PhysicalParams(omega=1.0, delta=4.0, tau=0.0)
 
 
 def test_collision_guard_on_detuning():

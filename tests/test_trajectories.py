@@ -14,7 +14,8 @@ import scipy.linalg
 
 import cavity_toffoli
 from cavity_toffoli import trajectories
-from cavity_toffoli.analysis import DEFAULT_TAU_GRID, gate_fidelity
+from cavity_toffoli.analysis import (DEFAULT_TAU_GRID, gate_fidelity,
+                                     lindblad_gate_fidelity)
 from cavity_toffoli.model import PhysicalParams, annihilation
 from cavity_toffoli.protocol import (LOGICAL_BITS, Schedule, Segment,
                                      encode_logical, segment_drift,
@@ -417,7 +418,7 @@ def test_expm_fallback_matches_eigenbasis(schedule, monkeypatch):
         compiled = compile_exact(sched, noise_params)
         for ev in compiled.evolvers:
             if ev.lossy:
-                ev._exact = False
+                ev._eigen = ev._eigen[:3] + (False,)
         return compiled
 
     monkeypatch.setattr(trajectories, "_compile", compile_fallback)
@@ -430,12 +431,12 @@ def test_expm_fallback_matches_eigenbasis(schedule, monkeypatch):
 
 
 def test_drift_evolver_falls_back_on_ill_conditioned_k():
-    """``_DriftEvolver`` shares ``_eig``'s cond_1(V) guard with the Liouvillian
-    blocks: a nearly defective K (cond ~ 1e8) evolves its rows through
-    ``_expm``, each for its own time, and matches scipy's expm."""
+    """Behind ``_eig``'s cond_1(V) guard, a nearly defective K (cond ~ 1e8)
+    evolves its rows through one batched ``_expm``, each for its own time,
+    and matches scipy's expm."""
     h = np.array([[0.0, 1.0], [0.0, 0.0]])   # with the loss, K is nearly a Jordan block
     ev = trajectories._DriftEvolver(h, 1e-8, np.diag([0.0, 1.0]))
-    assert not ev._exact
+    assert not ev._eigen[3]
     rows = np.array([[1.0, 0.0], [0.3, 0.8j]], dtype=complex)
     times = np.array([0.4, 1.3])
     out = ev.evolve(ev.coefficients(rows), times)
@@ -456,8 +457,9 @@ def test_gate_drift_generators_stay_on_eigenbasis_path():
                 compiled = trajectories._compile(schedule, NoiseParams(tau=tau, epsilon=0.0))
                 for ev in compiled.evolvers:
                     if ev.lossy:
-                        assert ev._exact, (fock_dim, scope, tau)
-                        assert np.linalg.cond(ev._v, 1) < 10.0, (fock_dim, scope, tau)
+                        _, v, _, exact = ev._eigen
+                        assert exact, (fock_dim, scope, tau)
+                        assert np.linalg.cond(v, 1) < 10.0, (fock_dim, scope, tau)
 
 
 def test_block_partition_leaves_results_unchanged(schedule, monkeypatch):
@@ -541,7 +543,8 @@ _GAINING_DRIFT = textwrap.dedent("""
         compiled = compile_lossy(schedule, noise)
         for ev in compiled.evolvers:
             if ev.lossy:
-                ev._w = ev._w.conj()    # decay rates become gain rates
+                w, v, vinv, exact = ev._eigen
+                ev._eigen = w.conj(), v, vinv, exact    # decay rates become gain rates
         return compiled
 
     tr._compile = compile_gaining
@@ -634,6 +637,13 @@ def test_lindblad_rejects_bad_tau_and_foreign_space(params, schedule):
         lindblad_evolve(idle_schedule(params, 1e-4), rho0, 1e-3)
 
 
+def _dense_liouvillian(h, a, kappa):
+    """Row-major vectorization of d rho/dt = -i[H, rho] + kappa D[a] rho."""
+    eye, n = np.eye(len(h)), a.conj().T @ a
+    return (-1j * (np.kron(h, eye) - np.kron(eye, h.T))
+            + kappa * (np.kron(a, a.conj()) - 0.5 * (np.kron(n, eye) + np.kron(eye, n.T))))
+
+
 @pytest.mark.parametrize("fock_dim, tau", [(3, 1e-3), (3, math.inf), (4, 1e-3)],
                          ids=["tau-1ms", "lossless", "fock-4"])
 def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau):
@@ -647,8 +657,6 @@ def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau):
     compiled = trajectories._compile(schedule, NoiseParams(tau=tau, epsilon=0.0))
     kappa = 0.0 if math.isinf(tau) else 1.0 / tau
     a = embed_operator(space, [0], annihilation(space.subsystem_dims[0])).entries
-    n = a.conj().T @ a
-    eye = np.eye(dim)
     rng = np.random.default_rng(8)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho0 = DensityMatrix(space, g @ g.conj().T / np.trace(g @ g.conj().T))
@@ -656,10 +664,7 @@ def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau):
     for seg, ev in zip(schedule.segments, compiled.evolvers):
         if seg.kind == "classical_pulse":
             continue
-        h = segment_drift(schedule, seg).entries
-        liouv = (-1j * (np.kron(h, eye) - np.kron(eye, h.T))
-                 + kappa * (np.kron(a, a.conj())
-                            - 0.5 * (np.kron(n, eye) + np.kron(eye, n.T))))
+        liouv = _dense_liouvillian(segment_drift(schedule, seg).entries, a, kappa)
         block_of = np.full(dim * dim, -1)
         first = 0
         vec0, exact = rho0.entries.reshape(-1), np.empty(dim * dim, dtype=complex)
@@ -681,64 +686,48 @@ def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau):
 
 
 @pytest.mark.parametrize("fock_dim", [3, 4], ids=["fock-3", "fock-4"])
-def test_liouvillian_block_exponentials_match_expm(fock_dim, monkeypatch):
-    """Over the default tau grid and tau = 2e-5, every block of every timed
-    segment's channel equals scipy's expm of that block within 1e-12, and
-    the one block that takes the expm fallback is the collision's largest:
-    its eigenvectors are ill conditioned (cond ~ 1e8) although they
-    reconstruct the block to 1e-9."""
+def test_liouvillian_block_exponentials_match_expm(fock_dim):
+    """Over the default tau grid and tau = 2e-5, every exp(L T) block of every
+    timed segment's channel equals scipy's expm of that block of the dense
+    Liouvillian within 1e-12."""
     schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim))
-    real_expm, real_blocks = scipy.linalg.expm, trajectories._block_exponentials
-    package_expm = trajectories._expm
-    calls, fallbacks = [], []
-
-    def recording_blocks(gen, duration):
-        calls.append((gen, duration, real_blocks(gen, duration)))
-        return calls[-1][2]
-
-    def counting_expm(stack):
-        fallbacks.extend(len(a) for a in stack)
-        return package_expm(stack)
-
-    monkeypatch.setattr(trajectories, "_block_exponentials", recording_blocks)
-    monkeypatch.setattr(trajectories, "_expm", counting_expm)
+    a = embed_operator(schedule.space, [0], annihilation(fock_dim)).entries
+    timed = [(k, seg) for k, seg in enumerate(schedule.segments)
+             if seg.kind != "classical_pulse" and seg.nominal_duration > 0.0]
+    hamiltonian_part = {k: _dense_liouvillian(segment_drift(schedule, seg).entries, a, 0.0)
+                        for k, seg in timed}
+    loss_part = _dense_liouvillian(np.zeros_like(a), a, 1.0)
     for tau in (*DEFAULT_TAU_GRID, 2e-5):
         compiled = trajectories._compile(schedule, NoiseParams(tau=tau, epsilon=0.0))
-        for seg, ev in zip(schedule.segments, compiled.evolvers):
-            if seg.kind == "classical_pulse" or seg.nominal_duration <= 0.0:
-                continue
-            calls.clear()
-            fallbacks.clear()
-            sizes = [len(idx[0]) for idx, _ in trajectories._liouvillian_blocks(
-                ev, compiled.annihilator, seg.nominal_duration)]
-            expected = [max(sizes)] if seg.kind == "collision" else []
-            assert fallbacks == expected, (tau, seg.kind)
-            for gen, duration, props in calls:
-                for block, prop in zip(gen, props):
-                    err = np.max(np.abs(prop - real_expm(block * duration)))
-                    assert err <= 1e-12, (tau, seg.kind, len(block), err)
+        for k, seg in timed:
+            ev = compiled.evolvers[k]
+            liouv = hamiltonian_part[k] + ev.kappa * loss_part
+            for idx, props in trajectories._liouvillian_blocks(ev, compiled.annihilator,
+                                                               seg.nominal_duration):
+                for rows, prop in zip(idx, props):
+                    block = liouv[rows[:, None], rows[None, :]] * seg.nominal_duration
+                    err = np.max(np.abs(prop - scipy.linalg.expm(block)))
+                    assert err <= 1e-12, (tau, seg.kind, len(rows), err)
 
 
-def test_block_exponentials_fall_back_on_defective_block(monkeypatch):
-    """A defective Jordan block takes the package's expm; a diagonalizable
-    block in the same stack stays on the eigenbasis path.  Both equal
-    scipy's expm."""
-    lam, t = -0.5 + 2j, 0.7
-    jordan = np.array([[lam, 1.0], [0.0, lam]])
-    diagonalizable = np.array([[-1.0, 0.5], [0.2, -2.0 + 1j]])
-    real_expm, package_expm, fallbacks = scipy.linalg.expm, trajectories._expm, []
+def test_lindblad_oracle_runs_no_eigendecomposition(params, schedule, monkeypatch):
+    """The density-matrix path exponentiates its blocks by Pade alone: with
+    ``numpy.linalg.eig`` raising, ``lindblad_gate_fidelity`` and
+    ``lindblad_evolve`` give their usual values, while the trajectory
+    engine, which diagonalizes K, fails."""
+    rho0 = DensityMatrix.from_state(encode_logical((1, 1, 0), schedule.space))
+    fidelity = lindblad_gate_fidelity(params, 1e-3)
+    rho = lindblad_evolve(schedule, rho0, 1e-3).entries
 
-    def counting_expm(stack):
-        fallbacks.extend(a.copy() for a in stack)
-        return package_expm(stack)
+    def no_eig(a):
+        raise RuntimeError("numpy.linalg.eig called")
 
-    monkeypatch.setattr(trajectories, "_expm", counting_expm)
-    props = trajectories._block_exponentials(np.stack([jordan, diagonalizable]), t)
-    assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], jordan * t)
-    closed_form = np.exp(lam * t) * np.array([[1.0, t], [0.0, 1.0]])
-    assert np.max(np.abs(props[0] - real_expm(jordan * t))) <= 1e-15
-    assert np.max(np.abs(props[0] - closed_form)) <= 1e-15
-    assert np.max(np.abs(props[1] - real_expm(diagonalizable * t))) <= 1e-14
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    assert lindblad_gate_fidelity(params, 1e-3) == fidelity
+    assert np.array_equal(lindblad_evolve(schedule, rho0, 1e-3).entries, rho)
+    with pytest.raises(RuntimeError, match="numpy.linalg.eig"):
+        mcwf_trajectory(schedule, encode_logical((1, 1, 0), schedule.space),
+                        NoiseParams(tau=1e-3))
 
 
 def test_expm_matches_scipy_on_mixed_stack():
