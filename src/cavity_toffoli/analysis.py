@@ -20,7 +20,7 @@ import numpy as np
 from .model import PhysicalParams, dispersive_hamiltonian, full_detuned_hamiltonian
 from .protocol import (LOGICAL_BITS, Schedule, encode_logical, toffoli_map,
                        toffoli_schedule)
-from .qmath import DensityMatrix, propagator
+from .qmath import propagator
 from .trajectories import (NoiseParams, _check_counter_words, _compile, _CompiledSchedule,
                            _ideal_states, _lindblad_stack, _rows_matmul, _trajectory_blocks)
 # perfbench/selftest.py checks that its tracer patches this binding too
@@ -130,13 +130,13 @@ def gate_fidelity(params: PhysicalParams, noise: NoiseParams, *,
     _check_counter_words(cell_index=cell_index)
     if schedule is None:
         schedule = toffoli_schedule(params)
-    return _cell_fidelity(_compile(schedule, noise), _logical_basis(schedule), noise,
-                          cell_index)
+    basis = _logical_basis(schedule)
+    return _cell_fidelity(_compile(schedule, noise, basis), basis, noise, cell_index)
 
 
 def _cell_fidelity(compiled: _CompiledSchedule, basis: np.ndarray, noise: NoiseParams,
                    cell_index: int) -> FidelityResult:
-    """``gate_fidelity`` on the schedule compiled at ``noise.tau`` and its basis."""
+    """``gate_fidelity`` on the schedule compiled at ``noise.tau`` from its basis."""
     targets = basis[_IMAGES].conj()
     blocks = _trajectory_blocks(compiled, basis, noise, np.arange(len(basis)), cell_index)
     overlaps = np.concatenate([_rows_matmul(block.states[block.inputs == b], targets[b])
@@ -159,9 +159,8 @@ def lindblad_gate_fidelity(params: PhysicalParams, tau: float, *,
     if schedule is None:
         schedule = toffoli_schedule(params)
     basis = _logical_basis(schedule)
-    rho0s = [DensityMatrix(schedule.space, np.outer(ket, ket.conj())) for ket in basis]
-    rhos = _lindblad_stack(schedule, rho0s, tau)
-    return sum(float(np.vdot(target, rho.entries @ target).real)
+    rhos = _lindblad_stack(schedule, basis[:, :, None] * basis.conj()[:, None, :], tau)
+    return sum(float(np.vdot(target, rho @ target).real)
                for target, rho in zip(basis[_IMAGES], rhos)) / len(LOGICAL_BITS)
 
 
@@ -181,7 +180,8 @@ def sweep(params: PhysicalParams, tau_values, epsilon_values, n_traj: int,
                for eps in epsilon_values] for tau in tau_values]
     if schedule is None:
         schedule = toffoli_schedule(params)
-    basis, compiled = _logical_basis(schedule), [_compile(schedule, row[0]) for row in noises]
+    basis = _logical_basis(schedule)
+    compiled = [_compile(schedule, row[0], basis) for row in noises]
     cells = tuple(tuple(_cell_fidelity(compiled[i], basis, noise, i * len(row) + j)
                         for j, noise in enumerate(row)) for i, row in enumerate(noises))
     return FidelityGrid(tau_values, epsilon_values, cells)

@@ -29,8 +29,7 @@ from .model import PhysicalParams
 from .protocol import (LOGICAL_BITS, Schedule, encode_logical,
                        process_phase_spread, toffoli_map, toffoli_schedule)
 from .qmath import DensityMatrix, StateVector, trace_distance
-from .trajectories import (NoiseParams, ensemble_density, lindblad_evolve,
-                           run_trajectories)
+from .trajectories import NoiseParams, _trajectory_density, lindblad_evolve
 
 SMOKE_TAUS = (0.5e-3, 1e-3, 5e-3)
 
@@ -290,7 +289,7 @@ def cmd_validate(config: RunConfig, schedule: Schedule,
           f"threshold {threshold}):")
     for tau in SMOKE_TAUS:
         noise = NoiseParams(tau=tau, epsilon=0.0, n_traj=n_traj, seed=config.seed)
-        rho_mc = ensemble_density(run_trajectories(schedule, psi0, noise))
+        rho_mc = _trajectory_density(schedule, psi0, noise)
         rho_ref = lindblad_evolve(schedule, DensityMatrix.from_state(psi0), tau)
         dist = trace_distance(rho_mc, rho_ref)
         verdict = "ok" if dist <= threshold else "FAIL"

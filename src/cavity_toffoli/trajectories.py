@@ -3,14 +3,15 @@
 Photon loss is the only decay channel (zero temperature): collapse
 operator sqrt(kappa) a with kappa = 1/tau, tau the photon lifetime, so
 <n> decays as exp(-t/tau).  Atomic decay is neglected (circular states).
-The Lindblad oracle (``lindblad_evolve``) applies each timed segment's
-exact exp(L T), block by block, to stacked density matrices; each block
-size's stack takes one ``_expm`` call, Pade-13 in numpy, and no
-eigendecomposition.
+Every path runs on the basis states its start states reach (``_compile``;
+13 from the logical inputs at any fock_dim) and embeds its results back in
+the full space.  The Lindblad oracle (``lindblad_evolve``) applies each
+timed segment's exact exp(L T), block by block, to stacked density
+matrices; each block size takes one Pade-13 ``_expm`` call.
 
 The jump unraveling is one batched quantum-jump engine.  The
 trajectories of a cell's basis inputs evolve together as one input-major
-row set of an (n, dim) array, in blocks of ``_BLOCK_ROWS`` rows so that
+row set of an (n, r) array, in blocks of ``_BLOCK_ROWS`` rows so that
 memory does not grow with n_traj; a single trajectory (``mcwf_trajectory``)
 is the one-row case.  Each row evolves its unnormalized state under
 K = H - (i/2) kappa a^dag a exactly per segment, at its own jittered
@@ -18,10 +19,10 @@ duration, by broadcasting exp(-i w t) over per-row times in the
 eigenbasis of K.  Between jumps a row's squared norm only falls, so each
 pass evaluates it once, at the end point of the row's remaining time; a
 row whose norm has fallen below its uniform threshold there bisects the
-crossing to tau/10^4, and only those rows jump.  A row's result does not
-depend on which other rows share its block.  The ideal gate
-(``run_ideal``) is the same engine at kappa = 0 with unit jitter factors:
-no row ever decays, so none draws or jumps.
+crossing to tau/10^4, and only those rows jump.  Pulses swap amplitudes
+elementwise.  A row's result does not depend on which other rows share
+its block.  The ideal gate (``run_ideal``) is the same engine at kappa = 0
+with unit jitter factors: no row ever decays, so none draws or jumps.
 
 Randomness contract: one root seed.  Word j of trajectory k of basis
 input b in grid cell c is element j % 4 of Philox4x64-10 (Salmon et al.,
@@ -43,9 +44,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .model import annihilation, number_operator, rig_block
-from .protocol import Schedule, Segment, segment_drift
-from .qmath import (CompositeSpace, DensityMatrix, StateVector, embed_operator)
+from .model import Level, annihilation, number_operator, rig_block
+from .protocol import Schedule, segment_drift
+from .qmath import CompositeSpace, DensityMatrix, StateVector, embed_operator
 
 #: trajectories evolved together; bounds the engine's memory for any n_traj
 _BLOCK_ROWS = 2048
@@ -237,33 +238,22 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return x
 
 
-def _eig(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(w, V, V^-1, cond_1(V) <= _EIG_COND_MAX) of G = V diag(w) V^-1, the guard
-    of ``_DriftEvolver``'s eigenbasis path.  V diag(exp(w T)) V^-1 errs by
-    ~cond(V) x rounding, even where V, w reconstruct G to 1e-9."""
-    w, v = np.linalg.eig(gen)
-    vinv = np.linalg.inv(v)
-    cond = np.abs(v).sum(axis=-2).max(axis=-1) * np.abs(vinv).sum(axis=-2).max(axis=-1)
-    return w, v, vinv, cond <= _EIG_COND_MAX
-
-
 class _PulseEvolver:
-    """Instantaneous classical pulse, applied on the atom's tensor axis."""
+    """Instantaneous classical R_ig pulse on one atom, as an elementwise swap:
+    at angle scale x a row becomes c psi + s psi[partner], with (c, s) entries
+    (0, 0) and (0, 2) of ``rig_block(pi x)``, exactly (0, 1) at the nominal
+    angle.  ``partner[j]`` is compiled basis state j with the pulsed atom's
+    |g> and |i> exchanged; states with that atom in |e> are ``fixed``."""
 
-    def __init__(self, schedule: Schedule, seg: Segment):
-        dims = schedule.space.subsystem_dims
-        self._axis = seg.atom
+    def __init__(self, partner: np.ndarray, fixed: np.ndarray):
         self.lossy = False
-        # group the tensor axes around the pulsed one for a broadcast matmul
-        self._lead = math.prod(dims[:self._axis])
-        self._dim = dims[self._axis]
-        self._trail = math.prod(dims[self._axis + 1:])
+        self._partner, self._fixed = partner, fixed
 
     def apply(self, psi: np.ndarray, angle_scales: np.ndarray) -> np.ndarray:
         """Rows of ``psi`` after the R_ig pulse, each at its own angle scale."""
         blocks = rig_block(math.pi * angle_scales)
-        tensor = psi.reshape(len(psi), self._lead, self._dim, self._trail)
-        return (blocks[:, None] @ tensor).reshape(len(psi), -1)
+        c, s = blocks[:, 0, 0, None], blocks[:, 0, 2, None]
+        return np.where(self._fixed, psi, c * psi + s * psi[:, self._partner])
 
 
 class _DriftEvolver:
@@ -271,8 +261,8 @@ class _DriftEvolver:
 
     Diagonalizes K on first use; evolving rows for their own times is then
     an elementwise phase in the eigenbasis.  Falls back to one batched
-    ``_expm`` over the rows if ``_eig`` finds the eigenvectors ill
-    conditioned (never on the gate's segments, whose K have cond_1(V) near 5).
+    ``_expm`` over the rows if K's eigenvectors V have cond_1(V) above
+    ``_EIG_COND_MAX`` (never on the gate's segments, whose V have it near 5).
     """
 
     def __init__(self, h: np.ndarray, kappa: float, n_cav: np.ndarray):
@@ -282,11 +272,15 @@ class _DriftEvolver:
 
     @cached_property
     def _eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-        """(w, V, V^-1, eigenbasis path taken) of K."""
-        if self.lossy:
-            return _eig(self.k)
-        w, v = np.linalg.eigh(self.k)
-        return w.astype(complex), v, v.conj().T, True
+        """(w, V, V^-1, eigenbasis path taken) of K.  V diag(exp(w T)) V^-1
+        errs by ~cond(V) x rounding, even where V, w reconstruct K to 1e-9."""
+        if not self.lossy:
+            w, v = np.linalg.eigh(self.k)
+            return w.astype(complex), v, v.conj().T, True
+        w, v = np.linalg.eig(self.k)
+        vinv = np.linalg.inv(v)
+        cond = np.abs(v).sum(axis=0).max() * np.abs(vinv).sum(axis=0).max()
+        return w, v, vinv, cond <= _EIG_COND_MAX
 
     def coefficients(self, psi: np.ndarray) -> np.ndarray:
         """Rows of ``psi`` in the eigenbasis of K (unchanged on the expm path)."""
@@ -303,31 +297,49 @@ class _DriftEvolver:
 
 @dataclass(frozen=True)
 class _CompiledSchedule:
-    """Per-segment evolvers plus the embedded jump operator (internal)."""
+    """Per-segment evolvers plus the jump operator on the compiled basis (internal)."""
 
     schedule: Schedule
     evolvers: tuple
     annihilator: np.ndarray
     #: some timed segment decays, so every trajectory draws a first threshold
     decays: bool
+    #: full-space index of each compiled basis state, ascending
+    support: np.ndarray
 
 
-def _compile(schedule: Schedule, noise: NoiseParams) -> _CompiledSchedule:
-    space = schedule.space
-    n_cav = embed_operator(space, [0],
-                           number_operator(space.subsystem_dims[0])).entries
-    evolvers = []
+def _compile(schedule: Schedule, noise: NoiseParams,
+             starts: np.ndarray) -> _CompiledSchedule:
+    """The evolvers on the compiled basis of the start rows ``starts`` (m, dim):
+    the directed closure of their nonzeros under the nonzero patterns of
+    every timed segment's K, of a and of each pulse's |g> <-> |i> partner
+    map.  No evolution leaves it, so K, N and a restricted to it are exact.
+    """
+    space, dims = schedule.space, schedule.space.subsystem_dims
+    levels = np.array(np.unravel_index(np.arange(space.total_dim), dims))
+    n_cav = embed_operator(space, [0], number_operator(dims[0])).entries
+    a = embed_operator(space, [0], annihilation(dims[0])).entries
+    edges, ops = a != 0, []                         # edges[i, j]: j reaches i
     for seg in schedule.segments:
-        if seg.kind == "classical_pulse":
-            evolvers.append(_PulseEvolver(schedule, seg))
+        if seg.kind == "classical_pulse":           # g = 0 <-> i = 2, e = 1 fixed
+            ops.append(np.arange(space.total_dim) + (Level.e - levels[seg.atom])
+                       * 2 * math.prod(dims[seg.atom + 1:]))
+            edges[ops[-1], np.arange(space.total_dim)] = True
         else:
-            kappa = noise.kappa if seg.loss_active else 0.0
-            h = segment_drift(schedule, seg).entries
-            evolvers.append(_DriftEvolver(h, kappa, n_cav))
+            ops.append(segment_drift(schedule, seg).entries)
+            edges |= (ops[-1] != 0) & (seg.nominal_duration > 0.0)
+    steps = np.linalg.matrix_power(edges | np.eye(len(edges), dtype=bool), len(edges))
+    reach = steps @ np.any(np.asarray(starts) != 0, axis=0)
+    support, index = np.flatnonzero(reach), np.cumsum(reach) - 1
+    sub = np.ix_(support, support)
+    evolvers = tuple(
+        _PulseEvolver(index[op[support]], levels[seg.atom, support] == Level.e)
+        if seg.kind == "classical_pulse" else
+        _DriftEvolver(op[sub], noise.kappa if seg.loss_active else 0.0, n_cav[sub])
+        for seg, op in zip(schedule.segments, ops))
     decays = any(ev.lossy and seg.nominal_duration > 0.0
                  for seg, ev in zip(schedule.segments, evolvers))
-    a = embed_operator(space, [0], annihilation(space.subsystem_dims[0])).entries
-    return _CompiledSchedule(schedule, tuple(evolvers), a, decays)
+    return _CompiledSchedule(schedule, evolvers, a[sub], decays, support)
 
 
 @dataclass(frozen=True)
@@ -336,19 +348,28 @@ class _Block:
 
     space: CompositeSpace
     states: np.ndarray                          # (n, dim)
-    jump_times: tuple[tuple[float, ...], ...]
+    events: tuple[tuple[np.ndarray, np.ndarray], ...]  # per pass with jumps: rows, times
     durations: np.ndarray                       # (n, n_segments)
     inputs: Optional[np.ndarray] = None         # (n,) basis input of each row
+
+    @cached_property
+    def jump_times(self) -> tuple[tuple[float, ...], ...]:
+        times: list[list[float]] = [[] for _ in self.states]
+        for rows, at in self.events:
+            for row, t in zip(rows.tolist(), at.tolist()):
+                times[row].append(t)
+        return tuple(map(tuple, times))
 
     def result(self, row: int) -> TrajectoryResult:
         return TrajectoryResult(StateVector(self.space, self.states[row]),
                                 self.jump_times[row], tuple(self.durations[row]))
 
 
-def _decay(ev: _DriftEvolver, psi: np.ndarray, duration: np.ndarray,
+def _decay(ev: _DriftEvolver, psi: np.ndarray, t0: np.ndarray, duration: np.ndarray,
            resolution: float, annihilator: np.ndarray, thresholds: np.ndarray,
            next_thresholds: Callable[..., np.ndarray]) -> tuple[np.ndarray, list]:
-    """Rows of ``psi`` through one lossy segment of per-row ``duration``.
+    """Rows of ``psi`` through one lossy segment of per-row start time ``t0``
+    and ``duration``.
 
     Between jumps a row's squared norm only falls, so each pass evaluates
     every running row once, at the end of its remaining time.  A row still
@@ -356,8 +377,7 @@ def _decay(ev: _DriftEvolver, psi: np.ndarray, duration: np.ndarray,
     below it bisects [0, remaining] until the bracket is at most ``resolution``
     wide, jumps at the bracket's midpoint, takes its next threshold into
     ``thresholds`` and runs again from the jump.  Returns the final rows
-    and, per pass with jumps, (rows, time done before the pass, jump time
-    within the pass).
+    and, per pass with jumps, (rows, their jump times).
     """
     psi = psi.copy()
     t_done = np.zeros(len(psi))
@@ -399,7 +419,7 @@ def _decay(ev: _DriftEvolver, psi: np.ndarray, duration: np.ndarray,
         if np.any(jumped_norms < 1e-15):
             raise RuntimeError("norm underflow: jump operator annihilated the state")
         psi[rows] = jumped / jumped_norms[:, None]
-        events.append((rows, t_done[rows], t_jump))
+        events.append((rows, t0[rows] + t_done[rows] + t_jump))
         thresholds[rows] = next_thresholds(rows)
         t_done[rows] += t_jump
         running = rows[duration[rows] - t_done[rows] > 0.0]
@@ -409,7 +429,8 @@ def _decay(ev: _DriftEvolver, psi: np.ndarray, duration: np.ndarray,
 def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
             factors: np.ndarray, thresholds: np.ndarray,
             next_thresholds: Optional[Callable[..., np.ndarray]]) -> _Block:
-    """Evolve the start rows ``psi`` (n, dim) together, one trajectory each.
+    """Evolve the start rows ``psi`` (n, dim) together, one trajectory each,
+    on the compiled basis, and embed the final rows back in the full space.
 
     ``factors`` (n, n_segments) are the rows' jitter factors and
     ``thresholds`` (n,) their first jump thresholds; ``next_thresholds(rows)``
@@ -420,8 +441,7 @@ def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
     n = len(factors)
     durations = np.array([seg.nominal_duration for seg in segments]) * factors
     thresholds = np.array(thresholds, dtype=np.float64)
-    jump_times: list[list[float]] = [[] for _ in range(n)]
-    elapsed = np.zeros(n)
+    psi, events, elapsed = psi[:, compiled.support], [], np.zeros(n)
     for k, (seg, ev) in enumerate(zip(segments, compiled.evolvers)):
         if seg.kind == "classical_pulse":
             psi = ev.apply(psi, factors[:, k])
@@ -431,14 +451,14 @@ def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
         if not ev.lossy:
             psi = ev.evolve(ev.coefficients(psi), durations[:, k])
         else:
-            psi, events = _decay(ev, psi, durations[:, k], noise.tau / 100.0 / 100.0,
-                                 compiled.annihilator, thresholds, next_thresholds)
-            for rows, t_done, t_jump in events:
-                for row, t in zip(rows, elapsed[rows] + t_done + t_jump):
-                    jump_times[row].append(float(t))
+            psi, passes = _decay(ev, psi, elapsed, durations[:, k],
+                                 noise.tau / 100.0 / 100.0, compiled.annihilator,
+                                 thresholds, next_thresholds)
+            events += passes
         elapsed += durations[:, k]
-    return _Block(compiled.schedule.space, psi,
-                  tuple(tuple(times) for times in jump_times), durations)
+    states = np.zeros((n, compiled.schedule.space.total_dim), dtype=np.complex128)
+    states[:, compiled.support] = psi
+    return _Block(compiled.schedule.space, states, tuple(events), durations)
 
 
 def _check_initial_state(schedule: Schedule, psi0: StateVector) -> None:
@@ -500,7 +520,8 @@ def mcwf_trajectory(schedule: Schedule, psi0: StateVector, noise: NoiseParams, *
     """
     _check_initial_state(schedule, psi0)
     _check_counter_words(traj=traj, basis_input=basis_input, cell=cell)
-    return _run_block(_compile(schedule, noise), psi0.amplitudes[None, :], noise,
+    start = psi0.amplitudes[None, :]
+    return _run_block(_compile(schedule, noise, start), start, noise,
                       np.array([traj]), np.array([basis_input]), cell).result(0)
 
 
@@ -513,7 +534,7 @@ def _ideal_states(schedule: Schedule, psi: np.ndarray) -> list[StateVector]:
     """
     noise = NoiseParams(tau=math.inf, epsilon=0.0)
     n = len(psi)
-    block = _evolve(_compile(schedule, noise), psi, noise,
+    block = _evolve(_compile(schedule, noise, psi), psi, noise,
                     np.ones((n, len(schedule.segments))), np.full(n, math.inf), None)
     return [StateVector(schedule.space, row) for row in block.states]
 
@@ -529,9 +550,20 @@ def run_trajectories(schedule: Schedule, psi0: StateVector, noise: NoiseParams,
     """n_traj independent trajectories, each on its own counter-based stream."""
     _check_initial_state(schedule, psi0)
     _check_counter_words(basis_input=basis_input, cell=cell)
-    blocks = _trajectory_blocks(_compile(schedule, noise), psi0.amplitudes[None, :],
-                                noise, np.array([basis_input]), cell)
+    start = psi0.amplitudes[None, :]
+    blocks = _trajectory_blocks(_compile(schedule, noise, start), start, noise,
+                                np.array([basis_input]), cell)
     return [block.result(row) for block in blocks for row in range(len(block.states))]
+
+
+def _trajectory_density(schedule: Schedule, psi0: StateVector,
+                        noise: NoiseParams) -> DensityMatrix:
+    """``ensemble_density(run_trajectories(...))`` without per-trajectory objects."""
+    start = psi0.amplitudes[None, :]
+    blocks = _trajectory_blocks(_compile(schedule, noise, start), start, noise,
+                                np.array([0]), 0)
+    return DensityMatrix(schedule.space,
+                         sum(b.states.T @ b.states.conj() for b in blocks) / noise.n_traj)
 
 
 def ensemble_density(results: Sequence[TrajectoryResult]) -> DensityMatrix:
@@ -587,24 +619,26 @@ def _liouvillian_blocks(ev: _DriftEvolver, annihilator: np.ndarray,
         yield idx, _expm(gen * duration)
 
 
-def _lindblad_stack(schedule: Schedule, rho0s: Sequence[DensityMatrix],
-                    tau: float) -> list[DensityMatrix]:
-    """Density matrices ``rho0s`` through the exact Lindblad channel, as one stack."""
-    compiled = _compile(schedule, NoiseParams(tau=tau, epsilon=0.0))  # checks tau > 0
-    if any(rho0.space != schedule.space for rho0 in rho0s):
-        raise ValueError("initial state does not live on the schedule's space")
-    dim = schedule.space.total_dim
-    vecs = np.stack([rho0.entries.ravel() for rho0 in rho0s])
+def _lindblad_stack(schedule: Schedule, rho0s: np.ndarray, tau: float) -> np.ndarray:
+    """Density matrices ``rho0s`` (m, dim, dim) through the exact Lindblad channel,
+    as one stack on the compiled basis of their rows' and columns' support."""
+    compiled = _compile(schedule, NoiseParams(tau=tau, epsilon=0.0),   # checks tau > 0
+                        (rho0s != 0).any(axis=1) | (rho0s != 0).any(axis=2))
+    support = compiled.support
+    pairs, r = np.ix_(range(len(rho0s)), support, support), len(support)
+    vecs = rho0s[pairs].reshape(len(rho0s), r * r)
     for seg, ev in zip(schedule.segments, compiled.evolvers):
         if seg.kind == "classical_pulse":
             # the rows of the identity are the basis kets, so this gives U^T
-            u = ev.apply(np.eye(dim, dtype=np.complex128), np.ones(dim)).T
-            vecs = (u @ vecs.reshape(-1, dim, dim) @ u.conj().T).reshape(len(vecs), -1)
+            u = ev.apply(np.eye(r, dtype=np.complex128), np.ones(r)).T
+            vecs = (u @ vecs.reshape(-1, r, r) @ u.conj().T).reshape(len(vecs), -1)
         elif seg.nominal_duration > 0.0:
             for idx, props in _liouvillian_blocks(ev, compiled.annihilator,
                                                   seg.nominal_duration):
                 vecs[:, idx] = (props @ vecs[:, idx, None])[..., 0]
-    return [DensityMatrix(schedule.space, vec.reshape(dim, dim)) for vec in vecs]
+    rhos = np.zeros(rho0s.shape, dtype=np.complex128)
+    rhos[pairs] = vecs.reshape(-1, r, r)
+    return rhos
 
 
 def lindblad_evolve(schedule: Schedule, rho0: DensityMatrix, tau: float) -> DensityMatrix:
@@ -612,4 +646,6 @@ def lindblad_evolve(schedule: Schedule, rho0: DensityMatrix, tau: float) -> Dens
     d rho/dt = -i[H, rho] + kappa (a rho a^dag - {a^dag a, rho}/2), exact
     per timed segment; the sampling-free oracle for the quantum-jump method.
     """
-    return _lindblad_stack(schedule, [rho0], tau)[0]
+    if rho0.space != schedule.space:
+        raise ValueError("initial state does not live on the schedule's space")
+    return DensityMatrix(rho0.space, _lindblad_stack(schedule, rho0.entries[None], tau)[0])

@@ -8,6 +8,7 @@ from cavity_toffoli.analysis import (DEFAULT_EPSILON_GRID, DEFAULT_TAU_GRID,
                                      FidelityGrid, FidelityResult,
                                      dispersive_validation, gate_fidelity,
                                      lindblad_gate_fidelity, sweep)
+from cavity_toffoli import trajectories
 from cavity_toffoli.model import PhysicalParams
 from cavity_toffoli.trajectories import NoiseParams
 
@@ -102,6 +103,64 @@ def test_fock_dim_4_reproduces_the_anchor(params):
     assert anchor.std_error == pytest.approx(0.0015836002602116882, abs=1e-12)
     oracle, oracle_4 = (lindblad_gate_fidelity(p, 1e-3) for p in (params, four))
     assert abs(oracle_4 - oracle) <= 1e-14
+
+
+# Cells evolved on the full fock_dim x 3 x 3 space, before the engine moved
+# to the 13 states the logical inputs reach: ((tau, epsilon, n_traj, seed,
+# cell index, fock_dim), (mean, standard error, jumps)).  Products on the
+# smaller basis round differently, so the values may move in their last bits.
+FULL_SPACE_CELLS = [
+    ((1e-3, 0.03, 2000, 42, 0, 3), (0.9440827276252367, 0.0015836002602116882, 683)),
+    ((0.2e-3, 0.08, 2000, 42, 0, 3), (0.7724047002532338, 0.0027768330191304193, 2625)),
+    ((0.5e-3, 0.05, 500, 7, 3, 4), (0.8901228945662745, 0.004118987928466129, 306)),
+]
+#: sweep(SURFACE_TAUS, (0, 0.08), 250/input, seed 3) on the full space, tau-major
+SURFACE_TAUS = (0.2e-3, 0.5e-3, 1e-3, 5e-3, 10e-3)
+FULL_SPACE_SURFACE = [
+    (0.8394780534116927, 0.008209753551131177, 321),
+    (0.7660150762631833, 0.007989123877082728, 341),
+    (0.9214957204440016, 0.00601553259482065, 157),
+    (0.8276055830822595, 0.006459924169603725, 198),
+    (0.9554988503467889, 0.004611990792705966, 89),
+    (0.8786015480355369, 0.004546029105802526, 79),
+    (0.9954999503362042, 0.001496995415541983, 9),
+    (0.9008909944970396, 0.0031790906297013144, 21),
+    (0.9954999874604712, 0.0014969954713668985, 9),
+    (0.9079913772928588, 0.002770337500127274, 11),
+]
+
+
+@pytest.fixture
+def jumps_per_cell(monkeypatch):
+    """Jumps of every cell run while the fixture is live, by cell index."""
+    counts, run_block = {}, trajectories._run_block
+
+    def counting_run_block(compiled, psi, noise, trajs, inputs, cell):
+        block = run_block(compiled, psi, noise, trajs, inputs, cell)
+        counts[cell] = counts.get(cell, 0) + sum(len(t) for t in block.jump_times)
+        return block
+
+    monkeypatch.setattr(trajectories, "_run_block", counting_run_block)
+    return counts
+
+
+def test_subspace_engine_reproduces_full_space_cells(jumps_per_cell):
+    """The anchor, the loss-dominated cell, a lossy fock_dim = 4 cell and the
+    benchmark's 5 x 2 surface agree with the full-space engine within 1e-12,
+    with the same number of jumps in every cell."""
+    for (tau, eps, n_traj, seed, cell, fock_dim), (mean, se, jumps) in FULL_SPACE_CELLS:
+        jumps_per_cell.clear()
+        res = gate_fidelity(PhysicalParams.from_frequency(fock_dim=fock_dim),
+                            NoiseParams(tau=tau, epsilon=eps, n_traj=n_traj, seed=seed),
+                            cell_index=cell)
+        assert abs(res.mean - mean) <= 1e-12 and abs(res.std_error - se) <= 1e-12
+        assert jumps_per_cell == {cell: jumps}, (tau, eps, fock_dim)
+    jumps_per_cell.clear()
+    grid = sweep(PhysicalParams.from_frequency(), SURFACE_TAUS, (0.0, 0.08), 250, 3)
+    cells = [cell for row in grid.cells for cell in row]
+    for k, (res, (mean, se, jumps)) in enumerate(zip(cells, FULL_SPACE_SURFACE)):
+        assert abs(res.mean - mean) <= 1e-12 and abs(res.std_error - se) <= 1e-12
+        assert jumps_per_cell[k] == jumps, (res.tau, res.epsilon)
 
 
 # ---------------------------------------------------------------- sweep

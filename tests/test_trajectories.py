@@ -1,5 +1,6 @@
 """Quantum-jump engine and Lindblad oracle."""
 
+import itertools
 import math
 import os
 import statistics
@@ -11,17 +12,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 import cavity_toffoli
 from cavity_toffoli import trajectories
-from cavity_toffoli.analysis import (DEFAULT_TAU_GRID, gate_fidelity,
+from cavity_toffoli.analysis import (DEFAULT_TAU_GRID, _logical_basis, gate_fidelity,
                                      lindblad_gate_fidelity)
-from cavity_toffoli.model import PhysicalParams, annihilation
+from cavity_toffoli.model import Level, PhysicalParams, annihilation, rig_block
 from cavity_toffoli.protocol import (LOGICAL_BITS, Schedule, Segment,
                                      encode_logical, segment_drift,
                                      toffoli_map, toffoli_schedule)
-from cavity_toffoli.qmath import (CompositeSpace, DensityMatrix, StateVector,
-                                  embed_operator, trace_distance)
+from cavity_toffoli.qmath import (CompositeSpace, DensityMatrix, OperatorMatrix,
+                                  StateVector, embed_operator, trace_distance)
 from cavity_toffoli.trajectories import (_BLOCK_ROWS, NoiseParams,
                                          TrajectoryResult,
                                          ensemble_density, jitter_factors,
@@ -390,8 +393,8 @@ def test_bisection_midpoint_outside_bracket_raises(params, monkeypatch):
     schedule = idle_schedule(params, duration, fock_dim=4)
     compile_exact = trajectories._compile
 
-    def compile_dipping(sched, noise_params):
-        compiled = compile_exact(sched, noise_params)
+    def compile_dipping(sched, noise_params, starts):
+        compiled = compile_exact(sched, noise_params, starts)
         for ev in compiled.evolvers:
             if ev.lossy:
                 def evolve(coeffs, t, exact=ev.evolve):
@@ -414,8 +417,8 @@ def test_expm_fallback_matches_eigenbasis(schedule, monkeypatch):
     exact = run_trajectories(schedule, psi0, noise)
     compile_exact = trajectories._compile
 
-    def compile_fallback(sched, noise_params):
-        compiled = compile_exact(sched, noise_params)
+    def compile_fallback(sched, noise_params, starts):
+        compiled = compile_exact(sched, noise_params, starts)
         for ev in compiled.evolvers:
             if ev.lossy:
                 ev._eigen = ev._eigen[:3] + (False,)
@@ -447,19 +450,71 @@ def test_drift_evolver_falls_back_on_ill_conditioned_k():
 
 def test_gate_drift_generators_stay_on_eigenbasis_path():
     """Every lossy segment's K, at 3 to 5 Fock levels, under both loss scopes,
-    over the default tau grid and tau = 2e-5, 1e-5 and 1e-6, has cond_1(V)
-    below 10, far under the guard, so no trajectory takes the expm path."""
+    over the default tau grid and tau = 2e-5, 1e-5 and 1e-6, compiled from
+    the logical inputs and from every basis state, has cond_1(V) below 10,
+    far under the guard, so no trajectory takes the expm path."""
     for fock_dim in (3, 4, 5):
         params = PhysicalParams.from_frequency(fock_dim=fock_dim)
-        for scope in ("all_segments", "collision_only"):
+        for scope, tau, starts in itertools.product(
+                ("all_segments", "collision_only"), DEFAULT_TAU_GRID + (2e-5, 1e-5, 1e-6),
+                ("logical", "all")):
             schedule = toffoli_schedule(params, loss_scope=scope)
-            for tau in DEFAULT_TAU_GRID + (2e-5, 1e-5, 1e-6):
-                compiled = trajectories._compile(schedule, NoiseParams(tau=tau, epsilon=0.0))
-                for ev in compiled.evolvers:
-                    if ev.lossy:
-                        _, v, _, exact = ev._eigen
-                        assert exact, (fock_dim, scope, tau)
-                        assert np.linalg.cond(v, 1) < 10.0, (fock_dim, scope, tau)
+            rows = (_logical_basis(schedule) if starts == "logical"
+                    else np.eye(schedule.space.total_dim))
+            compiled = trajectories._compile(schedule, NoiseParams(tau=tau), rows)
+            for ev in compiled.evolvers:
+                if ev.lossy:
+                    _, v, _, exact = ev._eigen
+                    assert exact, (fock_dim, scope, tau, starts)
+                    assert np.linalg.cond(v, 1) < 10.0, (fock_dim, scope, tau, starts)
+
+
+@pytest.mark.parametrize("fock_dim", [3, 4, 5])
+def test_compiled_basis_is_the_reachable_sector(fock_dim):
+    """From the 8 logical inputs the compiled basis is exactly the 13 states
+    with N = n + [control in e] + [target in e] <= 2 and the target not in
+    |i>, at every cavity truncation."""
+    schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim))
+    compiled = trajectories._compile(schedule, NoiseParams(), _logical_basis(schedule))
+    n, control, target = np.unravel_index(np.arange(schedule.space.total_dim),
+                                          schedule.space.subsystem_dims)
+    excitations = n + (control == Level.e) + (target == Level.e)
+    expected = np.flatnonzero((excitations <= 2) & (target != Level.i))
+    assert len(expected) == 13
+    np.testing.assert_array_equal(compiled.support, expected)
+
+
+def test_full_support_ket_matches_dense_evolution():
+    """A ket on every basis state at fock_dim = 4 compiles to the full space:
+    ``run_ideal`` equals the product of scipy's expm segment unitaries and
+    the embedded pulses, and ``lindblad_evolve`` of its projector equals
+    scipy's expm_multiply of each segment's dense Liouvillian, within 1e-12."""
+    schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=4))
+    space, tau = schedule.space, 1e-3
+    rng = np.random.default_rng(4)
+    ket = rng.standard_normal(space.total_dim) + 1j * rng.standard_normal(space.total_dim)
+    psi0 = StateVector(space, ket / np.linalg.norm(ket))
+    rho0 = DensityMatrix.from_state(psi0)
+    ket = psi0.amplitudes
+    compiled = trajectories._compile(schedule, NoiseParams(tau=tau), ket[None])
+    np.testing.assert_array_equal(compiled.support, np.arange(space.total_dim))
+    a = embed_operator(space, [0], annihilation(4)).entries
+    vec = rho0.entries.reshape(-1)
+    for seg in schedule.segments:
+        if seg.kind == "classical_pulse":
+            op = OperatorMatrix(CompositeSpace((3,)), rig_block(math.pi))
+            u = embed_operator(space, [seg.atom], op).entries
+            vec = np.kron(u, u.conj()) @ vec
+        else:
+            h = segment_drift(schedule, seg).entries
+            u = scipy.linalg.expm(-1j * h * seg.nominal_duration)
+            liouv = _dense_liouvillian(h, a, 1.0 / tau if seg.loss_active else 0.0)
+            vec = scipy.sparse.linalg.expm_multiply(
+                scipy.sparse.csr_array(liouv * seg.nominal_duration), vec)
+        ket = u @ ket
+    assert np.max(np.abs(run_ideal(schedule, psi0).amplitudes - ket)) <= 1e-12
+    rho = lindblad_evolve(schedule, rho0, tau).entries
+    assert np.max(np.abs(rho.reshape(-1) - vec)) <= 1e-12
 
 
 def test_block_partition_leaves_results_unchanged(schedule, monkeypatch):
@@ -539,8 +594,8 @@ _GAINING_DRIFT = textwrap.dedent("""
 
     compile_lossy = tr._compile
 
-    def compile_gaining(schedule, noise):
-        compiled = compile_lossy(schedule, noise)
+    def compile_gaining(schedule, noise, starts):
+        compiled = compile_lossy(schedule, noise, starts)
         for ev in compiled.evolvers:
             if ev.lossy:
                 w, v, vinv, exact = ev._eigen
@@ -654,7 +709,7 @@ def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau):
     schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim))
     space = schedule.space
     dim = space.total_dim
-    compiled = trajectories._compile(schedule, NoiseParams(tau=tau, epsilon=0.0))
+    compiled = trajectories._compile(schedule, NoiseParams(tau=tau), np.eye(dim))
     kappa = 0.0 if math.isinf(tau) else 1.0 / tau
     a = embed_operator(space, [0], annihilation(space.subsystem_dims[0])).entries
     rng = np.random.default_rng(8)
@@ -698,7 +753,8 @@ def test_liouvillian_block_exponentials_match_expm(fock_dim):
                         for k, seg in timed}
     loss_part = _dense_liouvillian(np.zeros_like(a), a, 1.0)
     for tau in (*DEFAULT_TAU_GRID, 2e-5):
-        compiled = trajectories._compile(schedule, NoiseParams(tau=tau, epsilon=0.0))
+        compiled = trajectories._compile(schedule, NoiseParams(tau=tau, epsilon=0.0),
+                                         np.eye(schedule.space.total_dim))
         for k, seg in timed:
             ev = compiled.evolvers[k]
             liouv = hamiltonian_part[k] + ev.kappa * loss_part
