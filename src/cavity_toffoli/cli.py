@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .analysis import (DEFAULT_EPSILON_GRID, DEFAULT_TAU_GRID,
+from .analysis import (_IMAGES, DEFAULT_EPSILON_GRID, DEFAULT_TAU_GRID,
                        VALIDATION_RATIOS, dispersive_validation, gate_fidelity,
                        logical_process_matrix, sweep)
 from .model import PhysicalParams
@@ -113,7 +113,10 @@ def _load_config_file(path: str) -> dict:
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     if isinstance(data.get("tau_s"), str):
-        data["tau_s"] = _parse_tau(data["tau_s"])
+        try:
+            data["tau_s"] = _parse_tau(data["tau_s"])
+        except ValueError as exc:
+            raise UsageError(f"config file {path}: bad tau_s: {exc}") from exc
     return data
 
 
@@ -196,8 +199,7 @@ def cmd_truth_table(config: RunConfig, schedule: Schedule,
         return 0
 
     process = logical_process_matrix(schedule)
-    entries = [process[LOGICAL_BITS.index(toffoli_map(bits)), k]
-               for k, bits in enumerate(LOGICAL_BITS)]
+    entries = process[_IMAGES, range(len(LOGICAL_BITS))]
     ok = True
     print("ideal truth table (fidelity and process-entry phase per input):")
     for bits, entry in zip(LOGICAL_BITS, entries):

@@ -33,6 +33,11 @@ class Level(IntEnum):
     i = 2
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Operating point of the cavity-atom system.
@@ -52,8 +57,8 @@ class PhysicalParams:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if self.fock_dim < 3:
-            raise ValueError(f"fock_dim must be >= 3, got {self.fock_dim}")
+        if not _is_int(self.fock_dim) or self.fock_dim < 3:
+            raise ValueError(f"fock_dim must be an integer >= 3, got {self.fock_dim!r}")
 
     @classmethod
     def from_frequency(cls, omega_hz: float = 50e3, delta_over_omega: float = 4.0,

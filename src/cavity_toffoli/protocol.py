@@ -8,12 +8,13 @@ Logical basis (control 1 = cavity, control 2 = atom A_c, target = atom A_t):
     t  = 1 -> (|g_t> - |e_t>)/sqrt(2)
 
 The gate is five segments: pi-Rabi on A_c, R_ig swap pulse, dispersive
-collision for pi/lambda, R_ig again, and the ADJOINT pi-Rabi.  Decoding
-with the inverse pulse (rather than repeating the forward pulse) is what
-keeps the |1_c g_c> branch free of a spurious -1: two identical pi pulses
-would compose to -1 on the swapped subspace.  The engine in
-``trajectories`` runs a schedule; ``trajectories.run_ideal`` is the
-noiseless gate.
+collision for pi/lambda, R_ig again, and the ADJOINT pi-Rabi.  Segments
+store durations, not angles (t_pi = pi/omega is the pi rotation), and
+every classical pulse is the R_ig swap.  Decoding with the inverse pulse
+(rather than repeating the forward pulse) is what keeps the |1_c g_c>
+branch free of a spurious -1: two identical pi pulses would compose to -1
+on the swapped subspace.  The engine in ``trajectories`` runs a schedule;
+``trajectories.run_ideal`` is the noiseless gate.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ import numpy as np
 
 from .model import (ATOM_DIM, Level, PhysicalParams, jc_hamiltonian,
                     dispersive_hamiltonian, require_dispersive_regime)
-from .qmath import CompositeSpace, OperatorMatrix, StateVector, tensor_state
+from .qmath import CompositeSpace, OperatorMatrix, StateVector
 
-CAVITY = 0
 CONTROL_ATOM = 1
 TARGET_ATOM = 2
 
@@ -41,16 +41,15 @@ LOGICAL_BITS = tuple((c1, c2, t) for c1 in (0, 1) for c2 in (0, 1) for t in (0, 
 
 @dataclass(frozen=True)
 class Segment:
-    """One timed (or instantaneous) step of the protocol."""
+    """One timed (or instantaneous) step of the protocol.  The duration sets
+    a Rabi segment's rotation; a classical pulse is the R_ig swap on ``atom``."""
 
     kind: str
     nominal_duration: float
     jitter_applies: bool = True
     loss_active: bool = True
     atom: Optional[int] = None
-    angle: Optional[float] = None   # resonant_rabi rotation angle
     adjoint: bool = False
-    pulse: Optional[str] = None     # classical_pulse: "rig", the R_ig swap
 
     def __post_init__(self):
         if self.kind not in SEGMENT_KINDS:
@@ -60,20 +59,16 @@ class Segment:
         if self.kind == "classical_pulse":
             if self.nominal_duration != 0.0:
                 raise ValueError("classical pulses are instantaneous")
-            if self.pulse != "rig":
-                raise ValueError(f"unknown pulse {self.pulse!r}")
             if self.atom is None:
                 raise ValueError("classical pulse needs a target atom")
-        if self.kind == "resonant_rabi" and (self.atom is None or self.angle is None):
-            raise ValueError("resonant_rabi needs atom and angle")
+        if self.kind == "resonant_rabi" and self.atom is None:
+            raise ValueError("resonant_rabi needs an atom")
 
     def to_jsonable(self) -> dict:
         out = {"kind": self.kind, "nominal_duration": self.nominal_duration,
                "jitter_applies": self.jitter_applies, "loss_active": self.loss_active}
-        for key in ("atom", "angle", "pulse"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
+        if self.atom is not None:
+            out["atom"] = self.atom
         if self.kind == "resonant_rabi":
             out["adjoint"] = self.adjoint
         return out
@@ -108,7 +103,7 @@ class Schedule:
 def toffoli_schedule(params: PhysicalParams, *, decode_adjoint: bool = True,
                      loss_scope: str = "all_segments",
                      jitter_scope: str = "all") -> Schedule:
-    """The five-segment gate sequence.
+    """The five-segment gate sequence, each Rabi segment t_pi long.
 
     loss_scope:   "all_segments" (default; the cavity always decays) or
                   "collision_only" (decay modeled during the collision only).
@@ -127,14 +122,13 @@ def toffoli_schedule(params: PhysicalParams, *, decode_adjoint: bool = True,
     loss_all = loss_scope == "all_segments"
     jitter_pulses = jitter_scope == "all"
     segments = (
-        Segment("resonant_rabi", params.t_pi, atom=CONTROL_ATOM, angle=math.pi,
-                loss_active=loss_all),
-        Segment("classical_pulse", 0.0, atom=CONTROL_ATOM, pulse="rig",
+        Segment("resonant_rabi", params.t_pi, atom=CONTROL_ATOM, loss_active=loss_all),
+        Segment("classical_pulse", 0.0, atom=CONTROL_ATOM,
                 jitter_applies=jitter_pulses, loss_active=loss_all),
         Segment("collision", params.t_collision, loss_active=True),
-        Segment("classical_pulse", 0.0, atom=CONTROL_ATOM, pulse="rig",
+        Segment("classical_pulse", 0.0, atom=CONTROL_ATOM,
                 jitter_applies=jitter_pulses, loss_active=loss_all),
-        Segment("resonant_rabi", params.t_pi, atom=CONTROL_ATOM, angle=math.pi,
+        Segment("resonant_rabi", params.t_pi, atom=CONTROL_ATOM,
                 adjoint=decode_adjoint, loss_active=loss_all),
     )
     return Schedule(space, segments, params)
@@ -149,14 +143,11 @@ def encode_logical(bits: Iterable[int], space: CompositeSpace) -> StateVector:
     if len(dims) != 3 or dims[1] != ATOM_DIM or dims[2] != ATOM_DIM:
         raise ValueError(f"expected a (fock, 3, 3) space, got dims {dims}")
 
-    cavity = CompositeSpace((dims[0],)).basis_state([1 - c1])
-    control = CompositeSpace((ATOM_DIM,)).basis_state(
-        [int(Level.i) if c2 == 0 else int(Level.g)])
-    target_amps = np.zeros(ATOM_DIM, dtype=np.complex128)
-    target_amps[int(Level.g)] = 1.0 / math.sqrt(2.0)
-    target_amps[int(Level.e)] = (1.0 if t == 0 else -1.0) / math.sqrt(2.0)
-    target = StateVector(CompositeSpace((ATOM_DIM,)), target_amps)
-    return tensor_state(tensor_state(cavity, control), target)
+    control = Level.i if c2 == 0 else Level.g
+    amps = np.zeros(space.total_dim, dtype=np.complex128)
+    amps[space.index_of([1 - c1, control, Level.g])] = 1.0 / math.sqrt(2.0)
+    amps[space.index_of([1 - c1, control, Level.e])] = (1.0 - 2 * t) / math.sqrt(2.0)
+    return StateVector(space, amps)
 
 
 def toffoli_map(bits: Iterable[int]) -> tuple[int, int, int]:
@@ -187,12 +178,11 @@ def segment_drift(schedule: Schedule, seg: Segment) -> Optional[OperatorMatrix]:
     raise ValueError(f"unknown segment kind {seg.kind!r}")
 
 
-def process_phase_spread(process: np.ndarray, modulus_floor: float = 0.5) -> float:
-    """Largest phase deviation (rad) among significant process-matrix entries,
-    relative to the first one.  Zero for a gate that equals its permutation
-    target up to one global phase."""
-    significant = process.reshape(-1)
-    significant = significant[np.abs(significant) > modulus_floor]
+def process_phase_spread(process: np.ndarray) -> float:
+    """Largest phase deviation (rad) among the process-matrix entries of
+    modulus above 1/2, relative to the first one.  Zero for a gate that
+    equals its permutation target up to one global phase."""
+    significant = process[np.abs(process) > 0.5]
     if significant.size == 0:
         return math.pi
     rel = significant / significant[0]

@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .model import Level, annihilation, number_operator, rig_block
+from .model import Level, _is_int, annihilation, number_operator, rig_block
 from .protocol import Schedule, segment_drift
 from .qmath import CompositeSpace, DensityMatrix, StateVector, embed_operator
 
@@ -79,8 +79,8 @@ class NoiseParams:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if self.n_traj < 1:
-            raise ValueError("n_traj must be positive")
+        if not _is_int(self.n_traj) or self.n_traj < 1:
+            raise ValueError(f"n_traj must be a positive integer, got {self.n_traj!r}")
         _check_counter_words(seed=self.seed)
 
     @property
@@ -125,11 +125,11 @@ _AS241 = (
 
 
 def _check_counter_words(**words: int) -> None:
-    """Philox takes the seed and each counter index as one 64-bit word; a
-    value outside [0, 2^64) would wrap onto another stream or overflow."""
+    """Philox takes the seed and each counter index as one 64-bit word; anything
+    but an integer in [0, 2^64) would land on another stream or overflow."""
     for name, value in words.items():
-        if not 0 <= int(value) < 2 ** 64:
-            raise ValueError(f"{name} must be in [0, 2^64), got {value}")
+        if not (_is_int(value) and 0 <= value < 2 ** 64):
+            raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
 
 
 def _philox(seed: int, trajs, blocks, basis_inputs, cell: int) -> np.ndarray:
@@ -302,8 +302,6 @@ class _CompiledSchedule:
     schedule: Schedule
     evolvers: tuple
     annihilator: np.ndarray
-    #: some timed segment decays, so every trajectory draws a first threshold
-    decays: bool
     #: full-space index of each compiled basis state, ascending
     support: np.ndarray
 
@@ -337,9 +335,7 @@ def _compile(schedule: Schedule, noise: NoiseParams,
         if seg.kind == "classical_pulse" else
         _DriftEvolver(op[sub], noise.kappa if seg.loss_active else 0.0, n_cav[sub])
         for seg, op in zip(schedule.segments, ops))
-    decays = any(ev.lossy and seg.nominal_duration > 0.0
-                 for seg, ev in zip(schedule.segments, evolvers))
-    return _CompiledSchedule(schedule, evolvers, a[sub], decays, support)
+    return _CompiledSchedule(schedule, evolvers, a[sub], support)
 
 
 @dataclass(frozen=True)
@@ -474,11 +470,11 @@ def _run_block(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
     of basis input ``inputs[r]``.
 
     One Philox call draws the whole 4-word blocks holding every row's jitter
-    words and first threshold; a row whose thresholds outrun them gets the
-    Philox block of its next one.
+    words and first threshold (drawn even if no segment decays); a row whose
+    thresholds outrun them gets the Philox block of its next one.
     """
     n_seg, seed = len(compiled.schedule.segments), int(noise.seed)
-    n_cached = 4 * -(-(n_seg + compiled.decays) // 4)
+    n_cached = 4 * (n_seg // 4 + 1)
     words = _philox(seed, trajs[:, None], np.arange(n_cached // 4), inputs[:, None],
                     cell).reshape(len(trajs), n_cached)
     next_word = np.full(len(trajs), n_seg)
@@ -494,9 +490,8 @@ def _run_block(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
         return _uniforms(drawn)
 
     factors = jitter_factors(compiled.schedule, noise.epsilon, _uniforms(words[:, :n_seg]))
-    thresholds = (next_thresholds(np.arange(len(trajs))) if compiled.decays
-                  else np.full(len(trajs), math.inf))
-    block = _evolve(compiled, psi, noise, factors, thresholds, next_thresholds)
+    block = _evolve(compiled, psi, noise, factors, next_thresholds(np.arange(len(trajs))),
+                    next_thresholds)
     return replace(block, states=block.states / np.sqrt(_sq_norms(block.states))[:, None],
                    inputs=inputs)
 

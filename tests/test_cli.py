@@ -126,6 +126,21 @@ def test_config_file_errors(capsys, tmp_path):
     assert code == 1 and "loss_scope" in err
 
 
+@pytest.mark.parametrize("doc", [{"seed": 1.5}, {"seed": True}, {"fock_dim": 3.5},
+                                 {"n_traj": 2.5}, {"n_traj": True}, {"tau_s": "abc"}],
+                         ids=["seed-float", "seed-bool", "fock-float", "ntraj-float",
+                              "ntraj-bool", "tau-text"])
+def test_config_file_bad_value_exits_1(capsys, tmp_path, doc):
+    """A value of the wrong kind is a usage error, not a truncated setting
+    or a traceback from inside the engine."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["run", "--config", str(cfg)])
+    assert code == 1
+    assert err.startswith("error:") and next(iter(doc)) in err
+    assert "Traceback" not in err and out == ""
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_writes_csv(capsys, tmp_path):

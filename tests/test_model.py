@@ -46,8 +46,10 @@ def test_params_validation():
         PhysicalParams(omega=-1.0, delta=4.0)
     with pytest.raises(ValueError):
         PhysicalParams(omega=1.0, delta=0.0)
-    with pytest.raises(ValueError):
-        PhysicalParams(omega=1.0, delta=4.0, fock_dim=2)
+    for bad in (2, 3.5, 4.0, True, np.float64(4.0)):
+        with pytest.raises(ValueError, match="fock_dim"):
+            PhysicalParams(omega=1.0, delta=4.0, fock_dim=bad)
+    assert PhysicalParams(omega=1.0, delta=4.0, fock_dim=np.int64(4)).fock_dim == 4
 
 
 def test_collision_guard_on_detuning():

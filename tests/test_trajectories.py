@@ -62,9 +62,21 @@ def test_noise_params_validation():
         NoiseParams(epsilon=1.0)
     with pytest.raises(ValueError):
         NoiseParams(epsilon=-0.1)
-    with pytest.raises(ValueError):
-        NoiseParams(n_traj=0)
+    for bad in (0, 2.5, 2.0, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match="n_traj"):
+            NoiseParams(n_traj=bad)
     NoiseParams(tau=math.inf, epsilon=0.0)
+
+
+def test_numpy_integer_settings_equal_python_ints(schedule):
+    """The integer checks accept numpy integers, with the same stream."""
+    psi0 = encode_logical((0, 0, 0), schedule.space)
+    noise = NoiseParams(tau=1e-3, epsilon=0.03, n_traj=2, seed=5)
+    wide = NoiseParams(tau=1e-3, epsilon=0.03, n_traj=np.int64(2), seed=np.uint64(5))
+    a = mcwf_trajectory(schedule, psi0, wide, traj=np.int32(1), cell=np.uint8(2))
+    b = mcwf_trajectory(schedule, psi0, noise, traj=1, cell=2)
+    assert a.jump_times == b.jump_times
+    assert np.array_equal(a.final_state.amplitudes, b.final_state.amplitudes)
 
 
 def test_kappa_definition():
@@ -140,13 +152,13 @@ def test_trajectory_bit_reproducible_out_of_order(schedule, n_traj, traj):
 
 
 def test_counter_indices_outside_64_bits_raise(params, schedule):
-    """A seed, trajectory, basis-input or cell index outside [0, 2^64) is a
-    ValueError at every public entry point, not a wrapped stream (traj -1
-    would be trajectory 2^64 - 1).  The largest index draws numpy's own
-    Philox words at that counter."""
+    """A seed, trajectory, basis-input or cell index outside [0, 2^64), or not
+    an integer, is a ValueError at every public entry point, not a wrapped or
+    truncated stream (traj -1 would be trajectory 2^64 - 1, 1.5 would be 1).
+    The largest index draws numpy's own Philox words at that counter."""
     psi0 = encode_logical((0, 0, 0), schedule.space)
     noise = NoiseParams(tau=1e-3, epsilon=0.03, n_traj=2, seed=5)
-    for bad in (-1, 2 ** 64):
+    for bad in (-1, 2 ** 64, 1.5, 3.0, True, np.bool_(True)):
         for name in ("traj", "basis_input", "cell"):
             with pytest.raises(ValueError, match=name):
                 mcwf_trajectory(schedule, psi0, noise, **{name: bad})
@@ -661,6 +673,18 @@ def test_ensemble_density_trace_and_validation(schedule, monkeypatch):
     foreign = TrajectoryResult(CompositeSpace((2,)).basis_state([0]), (), ())
     with pytest.raises(ValueError):
         ensemble_density([*results, foreign])
+
+
+@pytest.mark.parametrize("n_traj", [1, 1000, 2500])
+def test_trajectory_density_equals_ensemble_of_trajectories(schedule, n_traj):
+    """``validate``'s reducer is ``ensemble_density(run_trajectories(...))`` bit
+    for bit, also past the ``_BLOCK_ROWS`` boundary (2500 > 2048 rows)."""
+    amps = sum(encode_logical(b, schedule.space).amplitudes for b in LOGICAL_BITS)
+    psi0 = StateVector(schedule.space, amps / np.linalg.norm(amps))
+    noise = NoiseParams(tau=0.5e-3, epsilon=0.03, n_traj=n_traj, seed=4)
+    rho = trajectories._trajectory_density(schedule, psi0, noise)
+    ref = ensemble_density(run_trajectories(schedule, psi0, noise))
+    assert np.array_equal(rho.entries, ref.entries)
 
 
 def test_ensemble_of_identical_trajectories_is_that_projector(schedule):
