@@ -14,7 +14,7 @@ from .model import (Level, PhysicalParams, annihilation, dispersive_hamiltonian,
 from .protocol import (LOGICAL_BITS, Schedule, Segment, encode_logical,
                        toffoli_map, toffoli_schedule)
 from .qmath import (CompositeSpace, DensityMatrix, OperatorMatrix, StateVector,
-                    embed_operator, propagator, tensor_state, trace_distance)
+                    embed_operator, propagator, trace_distance)
 from .trajectories import (NoiseParams, TrajectoryResult, ensemble_density,
                            lindblad_evolve, mcwf_trajectory, run_ideal,
                            run_trajectories)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CompositeSpace", "StateVector", "OperatorMatrix", "DensityMatrix",
-    "tensor_state", "embed_operator", "propagator", "trace_distance",
+    "embed_operator", "propagator", "trace_distance",
     "Level", "PhysicalParams", "annihilation", "number_operator",
     "jc_hamiltonian", "dispersive_hamiltonian", "full_detuned_hamiltonian",
     "Segment", "Schedule", "LOGICAL_BITS", "encode_logical", "toffoli_map",

@@ -117,6 +117,10 @@ def _load_config_file(path: str) -> dict:
             data["tau_s"] = _parse_tau(data["tau_s"])
         except ValueError as exc:
             raise UsageError(f"config file {path}: bad tau_s: {exc}") from exc
+    for name, value in data.items():
+        if _CONFIG_FIELDS[name] == "float" and (isinstance(value, bool)
+                                                or not isinstance(value, (int, float))):
+            raise UsageError(f"config file {path}: {name} must be a number")
     return data
 
 

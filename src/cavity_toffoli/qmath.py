@@ -167,13 +167,6 @@ class DensityMatrix:
         return cls(state.space, np.outer(amps, amps.conj()))
 
 
-def tensor_state(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product of two states; dims of ``a`` come first (slowest)."""
-    space = CompositeSpace(a.space.subsystem_dims + b.space.subsystem_dims)
-    return StateVector(space, np.kron(a.amplitudes, b.amplitudes),
-                       normalized=a.normalized and b.normalized)
-
-
 def embed_operator(space: CompositeSpace, targets: Sequence[int],
                    op: OperatorMatrix) -> OperatorMatrix:
     """Lift ``op`` (acting on the targeted subsystems, in ``targets`` order)

@@ -5,9 +5,13 @@ operator sqrt(kappa) a with kappa = 1/tau, tau the photon lifetime, so
 <n> decays as exp(-t/tau).  Atomic decay is neglected (circular states).
 Every path runs on the basis states its start states reach (``_compile``;
 13 from the logical inputs at any fock_dim) and embeds its results back in
-the full space.  The Lindblad oracle (``lindblad_evolve``) applies each
-timed segment's exact exp(L T), block by block, to stacked density
-matrices; each block size takes one Pade-13 ``_expm`` call.
+the full space.  That basis, and each segment's H, N, a and pulse maps on
+it, depend on the schedule and the start support only, so ``_structure``
+memoizes them, read-only; ``_compile`` builds new evolvers (K at the
+call's kappa, diagonalized on first use) on every call.  The Lindblad
+oracle (``lindblad_evolve``) applies each timed segment's exact exp(L T),
+block by block, to stacked density matrices; each block size takes one
+Pade-13 ``_expm`` call.
 
 The jump unraveling is one batched quantum-jump engine.  The
 trajectories of a cell's basis inputs evolve together as one input-major
@@ -16,13 +20,15 @@ memory does not grow with n_traj; a single trajectory (``mcwf_trajectory``)
 is the one-row case.  Each row evolves its unnormalized state under
 K = H - (i/2) kappa a^dag a exactly per segment, at its own jittered
 duration, by broadcasting exp(-i w t) over per-row times in the
-eigenbasis of K.  Between jumps a row's squared norm only falls, so each
-pass evaluates it once, at the end point of the row's remaining time; a
-row whose norm has fallen below its uniform threshold there bisects the
-crossing to tau/10^4, and only those rows jump.  Pulses swap amplitudes
-elementwise.  A row's result does not depend on which other rows share
-its block.  The ideal gate (``run_ideal``) is the same engine at kappa = 0
-with unit jitter factors: no row ever decays, so none draws or jumps.
+eigenbasis of K; rows that share one time (every row at epsilon = 0)
+share one row of phases.  Between jumps a row's squared norm only falls,
+so each pass evaluates it once, at the end point of the row's remaining
+time; a row whose norm has fallen below its uniform threshold there
+bisects the crossing to tau/10^4, and only those rows jump.  Pulses swap
+amplitudes elementwise.  A row's result does not depend on which other
+rows share its block.  The ideal gate (``run_ideal``) is the same engine
+at kappa = 0 with unit jitter factors: no row ever decays, so none draws
+or jumps.
 
 Randomness contract: one root seed.  Word j of trajectory k of basis
 input b in grid cell c is element j % 4 of Philox4x64-10 (Salmon et al.,
@@ -30,16 +36,17 @@ SC'11) at counter (j // 4 + 1, k, b, c) under key (seed, 0), i.e. the j-th
 ``random_raw`` output of numpy's ``Philox(key=seed, counter=[0, k, b, c])``.
 A word depends on its indices only, so results are bit-reproducible however
 trajectories are scheduled, and a block's words come from one vectorised
-pass.  Word k < n_segments is segment k's jitter word, used or not; word
-n_segments + n is the n-th jump threshold.  Word w is used as the uniform
-((w >> 12) + 1/2) 2^-52, never 0 or 1.
+pass.  Word k < n_segments is segment k's jitter word, used or not (at
+epsilon = 0 none is, and the 4-word blocks that hold only jitter words are
+not drawn); word n_segments + n is the n-th jump threshold.  Word w is
+used as the uniform ((w >> 12) + 1/2) 2^-52, never 0 or 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -50,6 +57,8 @@ from .qmath import CompositeSpace, DensityMatrix, StateVector, embed_operator
 
 #: trajectories evolved together; bounds the engine's memory for any n_traj
 _BLOCK_ROWS = 2048
+#: (schedule, start support) structures ``_compile`` keeps
+_STRUCTURES = 8
 #: cond_1(V) above which a generator takes expm, not V exp(w T) V^-1
 _EIG_COND_MAX = 1e4
 #: Pade-13 coefficients b_j = (26 - j)! / (j! (13 - j)!) and the 1-norm up to which
@@ -288,9 +297,12 @@ class _DriftEvolver:
         return _rows_matmul(psi, vinv.T) if exact else psi
 
     def evolve(self, coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """exp(-iKt) on rows given by ``coefficients``, each for its own time."""
+        """exp(-iKt) on rows given by ``coefficients``, each for its own time.
+        Rows that all share one time share one row of phases."""
         w, v, _, exact = self._eigen
         if exact:
+            if t.size > 1 and np.all(t == t[0]):
+                t = t[:1]
             return _rows_matmul(np.exp(np.multiply.outer(t, -1j * w)) * coeffs, v.T)
         return (_expm(-1j * self.k * t[:, None, None]) @ coeffs[..., None])[..., 0]
 
@@ -306,13 +318,12 @@ class _CompiledSchedule:
     support: np.ndarray
 
 
-def _compile(schedule: Schedule, noise: NoiseParams,
-             starts: np.ndarray) -> _CompiledSchedule:
-    """The evolvers on the compiled basis of the start rows ``starts`` (m, dim):
-    the directed closure of their nonzeros under the nonzero patterns of
-    every timed segment's K, of a and of each pulse's |g> <-> |i> partner
-    map.  No evolution leaves it, so K, N and a restricted to it are exact.
-    """
+@lru_cache(maxsize=_STRUCTURES)
+def _structure(schedule: Schedule, starts_mask: bytes) -> tuple:
+    """The tau-independent part of ``_compile``, for the start support
+    ``starts_mask`` (a bool mask over the full space, as bytes): the compiled
+    basis, a and N on it, and per segment either a pulse's (partner, fixed)
+    maps or a timed segment's H, every array read-only."""
     space, dims = schedule.space, schedule.space.subsystem_dims
     levels = np.array(np.unravel_index(np.arange(space.total_dim), dims))
     n_cav = embed_operator(space, [0], number_operator(dims[0])).entries
@@ -327,15 +338,34 @@ def _compile(schedule: Schedule, noise: NoiseParams,
             ops.append(segment_drift(schedule, seg).entries)
             edges |= (ops[-1] != 0) & (seg.nominal_duration > 0.0)
     steps = np.linalg.matrix_power(edges | np.eye(len(edges), dtype=bool), len(edges))
-    reach = steps @ np.any(np.asarray(starts) != 0, axis=0)
+    reach = steps @ np.frombuffer(starts_mask, dtype=bool)
     support, index = np.flatnonzero(reach), np.cumsum(reach) - 1
     sub = np.ix_(support, support)
+    ops = [(index[op[support]], levels[seg.atom, support] == Level.e)
+           if seg.kind == "classical_pulse" else (op[sub],)
+           for seg, op in zip(schedule.segments, ops)]
+    a, n_cav = a[sub], n_cav[sub]
+    for x in (support, a, n_cav, *(x for op in ops for x in op)):
+        x.flags.writeable = False
+    return support, a, n_cav, tuple(ops)
+
+
+def _compile(schedule: Schedule, noise: NoiseParams,
+             starts: np.ndarray) -> _CompiledSchedule:
+    """The evolvers on the compiled basis of the start rows ``starts`` (m, dim):
+    the directed closure of their nonzeros under the nonzero patterns of
+    every timed segment's K, of a and of each pulse's |g> <-> |i> partner
+    map.  No evolution leaves it, so K, N and a restricted to it are exact.
+    The structure is memoized per (schedule, start support); the evolvers,
+    and so every eigendecomposition, are new on each call.
+    """
+    support, annihilator, n_cav, ops = _structure(
+        schedule, np.any(np.asarray(starts) != 0, axis=0).tobytes())
     evolvers = tuple(
-        _PulseEvolver(index[op[support]], levels[seg.atom, support] == Level.e)
-        if seg.kind == "classical_pulse" else
-        _DriftEvolver(op[sub], noise.kappa if seg.loss_active else 0.0, n_cav[sub])
+        _PulseEvolver(*op) if seg.kind == "classical_pulse" else
+        _DriftEvolver(op[0], noise.kappa if seg.loss_active else 0.0, n_cav)
         for seg, op in zip(schedule.segments, ops))
-    return _CompiledSchedule(schedule, evolvers, a[sub], support)
+    return _CompiledSchedule(schedule, evolvers, annihilator, support)
 
 
 @dataclass(frozen=True)
@@ -470,26 +500,30 @@ def _run_block(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
     of basis input ``inputs[r]``.
 
     One Philox call draws the whole 4-word blocks holding every row's jitter
-    words and first threshold (drawn even if no segment decays); a row whose
-    thresholds outrun them gets the Philox block of its next one.
+    words and first threshold (drawn even if no segment decays); at
+    epsilon = 0 it skips the blocks that hold only jitter words, which
+    nothing reads.  A row whose thresholds outrun them gets the Philox
+    block of its next one.
     """
     n_seg, seed = len(compiled.schedule.segments), int(noise.seed)
     n_cached = 4 * (n_seg // 4 + 1)
-    words = _philox(seed, trajs[:, None], np.arange(n_cached // 4), inputs[:, None],
-                    cell).reshape(len(trajs), n_cached)
+    skip = 0 if noise.epsilon else 4 * (n_seg // 4)     # words not drawn
+    words = _philox(seed, trajs[:, None], np.arange(skip // 4, n_cached // 4),
+                    inputs[:, None], cell).reshape(len(trajs), n_cached - skip)
     next_word = np.full(len(trajs), n_seg)
 
     def next_thresholds(rows: np.ndarray) -> np.ndarray:
         j = next_word[rows]
         next_word[rows] += 1
-        drawn = words[rows, np.minimum(j, n_cached - 1)]
+        drawn = words[rows, np.minimum(j, n_cached - 1) - skip]
         far = np.nonzero(j >= n_cached)[0]
         if far.size:
             blocks = _philox(seed, trajs[rows[far]], j[far] // 4, inputs[rows[far]], cell)
             drawn[far] = blocks[np.arange(far.size), j[far] % 4]
         return _uniforms(drawn)
 
-    factors = jitter_factors(compiled.schedule, noise.epsilon, _uniforms(words[:, :n_seg]))
+    factors = (jitter_factors(compiled.schedule, noise.epsilon, _uniforms(words[:, :n_seg]))
+               if noise.epsilon else np.ones((len(trajs), n_seg)))
     block = _evolve(compiled, psi, noise, factors, next_thresholds(np.arange(len(trajs))),
                     next_thresholds)
     return replace(block, states=block.states / np.sqrt(_sq_norms(block.states))[:, None],

@@ -127,9 +127,12 @@ def test_config_file_errors(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("doc", [{"seed": 1.5}, {"seed": True}, {"fock_dim": 3.5},
-                                 {"n_traj": 2.5}, {"n_traj": True}, {"tau_s": "abc"}],
+                                 {"n_traj": 2.5}, {"n_traj": True}, {"tau_s": "abc"},
+                                 {"omega_hz": "abc"}, {"tau_s": True}, {"epsilon": "0.1"},
+                                 {"delta_over_omega": None}],
                          ids=["seed-float", "seed-bool", "fock-float", "ntraj-float",
-                              "ntraj-bool", "tau-text"])
+                              "ntraj-bool", "tau-text", "omega-text", "tau-bool",
+                              "eps-text", "delta-null"])
 def test_config_file_bad_value_exits_1(capsys, tmp_path, doc):
     """A value of the wrong kind is a usage error, not a truncated setting
     or a traceback from inside the engine."""

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cavity_toffoli.qmath import (CompositeSpace, DensityMatrix, OperatorMatrix,
                                   StateVector, embed_operator, propagator,
-                                  tensor_state, trace_distance)
+                                  trace_distance)
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -64,32 +64,6 @@ def test_operator_tags_are_assertions():
     with pytest.raises(ValueError):
         OperatorMatrix(space, [[1, 0], [0, 2]], unitary=True)
     OperatorMatrix(space, [[0, 1], [1, 0]], hermitian=True, unitary=True)
-
-
-# ---------------------------------------------------------------- tensor
-
-def test_tensor_basis_product():
-    q = CompositeSpace((2,))
-    out = tensor_state(q.basis_state([0]), q.basis_state([1]))
-    assert out.space.subsystem_dims == (2, 2)
-    np.testing.assert_allclose(out.amplitudes, [0, 1, 0, 0])
-
-
-def test_tensor_distributes_over_superposition():
-    q = CompositeSpace((2,))
-    plus = StateVector(q, np.array([1, 1]) / math.sqrt(2))
-    out = tensor_state(plus, q.basis_state([0]))
-    s = 1 / math.sqrt(2)
-    np.testing.assert_allclose(out.amplitudes, [s, 0, s, 0])
-
-
-@given(SEEDS)
-@settings(max_examples=25, deadline=None)
-def test_tensor_preserves_norm(seed):
-    rng = np.random.default_rng(seed)
-    a = random_state(CompositeSpace((3,)), rng)
-    b = random_state(CompositeSpace((2, 2)), rng)
-    assert abs(tensor_state(a, b).norm() - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------- embedding

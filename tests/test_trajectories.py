@@ -496,6 +496,58 @@ def test_compiled_basis_is_the_reachable_sector(fock_dim):
     np.testing.assert_array_equal(compiled.support, expected)
 
 
+def test_compile_memoizes_structure_not_evolvers(params, schedule, monkeypatch):
+    """Two compiles of one (schedule, starts) share the same read-only
+    structure arrays and build their own evolvers, each diagonalizing its
+    own K: mutating one call's evolver leaves the next call's unchanged.
+    fock_dim 4, collision_only and another start support each get their
+    own structure."""
+    starts, noise = _logical_basis(schedule), NoiseParams()
+    first, second = (trajectories._compile(schedule, noise, starts) for _ in range(2))
+    assert first.support is second.support
+    assert first.annihilator is second.annihilator
+    shared = [first.support, first.annihilator]
+    for a, b in zip(first.evolvers, second.evolvers):
+        assert a is not b
+        if isinstance(a, trajectories._PulseEvolver):
+            assert a._partner is b._partner and a._fixed is b._fixed
+            shared += [a._partner, a._fixed]
+        else:
+            assert a.k is not b.k
+    for x in shared:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[(0,) * x.ndim] = x[(0,) * x.ndim]
+
+    lossy = [k for k, ev in enumerate(first.evolvers) if getattr(ev, "lossy", False)]
+    w, v, vinv, exact = first.evolvers[lossy[0]]._eigen
+    first.evolvers[lossy[0]]._eigen = w.conj(), v, vinv, exact
+    first.evolvers[lossy[0]].k[0, 0] += 1.0
+    third = trajectories._compile(schedule, noise, starts)
+    for k in lossy:
+        np.testing.assert_array_equal(third.evolvers[k].k, second.evolvers[k].k)
+        np.testing.assert_array_equal(third.evolvers[k]._eigen[0],
+                                      second.evolvers[k]._eigen[0])
+
+    eig, calls = np.linalg.eig, []
+    monkeypatch.setattr(np.linalg, "eig", lambda k: calls.append(1) or eig(k))
+    for _ in range(2):
+        mcwf_trajectory(schedule, encode_logical((0, 0, 0), schedule.space), noise)
+    assert len(calls) == 2 * len(lossy)
+
+    trajectories._structure.cache_clear()
+    variants = [(schedule, starts),
+                (toffoli_schedule(PhysicalParams.from_frequency(fock_dim=4)), None),
+                (toffoli_schedule(params, loss_scope="collision_only"), starts),
+                (schedule, np.eye(schedule.space.total_dim)[:1])]
+    for _ in range(2):
+        for sched, rows in variants:
+            rows = _logical_basis(sched) if rows is None else rows
+            trajectories._compile(sched, noise, rows)
+    info = trajectories._structure.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 4, 4)
+
+
 def test_full_support_ket_matches_dense_evolution():
     """A ket on every basis state at fock_dim = 4 compiles to the full space:
     ``run_ideal`` equals the product of scipy's expm segment unitaries and
@@ -529,10 +581,12 @@ def test_full_support_ket_matches_dense_evolution():
     assert np.max(np.abs(rho.reshape(-1) - vec)) <= 1e-12
 
 
-def test_block_partition_leaves_results_unchanged(schedule, monkeypatch):
+@pytest.mark.parametrize("epsilon", [0.05, 0.0], ids=["eps-0.05", "eps-0"])
+def test_block_partition_leaves_results_unchanged(schedule, monkeypatch, epsilon):
     """1, 7, 256 and the default rows per block give byte-identical
-    trajectories."""
-    noise = NoiseParams(tau=2e-4, epsilon=0.05, n_traj=20, seed=3)
+    trajectories.  At epsilon = 0 the 1-row blocks take the per-row
+    phases and the blocks of more rows their one shared row."""
+    noise = NoiseParams(tau=2e-4, epsilon=epsilon, n_traj=20, seed=3)
     psi0 = encode_logical((0, 0, 0), schedule.space)
     runs = []
     for block_rows in (1, 7, 256, _BLOCK_ROWS):
