@@ -17,12 +17,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import PhysicalParams, dispersive_hamiltonian, full_detuned_hamiltonian
+from .model import PhysicalParams, _dispersive_unit, jc_hamiltonian, number_operator
 from .protocol import (LOGICAL_BITS, Schedule, encode_logical, toffoli_map,
                        toffoli_schedule)
-from .qmath import propagator
-from .trajectories import (NoiseParams, _check_counter_words, _compile, _CompiledSchedule,
-                           _ideal_states, _lindblad_stack, _rows_matmul, _trajectory_blocks)
+from .qmath import OperatorMatrix, embed_operator, propagator
+from .trajectories import (NoiseParams, _basis_groups, _check_counter_words, _compile,
+                           _CompiledSchedule, _ideal_states, _lindblad_stack, _rows_matmul,
+                           _trajectory_blocks)
 # perfbench/selftest.py checks that its tracer patches this binding too
 from .trajectories import mcwf_trajectory  # noqa: F401
 
@@ -121,27 +122,39 @@ def gate_fidelity(params: PhysicalParams, noise: NoiseParams, *,
                   cell_index: int = 0) -> FidelityResult:
     """Trajectory-averaged Toffoli fidelity over the 8 logical basis inputs.
 
-    The 8 inputs run as one input-major row set, so an input's rows in a
-    block are contiguous and the overlaps come out in input-major order.
-    Per-trajectory fidelities are pooled across inputs for the standard
-    error.  ``cell_index`` selects the RNG counter block; sweeps pass the
-    row-major cell index so each cell is an independent stream family.
+    The inputs that reach one compiled basis run as one input-major row
+    set on it (inputs 0-3 on 13 states, 4-7 on 7), so every row is bit for
+    bit its ``run_trajectories`` row.  Per-trajectory fidelities are
+    pooled across inputs, in input-major order, for the standard error.
+    ``cell_index`` selects the RNG counter block; sweeps pass the row-major
+    cell index so each cell is an independent stream family.
     """
     _check_counter_words(cell_index=cell_index)
     if schedule is None:
         schedule = toffoli_schedule(params)
     basis = _logical_basis(schedule)
-    return _cell_fidelity(_compile(schedule, noise, basis), basis, noise, cell_index)
+    return _cell_fidelity(_compiled_groups(schedule, noise, basis), basis, noise, cell_index)
 
 
-def _cell_fidelity(compiled: _CompiledSchedule, basis: np.ndarray, noise: NoiseParams,
-                   cell_index: int) -> FidelityResult:
-    """``gate_fidelity`` on the schedule compiled at ``noise.tau`` from its basis."""
+def _compiled_groups(schedule: Schedule, noise: NoiseParams,
+                     basis: np.ndarray) -> list[tuple[np.ndarray, _CompiledSchedule]]:
+    """Each of ``_basis_groups`` with the schedule compiled at ``noise.tau``
+    from its first row, whose basis and memoized structure it shares."""
+    return [(group, _compile(schedule, noise, basis[group[:1]]))
+            for group in _basis_groups(schedule, basis)]
+
+
+def _cell_fidelity(groups: list[tuple[np.ndarray, _CompiledSchedule]], basis: np.ndarray,
+                   noise: NoiseParams, cell_index: int) -> FidelityResult:
+    """``gate_fidelity`` from (inputs, their schedule compiled at ``noise.tau``) groups."""
     targets = basis[_IMAGES].conj()
-    blocks = _trajectory_blocks(compiled, basis, noise, np.arange(len(basis)), cell_index)
-    overlaps = np.concatenate([_rows_matmul(block.states[block.inputs == b], targets[b])
-                               for block in blocks for b in np.unique(block.inputs)])
-    fids = np.minimum(overlaps.real ** 2 + overlaps.imag ** 2, 1.0).reshape(-1, noise.n_traj)
+    fids = np.empty((len(basis), noise.n_traj))
+    for inputs, compiled in groups:
+        blocks = _trajectory_blocks(compiled, basis[inputs], noise, inputs, cell_index)
+        overlaps = np.concatenate([_rows_matmul(block.states[block.inputs == b], targets[b])
+                                   for block in blocks for b in np.unique(block.inputs)])
+        fids[inputs] = np.minimum(overlaps.real ** 2 + overlaps.imag ** 2,
+                                  1.0).reshape(len(inputs), -1)
     mean = float(fids.mean())
     std_error = float(fids.std(ddof=1) / math.sqrt(fids.size))
     return FidelityResult(mean=mean, std_error=std_error, n_traj=noise.n_traj,
@@ -170,7 +183,8 @@ def sweep(params: PhysicalParams, tau_values, epsilon_values, n_traj: int,
 
     Cell (i, j) uses the RNG stream family of cell index i*len(eps)+j, so a
     1x1 grid reproduces a direct ``gate_fidelity`` call bit for bit.  Every
-    cell's settings are checked, and each tau compiled once, before any cell runs.
+    cell's settings are checked, and each (tau, input group) compiled once,
+    before any cell runs.
     """
     tau_values = tuple(float(t) for t in tau_values)
     epsilon_values = tuple(float(e) for e in epsilon_values)
@@ -181,7 +195,7 @@ def sweep(params: PhysicalParams, tau_values, epsilon_values, n_traj: int,
     if schedule is None:
         schedule = toffoli_schedule(params)
     basis = _logical_basis(schedule)
-    compiled = [_compile(schedule, row[0], basis) for row in noises]
+    compiled = [_compiled_groups(schedule, row[0], basis) for row in noises]
     cells = tuple(tuple(_cell_fidelity(compiled[i], basis, noise, i * len(row) + j)
                         for j, noise in enumerate(row)) for i, row in enumerate(noises))
     return FidelityGrid(tau_values, epsilon_values, cells)
@@ -218,19 +232,25 @@ def dispersive_validation(params: PhysicalParams,
 
     For each delta/omega ratio, reports min_b |<psi_b| U_full^dag U_disp
     |psi_b>|^2 over the 8 encoded collision-input states, with matched
-    lambda = omega^2/(4 delta) and t_col = pi/lambda.
+    lambda = omega^2/(4 delta) and t_col = pi/lambda.  H_disp / lambda, a^dag a
+    and the two Jaynes-Cummings terms of ``full_detuned_hamiltonian`` are
+    built once; each ratio only scales and adds them, in that function's order.
     """
     ratios = tuple(float(r) for r in ratios)
     if any(r < 1.0 for r in ratios):
         raise ValueError("delta/omega ratios must be >= 1")
     inputs = _collision_inputs(params)
+    space = params.protocol_space()
+    unit = _dispersive_unit(1, 2, space)
+    n_cav = embed_operator(space, [0], number_operator(params.fock_dim)).entries
+    jc1, jc2 = (jc_hamiltonian(params, atom, space).entries for atom in (1, 2))
     reports = []
     for ratio in ratios:
         p = replace(params, delta=ratio * params.omega)
-        space = p.protocol_space()
         t_col = p.t_collision
-        u_disp = propagator(dispersive_hamiltonian(p, 1, 2, space), t_col).entries
-        u_full = propagator(full_detuned_hamiltonian(p, 1, 2, space), t_col).entries
+        u_disp = propagator(OperatorMatrix(space, p.lam * unit, hermitian=True), t_col).entries
+        u_full = propagator(OperatorMatrix(space, p.delta * n_cav + jc1 + jc2, hermitian=True),
+                            t_col).entries
         compare = u_full.conj().T @ u_disp
         overlaps = tuple(
             float(min(abs(np.vdot(psi, compare @ psi)) ** 2, 1.0)) for psi in inputs)

@@ -89,6 +89,8 @@ def _parse_grid(text: str, *, tau: bool = False) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"grid spec must be start:stop:count, got {text!r}")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError(f"grid spec {text!r} needs a finite start and stop")
         if count < 1:
             raise ValueError("grid count must be >= 1")
         return tuple(float(x) for x in np.linspace(start, stop, count))

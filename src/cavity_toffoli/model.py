@@ -152,6 +152,12 @@ def dispersive_hamiltonian(params: PhysicalParams, atom1: int, atom2: int,
     No photon is exchanged with the field ([H, a^dag a] = 0); the atoms
     swap excitation virtually and pick up photon-number-conditioned phases.
     """
+    return OperatorMatrix(space, params.lam * _dispersive_unit(atom1, atom2, space),
+                          hermitian=True)
+
+
+def _dispersive_unit(atom1: int, atom2: int, space: CompositeSpace) -> np.ndarray:
+    """The bracket of ``dispersive_hamiltonian``, H / lam, as a dense matrix."""
     _check_atom_subsystem(space, atom1)
     _check_atom_subsystem(space, atom2)
     if atom1 == atom2:
@@ -175,12 +181,19 @@ def dispersive_hamiltonian(params: PhysicalParams, atom1: int, atom2: int,
     atoms_space = CompositeSpace((ATOM_DIM, ATOM_DIM))
     total += embed_operator(space, [atom1, atom2],
                             OperatorMatrix(atoms_space, exchange, hermitian=True)).entries
+    return total
 
-    return OperatorMatrix(space, params.lam * total, hermitian=True)
 
-
-# level order (g, e, i) is fixed by the Level enum; the literals below rely on it
-_RIG_SWAP = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=np.complex128)
+def _rig_amplitudes(angle: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, s) of the classical |i> <-> |g> pulse at ``angle``: it maps |g> to
+    c|g> + s|i> and |i> to s|g> + c|i>, exactly (0, 1) at the nominal angle pi."""
+    angle = np.asarray(angle, dtype=np.float64)
+    half = 0.5 * angle
+    phase = np.cos(half) + 1j * np.sin(half)
+    c = phase * np.cos(half)
+    s = -1j * phase * np.sin(half)
+    nominal = angle == math.pi
+    return np.where(nominal, 0.0, c), np.where(nominal, 1.0, s)
 
 
 def rig_block(angle: float | np.ndarray = math.pi) -> np.ndarray:
@@ -191,16 +204,12 @@ def rig_block(angle: float | np.ndarray = math.pi) -> np.ndarray:
     exp(-i (angle/2)(X_gi - I_gi)) used to model angle imprecision.
     An array of angles gives one block per entry, stacked on its shape.
     """
-    angle = np.asarray(angle, dtype=np.float64)
-    half = 0.5 * angle
-    phase = np.cos(half) + 1j * np.sin(half)
-    c = phase * np.cos(half)
-    s = -1j * phase * np.sin(half)
-    block = np.zeros(angle.shape + (3, 3), dtype=np.complex128)
+    c, s = _rig_amplitudes(angle)
+    # level order (g, e, i) is fixed by the Level enum; the indices below rely on it
+    block = np.zeros(c.shape + (3, 3), dtype=np.complex128)
     block[..., 0, 0] = block[..., 2, 2] = c
     block[..., 0, 2] = block[..., 2, 0] = s
     block[..., 1, 1] = 1.0
-    block[angle == math.pi] = _RIG_SWAP
     return block
 
 

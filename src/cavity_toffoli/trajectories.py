@@ -4,31 +4,31 @@ Photon loss is the only decay channel (zero temperature): collapse
 operator sqrt(kappa) a with kappa = 1/tau, tau the photon lifetime, so
 <n> decays as exp(-t/tau).  Atomic decay is neglected (circular states).
 Every path runs on the basis states its start states reach (``_compile``;
-13 from the logical inputs at any fock_dim) and embeds its results back in
-the full space.  That basis, and each segment's H, N, a and pulse maps on
-it, depend on the schedule and the start support only, so ``_structure``
-memoizes them, read-only; ``_compile`` builds new evolvers (K at the
-call's kappa, diagonalized on first use) on every call.  The Lindblad
-oracle (``lindblad_evolve``) applies each timed segment's exact exp(L T),
-block by block, to stacked density matrices; each block size takes one
-Pade-13 ``_expm`` call.
+at any fock_dim 13 from the logical inputs, 7 from the four without a
+photon) and embeds its results back in the full space.  That basis, and
+each segment's H, N, a and pulse maps on it, depend on the schedule and
+the start support only, so ``_structure`` memoizes them, read-only;
+``_compile`` builds new evolvers (K at the call's kappa, diagonalized on
+first use) on every call.  The Lindblad oracle (``lindblad_evolve``)
+applies each timed segment's exact exp(L T), block by block, to stacked
+density matrices; each block size takes one Pade-13 ``_expm`` call.
 
-The jump unraveling is one batched quantum-jump engine.  The
-trajectories of a cell's basis inputs evolve together as one input-major
-row set of an (n, r) array, in blocks of ``_BLOCK_ROWS`` rows so that
-memory does not grow with n_traj; a single trajectory (``mcwf_trajectory``)
-is the one-row case.  Each row evolves its unnormalized state under
-K = H - (i/2) kappa a^dag a exactly per segment, at its own jittered
-duration, by broadcasting exp(-i w t) over per-row times in the
-eigenbasis of K; rows that share one time (every row at epsilon = 0)
-share one row of phases.  Between jumps a row's squared norm only falls,
-so each pass evaluates it once, at the end point of the row's remaining
-time; a row whose norm has fallen below its uniform threshold there
-bisects the crossing to tau/10^4, and only those rows jump.  Pulses swap
-amplitudes elementwise.  A row's result does not depend on which other
-rows share its block.  The ideal gate (``run_ideal``) is the same engine
-at kappa = 0 with unit jitter factors: no row ever decays, so none draws
-or jumps.
+The jump unraveling is one batched quantum-jump engine.  The trajectories
+of the basis inputs that reach one compiled basis evolve together on it as
+one input-major row set, in blocks of ``_BLOCK_ROWS`` rows so that memory
+does not grow with n_traj; a single trajectory (``mcwf_trajectory``) is the
+one-row case.  Rows point at distinct states, each evolved once: the rows
+of one start share its state until they jump or their jitter factors part
+(at epsilon = 0 they share the no-jump path).  A state evolves under
+K = H - (i/2) kappa a^dag a exactly per segment, at its jittered duration,
+as exp(-i w t) on the eigenmodes of K it occupies.  Between jumps its
+squared norm only falls, so each pass evaluates it once, at the end point
+of its remaining time; a row whose uniform threshold is above that norm
+bisects the crossing to tau/10^4 and jumps into a state of its own.  Pulses
+swap amplitudes elementwise.  A row's result does not depend on which
+other rows share its block.  The ideal gate (``run_ideal``) is the same
+engine at kappa = 0 with unit jitter factors: no row ever decays, so none
+draws or jumps.
 
 Randomness contract: one root seed.  Word j of trajectory k of basis
 input b in grid cell c is element j % 4 of Philox4x64-10 (Salmon et al.,
@@ -51,7 +51,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .model import Level, _is_int, annihilation, number_operator, rig_block
+from .model import Level, _is_int, _rig_amplitudes, annihilation, number_operator
 from .protocol import Schedule, segment_drift
 from .qmath import CompositeSpace, DensityMatrix, StateVector, embed_operator
 
@@ -250,9 +250,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
 class _PulseEvolver:
     """Instantaneous classical R_ig pulse on one atom, as an elementwise swap:
     at angle scale x a row becomes c psi + s psi[partner], with (c, s) entries
-    (0, 0) and (0, 2) of ``rig_block(pi x)``, exactly (0, 1) at the nominal
-    angle.  ``partner[j]`` is compiled basis state j with the pulsed atom's
-    |g> and |i> exchanged; states with that atom in |e> are ``fixed``."""
+    (0, 0) and (0, 2) of ``rig_block(pi x)``, so psi[partner] at x = 1.
+    ``partner[j]`` is compiled basis state j with the pulsed atom's |g> and
+    |i> exchanged; states with that atom in |e> are ``fixed``, self-partnered."""
 
     def __init__(self, partner: np.ndarray, fixed: np.ndarray):
         self.lossy = False
@@ -260,9 +260,11 @@ class _PulseEvolver:
 
     def apply(self, psi: np.ndarray, angle_scales: np.ndarray) -> np.ndarray:
         """Rows of ``psi`` after the R_ig pulse, each at its own angle scale."""
-        blocks = rig_block(math.pi * angle_scales)
-        c, s = blocks[:, 0, 0, None], blocks[:, 0, 2, None]
-        return np.where(self._fixed, psi, c * psi + s * psi[:, self._partner])
+        if np.all(angle_scales == 1.0):
+            return psi[:, self._partner]
+        c, s = _rig_amplitudes(math.pi * angle_scales)
+        swapped = c[:, None] * psi + s[:, None] * psi[:, self._partner]
+        return np.where(self._fixed, psi, swapped)
 
 
 class _DriftEvolver:
@@ -297,12 +299,12 @@ class _DriftEvolver:
         return _rows_matmul(psi, vinv.T) if exact else psi
 
     def evolve(self, coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """exp(-iKt) on rows given by ``coefficients``, each for its own time.
-        Rows that all share one time share one row of phases."""
+        """exp(-iKt) on rows given by ``coefficients``, each for its own time."""
         w, v, _, exact = self._eigen
         if exact:
-            if t.size > 1 and np.all(t == t[0]):
-                t = t[:1]
+            occupied = coeffs.any(axis=0)
+            if not occupied.all():
+                w, v, coeffs = w[occupied], v[:, occupied], coeffs[:, occupied]
             return _rows_matmul(np.exp(np.multiply.outer(t, -1j * w)) * coeffs, v.T)
         return (_expm(-1j * self.k * t[:, None, None]) @ coeffs[..., None])[..., 0]
 
@@ -368,6 +370,13 @@ def _compile(schedule: Schedule, noise: NoiseParams,
     return _CompiledSchedule(schedule, evolvers, annihilator, support)
 
 
+def _basis_groups(schedule: Schedule, starts: np.ndarray) -> list[np.ndarray]:
+    """Indices of the start rows ``starts`` (m, dim) grouped by the compiled
+    basis each reaches alone, which is then the basis of its whole group."""
+    bases = [_structure(schedule, (row != 0).tobytes())[0].tobytes() for row in starts]
+    return [np.flatnonzero([b == basis for b in bases]) for basis in dict.fromkeys(bases)]
+
+
 @dataclass(frozen=True)
 class _Block:
     """Final states and records of a block of trajectories, one row each."""
@@ -391,74 +400,95 @@ class _Block:
                                 self.jump_times[row], tuple(self.durations[row]))
 
 
-def _decay(ev: _DriftEvolver, psi: np.ndarray, t0: np.ndarray, duration: np.ndarray,
-           resolution: float, annihilator: np.ndarray, thresholds: np.ndarray,
-           next_thresholds: Callable[..., np.ndarray]) -> tuple[np.ndarray, list]:
-    """Rows of ``psi`` through one lossy segment of per-row start time ``t0``
-    and ``duration``.
+def _decay(ev: _DriftEvolver, psi: np.ndarray, owner: np.ndarray, t0: np.ndarray,
+           duration: np.ndarray, resolution: float, annihilator: np.ndarray,
+           thresholds: np.ndarray, next_thresholds: Callable[..., np.ndarray]
+           ) -> tuple[np.ndarray, np.ndarray, list]:
+    """The distinct states ``psi`` (m, r) through one lossy segment; row i of
+    the block is in state ``owner[i]``, and state j starts at ``t0[j]`` and
+    lasts ``duration[j]``.
 
-    Between jumps a row's squared norm only falls, so each pass evaluates
-    every running row once, at the end of its remaining time.  A row still
-    at or above its threshold there keeps that state and is done.  A row
-    below it bisects [0, remaining] until the bracket is at most ``resolution``
-    wide, jumps at the bracket's midpoint, takes its next threshold into
-    ``thresholds`` and runs again from the jump.  Returns the final rows
-    and, per pass with jumps, (rows, their jump times).
+    Between jumps a state's squared norm only falls, so each pass evaluates
+    every running state once, at the end of its remaining time.  A row below
+    its threshold there bisects [0, remaining], its open rows in compact
+    arrays, to a bracket at most ``resolution`` wide, jumps at its midpoint
+    into a state of its own (its old one if no other row shares it), takes
+    its next threshold into ``thresholds`` and runs again from the jump.
+    Returns the states, each row's state and, per pass with jumps, (rows,
+    their jump times); every state returned has a row.
     """
-    psi = psi.copy()
-    t_done = np.zeros(len(psi))
-    events = []
-    running = np.arange(len(psi))
-    while running.size:
-        start = ev.coefficients(psi[running])
-        remaining = duration[running] - t_done[running]
-        norms = _sq_norms(psi[running])
+    owner, t_done, events = owner.copy(), np.zeros(len(psi)), []
+    # running states, the rows in them, and each row's place among the states
+    states, rows, at = np.arange(len(psi)), np.arange(len(owner)), owner
+    while states.size:
+        start = ev.coefficients(psi[states])
+        remaining = duration[states] - t_done[states]
+        norms = _sq_norms(psi[states])
         slack = 1e-12 * norms
         ends = ev.evolve(start, remaining)
         end_norms = _sq_norms(ends)
         if not np.all(end_norms <= norms + slack):
             raise RuntimeError("squared norm must be non-increasing between jumps")
-        fell = end_norms < thresholds[running]
-        psi[running[~fell]] = ends[~fell]
-        hit = np.nonzero(fell)[0]
-        if hit.size == 0:
+        psi[states] = ends
+        fell = np.flatnonzero(end_norms[at] < thresholds[rows])
+        if fell.size == 0:
             break
-        rows = running[hit]
-        lo, hi = np.zeros(hit.size), remaining[hit]
-        lo_norms, hi_norms, slack = norms[hit], end_norms[hit], slack[hit]
-        bisect = np.nonzero(hi - lo > resolution)[0]
-        while bisect.size:
-            mid = 0.5 * (lo[bisect] + hi[bisect])
-            new = _sq_norms(ev.evolve(start[hit[bisect]], mid))
-            if not np.all((new <= lo_norms[bisect] + slack[bisect])
-                          & (new >= hi_norms[bisect] - slack[bisect])):
+        rows, at = rows[fell], at[fell]
+        # bracket rows: lo, hi, squared norms at lo and hi, each row's slack
+        bracket = np.stack((np.zeros(fell.size), remaining[at], norms[at], end_norms[at],
+                            slack[at]))
+        open_ = np.flatnonzero(bracket[1] - bracket[0] > resolution)
+        edges, coeffs, below = bracket[:, open_], start[at[open_]], thresholds[rows[open_]]
+        while open_.size:
+            lo, hi, lo_norms, hi_norms, tol = edges
+            mid = 0.5 * (lo + hi)
+            new = _sq_norms(ev.evolve(coeffs, mid))
+            if not np.all((new <= lo_norms + tol) & (new >= hi_norms - tol)):
                 raise RuntimeError("squared norm at a bisection midpoint must lie "
                                    "between the norms at its bracket's ends")
-            fell = new < thresholds[rows[bisect]]
-            hi[bisect[fell]], hi_norms[bisect[fell]] = mid[fell], new[fell]
-            lo[bisect[~fell]], lo_norms[bisect[~fell]] = mid[~fell], new[~fell]
-            bisect = bisect[hi[bisect] - lo[bisect] > resolution]
-        t_jump = 0.5 * (lo + hi)
+            side = (new < below).astype(np.intp)       # 1: the crossing is below mid
+            cols = np.arange(open_.size)
+            edges[side, cols], edges[side + 2, cols] = mid, new
+            wide = edges[1] - edges[0] > resolution
+            if not wide.all():
+                bracket[:2, open_[~wide]] = edges[:2, ~wide]
+                open_, edges = open_[wide], edges[:, wide]
+                coeffs, below = coeffs[wide], below[wide]
+        t_jump = 0.5 * (bracket[0] + bracket[1])
 
-        jumped = _rows_matmul(ev.evolve(start[hit], t_jump), annihilator.T)
+        jumped = _rows_matmul(ev.evolve(start[at], t_jump), annihilator.T)
         jumped_norms = np.sqrt(_sq_norms(jumped))
         if np.any(jumped_norms < 1e-15):
             raise RuntimeError("norm underflow: jump operator annihilated the state")
-        psi[rows] = jumped / jumped_norms[:, None]
-        events.append((rows, t0[rows] + t_done[rows] + t_jump))
+        old = states[at]
+        events.append((rows, t0[old] + t_done[old] + t_jump))
         thresholds[rows] = next_thresholds(rows)
-        t_done[rows] += t_jump
-        running = rows[duration[rows] - t_done[rows] > 0.0]
-    return psi, events
+        new = old.copy()
+        shared = np.bincount(owner, minlength=len(psi))[old] > 1
+        if shared.any():
+            new[shared] = len(psi) + np.arange(np.count_nonzero(shared))
+            psi, t0, duration, t_done = (np.concatenate((x, x[old[shared]]))
+                                         for x in (psi, t0, duration, t_done))
+        psi[new] = jumped / jumped_norms[:, None]
+        t_done[new] += t_jump
+        owner[rows] = new
+        keep = duration[new] - t_done[new] > 0.0
+        states, rows, at = new[keep], rows[keep], np.arange(np.count_nonzero(keep))
+    live = np.bincount(owner, minlength=len(psi)) > 0
+    if not live.all():
+        psi, owner = psi[live], (np.cumsum(live) - 1)[owner]
+    return psi, owner, events
 
 
-def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
-            factors: np.ndarray, thresholds: np.ndarray,
+def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, owner: np.ndarray,
+            noise: NoiseParams, factors: np.ndarray, thresholds: np.ndarray,
             next_thresholds: Optional[Callable[..., np.ndarray]]) -> _Block:
-    """Evolve the start rows ``psi`` (n, dim) together, one trajectory each,
-    on the compiled basis, and embed the final rows back in the full space.
-
-    ``factors`` (n, n_segments) are the rows' jitter factors and
+    """Evolve rows from the distinct start states ``psi`` (m, dim), row i from
+    ``psi[owner[i]]``, one trajectory each, on the compiled basis, and embed
+    the final rows back in the full space.  Each distinct state evolves once;
+    a row jumps into a state of its own (``_decay``), and where a segment's
+    factors differ within a state every row takes its own (at epsilon > 0,
+    at segment 0).  ``factors`` (n, n_segments) are the rows' jitter factors and
     ``thresholds`` (n,) their first jump thresholds; ``next_thresholds(rows)``
     gives the next thresholds of ``rows`` after they jump (None if no
     segment decays).  The final rows are not renormalized.
@@ -469,21 +499,24 @@ def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
     thresholds = np.array(thresholds, dtype=np.float64)
     psi, events, elapsed = psi[:, compiled.support], [], np.zeros(n)
     for k, (seg, ev) in enumerate(zip(segments, compiled.evolvers)):
+        if seg.kind != "classical_pulse" and seg.nominal_duration <= 0.0:
+            continue
+        rep = np.zeros(len(psi), dtype=np.intp)     # a row of each state
+        rep[owner] = np.arange(n)
+        if len(psi) < n and np.any(factors[:, k] != factors[rep[owner], k]):
+            psi, owner, rep = psi[owner], np.arange(n), np.arange(n)
         if seg.kind == "classical_pulse":
-            psi = ev.apply(psi, factors[:, k])
-            continue
-        if seg.nominal_duration <= 0.0:
-            continue
-        if not ev.lossy:
-            psi = ev.evolve(ev.coefficients(psi), durations[:, k])
+            psi = ev.apply(psi, factors[rep, k])
+        elif not ev.lossy:
+            psi = ev.evolve(ev.coefficients(psi), durations[rep, k])
         else:
-            psi, passes = _decay(ev, psi, elapsed, durations[:, k],
-                                 noise.tau / 100.0 / 100.0, compiled.annihilator,
-                                 thresholds, next_thresholds)
+            psi, owner, passes = _decay(ev, psi, owner, elapsed[rep], durations[rep, k],
+                                        noise.tau / 100.0 / 100.0, compiled.annihilator,
+                                        thresholds, next_thresholds)
             events += passes
         elapsed += durations[:, k]
     states = np.zeros((n, compiled.schedule.space.total_dim), dtype=np.complex128)
-    states[:, compiled.support] = psi
+    states[:, compiled.support] = psi[owner]
     return _Block(compiled.schedule.space, states, tuple(events), durations)
 
 
@@ -524,8 +557,9 @@ def _run_block(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
 
     factors = (jitter_factors(compiled.schedule, noise.epsilon, _uniforms(words[:, :n_seg]))
                if noise.epsilon else np.ones((len(trajs), n_seg)))
-    block = _evolve(compiled, psi, noise, factors, next_thresholds(np.arange(len(trajs))),
-                    next_thresholds)
+    _, first, owner = np.unique(inputs, return_index=True, return_inverse=True)
+    block = _evolve(compiled, psi[first], owner, noise, factors,
+                    next_thresholds(np.arange(len(trajs))), next_thresholds)
     return replace(block, states=block.states / np.sqrt(_sq_norms(block.states))[:, None],
                    inputs=inputs)
 
@@ -533,7 +567,9 @@ def _run_block(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
 def _trajectory_blocks(compiled: _CompiledSchedule, starts: np.ndarray, noise: NoiseParams,
                        inputs: np.ndarray, cell: int) -> Iterator[_Block]:
     """n_traj trajectories from each start row ``starts[i]`` (basis input
-    ``inputs[i]``) as one input-major row set, ``_BLOCK_ROWS`` rows at a time."""
+    ``inputs[i]``) as one input-major row set on the basis ``compiled`` from
+    them all, ``_BLOCK_ROWS`` rows at a time; a block's rows of one input
+    share a start state."""
     rows = np.arange(len(starts) * noise.n_traj)
     for first in range(0, len(rows), _BLOCK_ROWS):
         which, trajs = np.divmod(rows[first:first + _BLOCK_ROWS], noise.n_traj)
@@ -563,7 +599,7 @@ def _ideal_states(schedule: Schedule, psi: np.ndarray) -> list[StateVector]:
     """
     noise = NoiseParams(tau=math.inf, epsilon=0.0)
     n = len(psi)
-    block = _evolve(_compile(schedule, noise, psi), psi, noise,
+    block = _evolve(_compile(schedule, noise, psi), psi, np.arange(n), noise,
                     np.ones((n, len(schedule.segments))), np.full(n, math.inf), None)
     return [StateVector(schedule.space, row) for row in block.states]
 

@@ -2,14 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from cavity_toffoli import analysis, trajectories
 from cavity_toffoli.analysis import (DEFAULT_EPSILON_GRID, DEFAULT_TAU_GRID,
-                                     FidelityGrid, FidelityResult,
+                                     FidelityGrid, FidelityResult, _logical_basis,
                                      dispersive_validation, gate_fidelity,
                                      lindblad_gate_fidelity, sweep)
-from cavity_toffoli import trajectories
 from cavity_toffoli.model import PhysicalParams
+from cavity_toffoli.protocol import toffoli_schedule
 from cavity_toffoli.trajectories import NoiseParams
 
 # Sampling-free Lindblad reference for the epsilon = 0 column, frozen from
@@ -185,6 +187,40 @@ def test_sweep_deterministic_and_tau_major(params):
     assert lines[1].startswith("0.0005,0.0,")
     assert lines[2].startswith("0.0005,0.05,")
     assert lines[3].startswith("0.001,0.0,")
+
+
+@pytest.mark.parametrize("fock_dim", [3, 4])
+def test_inputs_run_on_the_basis_they_reach(fock_dim):
+    """Inputs 0-3 (one photon) reach 13 basis states and inputs 4-7 (none)
+    reach 7, at any cavity truncation; each group compiles to the basis of
+    each of its inputs alone."""
+    schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim))
+    basis, noise = _logical_basis(schedule), NoiseParams()
+    groups = trajectories._basis_groups(schedule, basis)
+    assert [group.tolist() for group in groups] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+    for group, size in zip(groups, (13, 7)):
+        support = trajectories._compile(schedule, noise, basis[group]).support
+        assert len(support) == size
+        for b in group:
+            np.testing.assert_array_equal(
+                trajectories._compile(schedule, noise, basis[b:b + 1]).support, support)
+
+
+def test_sweep_compiles_once_per_tau_and_group(params, monkeypatch):
+    """A 3 x 2 sweep compiles each (tau, input group) once, 6 calls, and
+    builds one structure per input support (4), the ones its groups
+    compile from: a second sweep builds none."""
+    compile_, calls = analysis._compile, []
+    monkeypatch.setattr(analysis, "_compile",
+                        lambda *args: calls.append(args[1].tau) or compile_(*args))
+    trajectories._structure.cache_clear()
+    taus = (5e-4, 1e-3, 5e-3)
+    sweep(params, taus, (0.0, 0.05), n_traj=5, seed=1)
+    assert calls == [tau for tau in taus for _ in range(2)]
+    info = trajectories._structure.cache_info()
+    assert info.misses == info.currsize == 4
+    sweep(params, taus, (0.0, 0.05), n_traj=5, seed=1)
+    assert trajectories._structure.cache_info().misses == 4
 
 
 def test_sweep_rejects_empty_grid(params):

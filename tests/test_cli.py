@@ -188,6 +188,24 @@ def test_sweep_bad_grid_spec_exits_1(capsys, tmp_path):
         assert not out.exists()
 
 
+def test_sweep_grid_range_needs_finite_ends(capsys, tmp_path):
+    """A start:stop:count grid with a non-finite end is a usage error that
+    names the spec, raised before numpy warns (the suite turns a
+    RuntimeWarning into an error); a comma list still takes inf for tau."""
+    out = tmp_path / "s.csv"
+    for flag, spec in (("--tau-grid", "inf:1:2"), ("--tau-grid", "1e-3:nan:2"),
+                       ("--eps-grid", "-inf:0.01:3")):
+        code, _, err = run_cli(capsys, ["sweep", f"{flag}={spec}", "--n-traj", "5",
+                                        "--out", str(out)])
+        assert code == 1, spec
+        assert err == f"error: grid spec {spec!r} needs a finite start and stop\n"
+        assert not out.exists()
+    code, _, _ = run_cli(capsys, ["sweep", "--tau-grid", "1e-3,inf", "--eps-grid", "0",
+                                  "--n-traj", "5", "--out", str(out)])
+    assert code == 0
+    assert out.read_text().splitlines()[2].startswith("inf,0.0,")
+
+
 # ---------------------------------------------------------------- validate
 
 def test_validate_quick_passes(capsys):

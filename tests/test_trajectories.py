@@ -601,44 +601,87 @@ def test_block_partition_leaves_results_unchanged(schedule, monkeypatch, epsilon
 
 
 def test_gate_fidelity_row_sets_cross_inputs(params, schedule, monkeypatch):
-    """gate_fidelity runs its 8 inputs as one input-major row set: 1, 7, 256
-    and the default rows per block give byte-identical mean and standard
-    error, with 256-row blocks ending inside an input.  Row (b, k) draws its
-    jitter from numpy's Philox(counter=[0, k, b, cell]) and starts from input
-    b, so each input's rows are its own ``run_trajectories``."""
-    noise = NoiseParams(tau=2e-4, epsilon=0.05, n_traj=40, seed=3)
+    """gate_fidelity runs the inputs of each compiled basis as one
+    input-major row set: 1, 7, 256 and the default rows per block give
+    byte-identical mean and standard error, with 256-row blocks ending
+    inside an input.  Row (b, k) draws its jitter from numpy's
+    Philox(counter=[0, k, b, cell]) and starts from input b, and its final
+    state is byte for byte row k of input b's ``run_trajectories``, with
+    jitter and without (where the rows of an input share their states)."""
     real_run_block, blocks = trajectories._run_block, []
 
     def recording_run_block(*args):
-        blocks.append(real_run_block(*args))
-        return blocks[-1]
+        blocks[-1].append(real_run_block(*args))
+        return blocks[-1][-1]
 
     monkeypatch.setattr(trajectories, "_run_block", recording_run_block)
-    results = []
-    for block_rows in (1, 7, 256, _BLOCK_ROWS):
-        blocks.clear()
-        monkeypatch.setattr(trajectories, "_BLOCK_ROWS", block_rows)
-        res = gate_fidelity(params, noise, cell_index=4)
-        results.append((res.mean.hex(), res.std_error.hex()))
-    assert 256 % noise.n_traj != 0 and len(LOGICAL_BITS) * noise.n_traj > 256
-    assert results[1:] == results[:1] * 3
-    assert sum(len(t) for block in blocks for t in block.jump_times) >= 20
-    inputs = np.concatenate([block.inputs for block in blocks])
-    durations = np.concatenate([block.durations for block in blocks])
     n_seg = len(schedule.segments)
     nominal = np.array([seg.nominal_duration for seg in schedule.segments])
-    for row, (b, k) in enumerate(np.ndindex(len(LOGICAL_BITS), noise.n_traj)):
-        words = np.random.Philox(key=3, counter=[0, k, b, 4]).random_raw(n_seg)
-        factors = jitter_factors(schedule, 0.05, trajectories._uniforms(words)[None])
-        assert inputs[row] == b
-        np.testing.assert_array_equal(durations[row], nominal * factors[0])
-    per_input = []
-    for b, bits in enumerate(LOGICAL_BITS):
-        target = encode_logical(toffoli_map(bits), schedule.space).amplitudes
-        runs = run_trajectories(schedule, encode_logical(bits, schedule.space), noise,
-                                basis_input=b, cell=4)
-        per_input += [abs(np.vdot(target, r.final_state.amplitudes)) ** 2 for r in runs]
-    assert float.fromhex(results[0][0]) == pytest.approx(np.mean(per_input), abs=1e-14)
+    for epsilon in (0.05, 0.0):
+        noise = NoiseParams(tau=2e-4, epsilon=epsilon, n_traj=40, seed=3)
+        results, blocks[:] = [], []
+        for block_rows in (1, 7, 256, _BLOCK_ROWS):
+            blocks.append([])
+            monkeypatch.setattr(trajectories, "_BLOCK_ROWS", block_rows)
+            res = gate_fidelity(params, noise, cell_index=4)
+            results.append((res.mean.hex(), res.std_error.hex()))
+        assert 256 % noise.n_traj != 0 and len(LOGICAL_BITS) * noise.n_traj > 256
+        assert results[1:] == results[:1] * 3
+        assert sum(len(t) for block in blocks[-1] for t in block.jump_times) >= 20
+        per_input, runs = [], []
+        for b, bits in enumerate(LOGICAL_BITS):
+            target = encode_logical(toffoli_map(bits), schedule.space).amplitudes
+            runs += run_trajectories(schedule, encode_logical(bits, schedule.space), noise,
+                                     basis_input=b, cell=4)
+            per_input += [abs(np.vdot(target, r.final_state.amplitudes)) ** 2
+                          for r in runs[-noise.n_traj:]]
+        for run in blocks:
+            inputs = np.concatenate([block.inputs for block in run])
+            durations = np.concatenate([block.durations for block in run])
+            states = np.concatenate([block.states for block in run])
+            jump_times = [t for block in run for t in block.jump_times]
+            for row, (b, k) in enumerate(np.ndindex(len(LOGICAL_BITS), noise.n_traj)):
+                words = np.random.Philox(key=3, counter=[0, k, b, 4]).random_raw(n_seg)
+                factors = jitter_factors(schedule, epsilon, trajectories._uniforms(words)[None])
+                assert inputs[row] == b
+                np.testing.assert_array_equal(durations[row], nominal * factors[0])
+                assert states[row].tobytes() == runs[row].final_state.amplitudes.tobytes()
+                assert jump_times[row] == runs[row].jump_times
+        assert float.fromhex(results[0][0]) == pytest.approx(np.mean(per_input), abs=1e-14)
+
+
+@pytest.mark.parametrize("tau", [1e3, 2e-4])
+def test_rows_share_a_state_until_they_jump(schedule, monkeypatch, tau):
+    """At epsilon = 0 the rows of one start share one state until they
+    jump: every state evaluation of a 1000-row ``run_trajectories`` (each
+    end-point pass and lossless segment maps its rows to K's eigenbasis
+    once) sees at most one row for the start plus one per row jumped so
+    far, so one row while none jumps (tau = 1000 s)."""
+    psi0 = encode_logical((0, 0, 0), schedule.space)
+    noise = NoiseParams(tau=tau, epsilon=0.0, n_traj=1000, seed=3)
+    annihilator = trajectories._compile(schedule, noise, psi0.amplitudes[None]).annihilator
+    seen, jumped = [], [0]
+    coefficients = trajectories._DriftEvolver.coefficients
+    rows_matmul = trajectories._rows_matmul
+
+    def counting_coefficients(self, psi):
+        seen.append((len(psi), jumped[0]))
+        return coefficients(self, psi)
+
+    def counting_matmul(rows, matrix):
+        if matrix.base is annihilator:      # the jump of each row that jumps
+            jumped[0] += len(rows)
+        return rows_matmul(rows, matrix)
+
+    monkeypatch.setattr(trajectories._DriftEvolver, "coefficients", counting_coefficients)
+    monkeypatch.setattr(trajectories, "_rows_matmul", counting_matmul)
+    results = run_trajectories(schedule, psi0, noise)
+    assert jumped[0] == sum(len(res.jump_times) for res in results)
+    assert len(seen) >= 3 and all(size <= 1 + so_far for size, so_far in seen)
+    if tau < 1.0:
+        assert jumped[0] >= 100 and max(size for size, _ in seen) > 1
+    else:
+        assert jumped[0] == 0 and {size for size, _ in seen} == {1}
 
 
 def test_jumped_state_ends_in_vacuum_sector(params):
