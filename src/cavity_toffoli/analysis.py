@@ -17,11 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import PhysicalParams, _dispersive_unit, jc_hamiltonian, number_operator
+from .model import PhysicalParams, _detuned_family, _dispersive_family
 from .protocol import (LOGICAL_BITS, Schedule, encode_logical, toffoli_map,
                        toffoli_schedule)
-from .qmath import OperatorMatrix, embed_operator, propagator
-from .trajectories import (NoiseParams, _basis_groups, _check_counter_words, _compile,
+from .qmath import propagator
+from .trajectories import (NoiseParams, _check_counter_words, _compiled_groups,
                            _CompiledSchedule, _ideal_states, _lindblad_stack, _rows_matmul,
                            _trajectory_blocks)
 # perfbench/selftest.py checks that its tracer patches this binding too
@@ -122,26 +122,17 @@ def gate_fidelity(params: PhysicalParams, noise: NoiseParams, *,
                   cell_index: int = 0) -> FidelityResult:
     """Trajectory-averaged Toffoli fidelity over the 8 logical basis inputs.
 
-    The inputs that reach one compiled basis run as one input-major row
-    set on it (inputs 0-3 on 13 states, 4-7 on 7), so every row is bit for
-    bit its ``run_trajectories`` row.  Per-trajectory fidelities are
-    pooled across inputs, in input-major order, for the standard error.
-    ``cell_index`` selects the RNG counter block; sweeps pass the row-major
-    cell index so each cell is an independent stream family.
+    The inputs that reach one compiled basis run as one input-major row set
+    on it (inputs 0-3 on 13 states, 4-7 on 7), so every row is bit for bit
+    its ``run_trajectories`` row; fidelities are pooled for the standard
+    error.  ``cell_index`` selects the RNG counter block; sweeps pass the
+    row-major cell index so each cell is an independent stream family.
     """
     _check_counter_words(cell_index=cell_index)
     if schedule is None:
         schedule = toffoli_schedule(params)
     basis = _logical_basis(schedule)
     return _cell_fidelity(_compiled_groups(schedule, noise, basis), basis, noise, cell_index)
-
-
-def _compiled_groups(schedule: Schedule, noise: NoiseParams,
-                     basis: np.ndarray) -> list[tuple[np.ndarray, _CompiledSchedule]]:
-    """Each of ``_basis_groups`` with the schedule compiled at ``noise.tau``
-    from its first row, whose basis and memoized structure it shares."""
-    return [(group, _compile(schedule, noise, basis[group[:1]]))
-            for group in _basis_groups(schedule, basis)]
 
 
 def _cell_fidelity(groups: list[tuple[np.ndarray, _CompiledSchedule]], basis: np.ndarray,
@@ -232,25 +223,20 @@ def dispersive_validation(params: PhysicalParams,
 
     For each delta/omega ratio, reports min_b |<psi_b| U_full^dag U_disp
     |psi_b>|^2 over the 8 encoded collision-input states, with matched
-    lambda = omega^2/(4 delta) and t_col = pi/lambda.  H_disp / lambda, a^dag a
-    and the two Jaynes-Cummings terms of ``full_detuned_hamiltonian`` are
-    built once; each ratio only scales and adds them, in that function's order.
+    lambda = omega^2/(4 delta) and t_col = pi/lambda.
     """
     ratios = tuple(float(r) for r in ratios)
     if any(r < 1.0 for r in ratios):
         raise ValueError("delta/omega ratios must be >= 1")
     inputs = _collision_inputs(params)
     space = params.protocol_space()
-    unit = _dispersive_unit(1, 2, space)
-    n_cav = embed_operator(space, [0], number_operator(params.fock_dim)).entries
-    jc1, jc2 = (jc_hamiltonian(params, atom, space).entries for atom in (1, 2))
+    h_disp, h_full = _dispersive_family(1, 2, space), _detuned_family(params, 1, 2, space)
     reports = []
     for ratio in ratios:
         p = replace(params, delta=ratio * params.omega)
         t_col = p.t_collision
-        u_disp = propagator(OperatorMatrix(space, p.lam * unit, hermitian=True), t_col).entries
-        u_full = propagator(OperatorMatrix(space, p.delta * n_cav + jc1 + jc2, hermitian=True),
-                            t_col).entries
+        u_disp = propagator(h_disp(p.lam), t_col).entries
+        u_full = propagator(h_full(p.delta), t_col).entries
         compare = u_full.conj().T @ u_disp
         overlaps = tuple(
             float(min(abs(np.vdot(psi, compare @ psi)) ** 2, 1.0)) for psi in inputs)

@@ -17,6 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Callable
 
 import numpy as np
 
@@ -152,12 +153,12 @@ def dispersive_hamiltonian(params: PhysicalParams, atom1: int, atom2: int,
     No photon is exchanged with the field ([H, a^dag a] = 0); the atoms
     swap excitation virtually and pick up photon-number-conditioned phases.
     """
-    return OperatorMatrix(space, params.lam * _dispersive_unit(atom1, atom2, space),
-                          hermitian=True)
+    return _dispersive_family(atom1, atom2, space)(params.lam)
 
 
-def _dispersive_unit(atom1: int, atom2: int, space: CompositeSpace) -> np.ndarray:
-    """The bracket of ``dispersive_hamiltonian``, H / lam, as a dense matrix."""
+def _dispersive_family(atom1: int, atom2: int,
+                       space: CompositeSpace) -> Callable[[float], OperatorMatrix]:
+    """``dispersive_hamiltonian`` as a function of lam; its operators are built here once."""
     _check_atom_subsystem(space, atom1)
     _check_atom_subsystem(space, atom2)
     if atom1 == atom2:
@@ -181,7 +182,7 @@ def _dispersive_unit(atom1: int, atom2: int, space: CompositeSpace) -> np.ndarra
     atoms_space = CompositeSpace((ATOM_DIM, ATOM_DIM))
     total += embed_operator(space, [atom1, atom2],
                             OperatorMatrix(atoms_space, exchange, hermitian=True)).entries
-    return total
+    return lambda lam: OperatorMatrix(space, lam * total, hermitian=True)
 
 
 def _rig_amplitudes(angle: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,8 +193,7 @@ def _rig_amplitudes(angle: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phase = np.cos(half) + 1j * np.sin(half)
     c = phase * np.cos(half)
     s = -1j * phase * np.sin(half)
-    nominal = angle == math.pi
-    return np.where(nominal, 0.0, c), np.where(nominal, 1.0, s)
+    return np.where(angle == math.pi, 0.0, c), np.where(angle == math.pi, 1.0, s)
 
 
 def rig_block(angle: float | np.ndarray = math.pi) -> np.ndarray:
@@ -220,12 +220,17 @@ def full_detuned_hamiltonian(params: PhysicalParams, atom1: int, atom2: int,
     H = delta a^dag a + sum_j (i omega/2)(a^dag |g_j><e_j| - a |e_j><g_j|).
     Used to validate the dispersive approximation numerically.
     """
+    return _detuned_family(params, atom1, atom2, space)(params.delta)
+
+
+def _detuned_family(params: PhysicalParams, atom1: int, atom2: int,
+                    space: CompositeSpace) -> Callable[[float], OperatorMatrix]:
+    """``full_detuned_hamiltonian`` as a function of delta, at ``params.omega``;
+    its operators are built here once."""
     _check_atom_subsystem(space, atom1)
     _check_atom_subsystem(space, atom2)
     if atom1 == atom2:
         raise ValueError("need two distinct atoms")
-    cav_dim = space.subsystem_dims[0]
-    h = params.delta * embed_operator(space, [0], number_operator(cav_dim)).entries
-    h = h + jc_hamiltonian(params, atom1, space).entries
-    h = h + jc_hamiltonian(params, atom2, space).entries
-    return OperatorMatrix(space, h, hermitian=True)
+    n_cav = embed_operator(space, [0], number_operator(space.subsystem_dims[0])).entries
+    jc1, jc2 = (jc_hamiltonian(params, atom, space).entries for atom in (atom1, atom2))
+    return lambda delta: OperatorMatrix(space, delta * n_cav + jc1 + jc2, hermitian=True)

@@ -21,12 +21,12 @@ one-row case.  Rows point at distinct states, each evolved once: the rows
 of one start share its state until they jump or their jitter factors part
 (at epsilon = 0 they share the no-jump path).  A state evolves under
 K = H - (i/2) kappa a^dag a exactly per segment, at its jittered duration,
-as exp(-i w t) on the eigenmodes of K it occupies.  Between jumps its
-squared norm only falls, so each pass evaluates it once, at the end point
-of its remaining time; a row whose uniform threshold is above that norm
-bisects the crossing to tau/10^4 and jumps into a state of its own.  Pulses
-swap amplitudes elementwise.  A row's result does not depend on which
-other rows share its block.  The ideal gate (``run_ideal``) is the same
+as exp(-i w t) in the eigenbasis of K.  Between jumps its squared norm
+only falls, so each pass evaluates it once, at the end point of its
+remaining time; a row whose uniform threshold is above that norm bisects
+the crossing to tau/10^4 and jumps into a state of its own.  Pulses swap
+amplitudes elementwise.  A row's result does not depend on which other
+rows share its block.  The ideal gate (``run_ideal``) is the same
 engine at kappa = 0 with unit jitter factors: no row ever decays, so none
 draws or jumps.
 
@@ -302,9 +302,6 @@ class _DriftEvolver:
         """exp(-iKt) on rows given by ``coefficients``, each for its own time."""
         w, v, _, exact = self._eigen
         if exact:
-            occupied = coeffs.any(axis=0)
-            if not occupied.all():
-                w, v, coeffs = w[occupied], v[:, occupied], coeffs[:, occupied]
             return _rows_matmul(np.exp(np.multiply.outer(t, -1j * w)) * coeffs, v.T)
         return (_expm(-1j * self.k * t[:, None, None]) @ coeffs[..., None])[..., 0]
 
@@ -370,11 +367,15 @@ def _compile(schedule: Schedule, noise: NoiseParams,
     return _CompiledSchedule(schedule, evolvers, annihilator, support)
 
 
-def _basis_groups(schedule: Schedule, starts: np.ndarray) -> list[np.ndarray]:
+def _compiled_groups(schedule: Schedule, noise: NoiseParams, starts: np.ndarray
+                     ) -> list[tuple[np.ndarray, _CompiledSchedule]]:
     """Indices of the start rows ``starts`` (m, dim) grouped by the compiled
-    basis each reaches alone, which is then the basis of its whole group."""
+    basis each reaches alone, each group with the schedule compiled at
+    ``noise.tau`` from its first row, whose basis is the whole group's."""
     bases = [_structure(schedule, (row != 0).tobytes())[0].tobytes() for row in starts]
-    return [np.flatnonzero([b == basis for b in bases]) for basis in dict.fromkeys(bases)]
+    return [(group, _compile(schedule, noise, starts[group[:1]]))
+            for group in (np.flatnonzero([b == basis for b in bases])
+                          for basis in dict.fromkeys(bases))]
 
 
 @dataclass(frozen=True)
@@ -404,9 +405,8 @@ def _decay(ev: _DriftEvolver, psi: np.ndarray, owner: np.ndarray, t0: np.ndarray
            duration: np.ndarray, resolution: float, annihilator: np.ndarray,
            thresholds: np.ndarray, next_thresholds: Callable[..., np.ndarray]
            ) -> tuple[np.ndarray, np.ndarray, list]:
-    """The distinct states ``psi`` (m, r) through one lossy segment; row i of
-    the block is in state ``owner[i]``, and state j starts at ``t0[j]`` and
-    lasts ``duration[j]``.
+    """The distinct states ``psi`` (m, r) through one lossy segment; row i is
+    in state ``owner[i]``, and state j starts at ``t0[j]`` for ``duration[j]``.
 
     Between jumps a state's squared norm only falls, so each pass evaluates
     every running state once, at the end of its remaining time.  A row below
@@ -434,27 +434,24 @@ def _decay(ev: _DriftEvolver, psi: np.ndarray, owner: np.ndarray, t0: np.ndarray
         if fell.size == 0:
             break
         rows, at = rows[fell], at[fell]
-        # bracket rows: lo, hi, squared norms at lo and hi, each row's slack
-        bracket = np.stack((np.zeros(fell.size), remaining[at], norms[at], end_norms[at],
-                            slack[at]))
-        open_ = np.flatnonzero(bracket[1] - bracket[0] > resolution)
-        edges, coeffs, below = bracket[:, open_], start[at[open_]], thresholds[rows[open_]]
+        t_jump, open_ = 0.5 * remaining[at], np.flatnonzero(remaining[at] > resolution)
+        # open rows: lo, hi, squared norms at lo and hi, slack, start, threshold
+        bracket = [np.zeros(open_.size), *(x[at[open_]] for x in (
+            remaining, norms, end_norms, slack, start)), thresholds[rows[open_]]]
         while open_.size:
-            lo, hi, lo_norms, hi_norms, tol = edges
+            lo, hi, lo_norms, hi_norms, tol, coeffs, below = bracket
             mid = 0.5 * (lo + hi)
             new = _sq_norms(ev.evolve(coeffs, mid))
             if not np.all((new <= lo_norms + tol) & (new >= hi_norms - tol)):
                 raise RuntimeError("squared norm at a bisection midpoint must lie "
                                    "between the norms at its bracket's ends")
-            side = (new < below).astype(np.intp)       # 1: the crossing is below mid
-            cols = np.arange(open_.size)
-            edges[side, cols], edges[side + 2, cols] = mid, new
-            wide = edges[1] - edges[0] > resolution
+            down = new < below
+            bracket[:4] = (np.where(down, lo, mid), np.where(down, mid, hi),
+                           np.where(down, lo_norms, new), np.where(down, new, hi_norms))
+            wide = bracket[1] - bracket[0] > resolution
             if not wide.all():
-                bracket[:2, open_[~wide]] = edges[:2, ~wide]
-                open_, edges = open_[wide], edges[:, wide]
-                coeffs, below = coeffs[wide], below[wide]
-        t_jump = 0.5 * (bracket[0] + bracket[1])
+                t_jump[open_[~wide]] = 0.5 * (bracket[0] + bracket[1])[~wide]
+                open_, bracket = open_[wide], [x[wide] for x in bracket]
 
         jumped = _rows_matmul(ev.evolve(start[at], t_jump), annihilator.T)
         jumped_norms = np.sqrt(_sq_norms(jumped))
@@ -485,10 +482,9 @@ def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, owner: np.ndarray,
             next_thresholds: Optional[Callable[..., np.ndarray]]) -> _Block:
     """Evolve rows from the distinct start states ``psi`` (m, dim), row i from
     ``psi[owner[i]]``, one trajectory each, on the compiled basis, and embed
-    the final rows back in the full space.  Each distinct state evolves once;
-    a row jumps into a state of its own (``_decay``), and where a segment's
-    factors differ within a state every row takes its own (at epsilon > 0,
-    at segment 0).  ``factors`` (n, n_segments) are the rows' jitter factors and
+    the final rows back in the full space.  Each distinct state evolves once
+    until a row jumps (``_decay``) or its segment factor parts from its
+    state's.  ``factors`` (n, n_segments) are the rows' jitter factors and
     ``thresholds`` (n,) their first jump thresholds; ``next_thresholds(rows)``
     gives the next thresholds of ``rows`` after they jump (None if no
     segment decays).  The final rows are not renormalized.
@@ -568,8 +564,7 @@ def _trajectory_blocks(compiled: _CompiledSchedule, starts: np.ndarray, noise: N
                        inputs: np.ndarray, cell: int) -> Iterator[_Block]:
     """n_traj trajectories from each start row ``starts[i]`` (basis input
     ``inputs[i]``) as one input-major row set on the basis ``compiled`` from
-    them all, ``_BLOCK_ROWS`` rows at a time; a block's rows of one input
-    share a start state."""
+    them all, ``_BLOCK_ROWS`` rows at a time; an input's rows share a start."""
     rows = np.arange(len(starts) * noise.n_traj)
     for first in range(0, len(rows), _BLOCK_ROWS):
         which, trajs = np.divmod(rows[first:first + _BLOCK_ROWS], noise.n_traj)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cavity_toffoli import analysis, trajectories
+from cavity_toffoli import trajectories
 from cavity_toffoli.analysis import (DEFAULT_EPSILON_GRID, DEFAULT_TAU_GRID,
                                      FidelityGrid, FidelityResult, _logical_basis,
                                      dispersive_validation, gate_fidelity,
@@ -196,11 +196,12 @@ def test_inputs_run_on_the_basis_they_reach(fock_dim):
     each of its inputs alone."""
     schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim))
     basis, noise = _logical_basis(schedule), NoiseParams()
-    groups = trajectories._basis_groups(schedule, basis)
-    assert [group.tolist() for group in groups] == [[0, 1, 2, 3], [4, 5, 6, 7]]
-    for group, size in zip(groups, (13, 7)):
+    groups = trajectories._compiled_groups(schedule, noise, basis)
+    assert [group.tolist() for group, _ in groups] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+    for (group, compiled), size in zip(groups, (13, 7)):
         support = trajectories._compile(schedule, noise, basis[group]).support
         assert len(support) == size
+        np.testing.assert_array_equal(compiled.support, support)
         for b in group:
             np.testing.assert_array_equal(
                 trajectories._compile(schedule, noise, basis[b:b + 1]).support, support)
@@ -210,8 +211,8 @@ def test_sweep_compiles_once_per_tau_and_group(params, monkeypatch):
     """A 3 x 2 sweep compiles each (tau, input group) once, 6 calls, and
     builds one structure per input support (4), the ones its groups
     compile from: a second sweep builds none."""
-    compile_, calls = analysis._compile, []
-    monkeypatch.setattr(analysis, "_compile",
+    compile_, calls = trajectories._compile, []
+    monkeypatch.setattr(trajectories, "_compile",
                         lambda *args: calls.append(args[1].tau) or compile_(*args))
     trajectories._structure.cache_clear()
     taus = (5e-4, 1e-3, 5e-3)
