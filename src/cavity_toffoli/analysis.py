@@ -111,12 +111,6 @@ def logical_process_matrix(schedule: Schedule) -> np.ndarray:
     return basis.conj() @ outputs.T
 
 
-def truth_table_fidelities(schedule: Schedule) -> np.ndarray:
-    """Per-input |<encode(Toffoli(b))| U |encode(b)>|^2, in LOGICAL_BITS order."""
-    process = logical_process_matrix(schedule)
-    return np.abs(process[_IMAGES, range(len(LOGICAL_BITS))]) ** 2
-
-
 def gate_fidelity(params: PhysicalParams, noise: NoiseParams, *,
                   schedule: Schedule | None = None,
                   cell_index: int = 0) -> FidelityResult:

@@ -186,31 +186,16 @@ def _dispersive_family(atom1: int, atom2: int,
 
 
 def _rig_amplitudes(angle: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c, s) of the classical |i> <-> |g> pulse at ``angle``: it maps |g> to
-    c|g> + s|i> and |i> to s|g> + c|i>, exactly (0, 1) at the nominal angle pi."""
+    """(c, s) of the classical |i> <-> |g> pulse exp(-i (angle/2)(X_gi - I_gi))
+    at ``angle``, identity on |e>: it maps |g> to c|g> + s|i> and |i> to
+    s|g> + c|i>, exactly (0, 1) at the nominal angle pi.  Angles other than
+    pi model angle imprecision; an array gives one (c, s) per entry."""
     angle = np.asarray(angle, dtype=np.float64)
     half = 0.5 * angle
     phase = np.cos(half) + 1j * np.sin(half)
     c = phase * np.cos(half)
     s = -1j * phase * np.sin(half)
     return np.where(angle == math.pi, 0.0, c), np.where(angle == math.pi, 1.0, s)
-
-
-def rig_block(angle: float | np.ndarray = math.pi) -> np.ndarray:
-    """3x3 unitary of the classical |i> <-> |g> pulse.
-
-    At the nominal angle pi this is the exact real swap |i> <-> |g>
-    (identity on |e>); other angles give the continuous pulse family
-    exp(-i (angle/2)(X_gi - I_gi)) used to model angle imprecision.
-    An array of angles gives one block per entry, stacked on its shape.
-    """
-    c, s = _rig_amplitudes(angle)
-    # level order (g, e, i) is fixed by the Level enum; the indices below rely on it
-    block = np.zeros(c.shape + (3, 3), dtype=np.complex128)
-    block[..., 0, 0] = block[..., 2, 2] = c
-    block[..., 0, 2] = block[..., 2, 0] = s
-    block[..., 1, 1] = 1.0
-    return block
 
 
 def full_detuned_hamiltonian(params: PhysicalParams, atom1: int, atom2: int,

@@ -129,10 +129,6 @@ class OperatorMatrix:
                 raise ValueError(f"unitary tag violated: max|M M^dag - I| = {err:.3e}")
         object.__setattr__(self, "entries", entries)
 
-    def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.entries.conj().T,
-                              hermitian=self.hermitian, unitary=self.unitary)
-
     def apply(self, state: StateVector) -> StateVector:
         if self.space != state.space:
             raise ValueError("apply: operator and state spaces differ")

@@ -11,7 +11,9 @@ the start support only, so ``_structure`` memoizes them, read-only;
 ``_compile`` builds new evolvers (K at the call's kappa, diagonalized on
 first use) on every call.  The Lindblad oracle (``lindblad_evolve``)
 applies each timed segment's exact exp(L T), block by block, to stacked
-density matrices; each block size takes one Pade-13 ``_expm`` call.
+density matrices.  The blocks' partition is memoized beside the structure
+(``_partition``), and each block size of the whole schedule takes one
+Pade-13 ``_expm`` call.
 
 The jump unraveling is one batched quantum-jump engine.  The trajectories
 of the basis inputs that reach one compiled basis evolve together on it as
@@ -57,7 +59,7 @@ from .qmath import CompositeSpace, DensityMatrix, StateVector, embed_operator
 
 #: trajectories evolved together; bounds the engine's memory for any n_traj
 _BLOCK_ROWS = 2048
-#: (schedule, start support) structures ``_compile`` keeps
+#: (schedule, start support) structures ``_compile`` keeps, and Liouvillian partitions
 _STRUCTURES = 8
 #: cond_1(V) above which a generator takes expm, not V exp(w T) V^-1
 _EIG_COND_MAX = 1e4
@@ -249,8 +251,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 class _PulseEvolver:
     """Instantaneous classical R_ig pulse on one atom, as an elementwise swap:
-    at angle scale x a row becomes c psi + s psi[partner], with (c, s) entries
-    (0, 0) and (0, 2) of ``rig_block(pi x)``, so psi[partner] at x = 1.
+    at angle scale x a row becomes c psi + s psi[partner], with (c, s) =
+    ``_rig_amplitudes(pi x)``, so psi[partner] at x = 1.
     ``partner[j]`` is compiled basis state j with the pulsed atom's |g> and
     |i> exchanged; states with that atom in |e> are ``fixed``, self-partnered."""
 
@@ -315,6 +317,8 @@ class _CompiledSchedule:
     annihilator: np.ndarray
     #: full-space index of each compiled basis state, ascending
     support: np.ndarray
+    #: the start support ``_structure`` was keyed by (a bool mask, as bytes)
+    starts_mask: bytes
 
 
 @lru_cache(maxsize=_STRUCTURES)
@@ -358,13 +362,13 @@ def _compile(schedule: Schedule, noise: NoiseParams,
     The structure is memoized per (schedule, start support); the evolvers,
     and so every eigendecomposition, are new on each call.
     """
-    support, annihilator, n_cav, ops = _structure(
-        schedule, np.any(np.asarray(starts) != 0, axis=0).tobytes())
+    starts_mask = np.any(np.asarray(starts) != 0, axis=0).tobytes()
+    support, annihilator, n_cav, ops = _structure(schedule, starts_mask)
     evolvers = tuple(
         _PulseEvolver(*op) if seg.kind == "classical_pulse" else
         _DriftEvolver(op[0], noise.kappa if seg.loss_active else 0.0, n_cav)
         for seg, op in zip(schedule.segments, ops))
-    return _CompiledSchedule(schedule, evolvers, annihilator, support)
+    return _CompiledSchedule(schedule, evolvers, annihilator, support, starts_mask)
 
 
 def _compiled_groups(schedule: Schedule, noise: NoiseParams, starts: np.ndarray
@@ -649,53 +653,74 @@ def _components(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.unique(labels, return_inverse=True)[1]
 
 
-def _liouvillian_blocks(ev: _DriftEvolver, annihilator: np.ndarray,
-                        duration: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Exact channel exp(L T) of one timed segment, as independent blocks.
+@lru_cache(maxsize=_STRUCTURES)
+def _partition(schedule: Schedule, starts_mask: bytes, decays: tuple[bool, ...]) -> tuple:
+    """Each segment's Liouvillian blocks on the ``_structure`` (schedule,
+    ``starts_mask``), given whether it ``decays``: per block size, the pair
+    indices (n_blocks, size) and their row (i, j) and column (k, l) grids,
+    read-only; () for pulses and zero durations.  L couples the pair index
+    i*dim + j only within products of K's connected components, joined where
+    the jump lowers both indices, so only the nonzeros of H and a matter."""
+    _, a, _, ops = _structure(schedule, starts_mask)
+    dim, parts = len(a), []
+    for seg, op, lossy in zip(schedule.segments, ops, decays):
+        if seg.kind == "classical_pulse" or seg.nominal_duration <= 0.0:
+            parts.append(())
+            continue
+        states = _components(dim, *np.nonzero(op[0]))
+        down, up = (states[axis] for axis in np.nonzero(a * lossy))
+        sectors = _components(dim * dim, np.add.outer(down * dim, down).ravel(),
+                              np.add.outer(up * dim, up).ravel())
+        labels = sectors[np.add.outer(states * dim, states)].ravel()
+        sizes = np.bincount(labels)[labels]
+        order = np.lexsort((labels, sizes))
+        idxs = [order[sizes[order] == size].reshape(-1, size) for size in np.unique(sizes)]
+        parts.append(tuple((idx, *divmod(idx[:, :, None], dim), *divmod(idx[:, None, :], dim))
+                           for idx in idxs))
+        for x in (x for block in parts[-1] for x in block):
+            x.flags.writeable = False
+    return tuple(parts)
 
-    L = -i(K kron 1 - 1 kron conj(K)) + kappa a kron conj(a) is the row-major
-    vectorization of d rho/dt = -i(K rho - rho K^dag) + kappa a rho a^dag.  It
-    couples the pair index i*dim + j only within products of K's connected
-    components, joined where the jump lowers both indices, so it splits into
-    small blocks read off the nonzero patterns of K and a.  Yields, per block
-    size, the pair indices (n_blocks, size) and their exp(L T) blocks from one
-    ``_expm`` call; no dim^2 x dim^2 operand is formed.
-    """
-    k_op, dim = ev.k, len(ev.k)
-    jump = math.sqrt(ev.kappa) * annihilator
-    states = _components(dim, *np.nonzero(k_op))
-    down, up = (states[axis] for axis in np.nonzero(jump))
-    sectors = _components(dim * dim, np.add.outer(down * dim, down).ravel(),
-                          np.add.outer(up * dim, up).ravel())
-    labels = sectors[np.add.outer(states * dim, states)].ravel()
-    sizes = np.bincount(labels)[labels]
-    order = np.lexsort((labels, sizes))
-    for size in np.unique(sizes):
-        idx = order[sizes[order] == size].reshape(-1, size)
-        i, j = divmod(idx[:, :, None], dim)
-        k, l = divmod(idx[:, None, :], dim)
-        gen = (-1j * (k_op[i, k] * (j == l) - (i == k) * k_op[j, l].conj())
-               + jump[i, k] * jump[j, l].conj())
-        yield idx, _expm(gen * duration)
+
+def _liouvillian_blocks(compiled: _CompiledSchedule
+                        ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Generator L of each timed segment's channel exp(L T), as independent blocks:
+    L = -i(K kron 1 - 1 kron conj(K)) + kappa a kron conj(a), at the segment's own
+    kappa, vectorizes d rho/dt = -i(K rho - rho K^dag) + kappa a rho a^dag row-major.
+    Yields (segment, pair indices (n_blocks, size), their blocks of L) in segment
+    order, off the memoized ``_partition``; no dim^2 x dim^2 operand is formed."""
+    partition = _partition(compiled.schedule, compiled.starts_mask,
+                           tuple(ev.lossy for ev in compiled.evolvers))
+    for n, (ev, blocks) in enumerate(zip(compiled.evolvers, partition)):
+        jump = math.sqrt(ev.kappa) * compiled.annihilator if blocks else None
+        for idx, i, j, k, l in blocks:
+            yield n, idx, (-1j * (ev.k[i, k] * (j == l) - (i == k) * ev.k[j, l].conj())
+                           + jump[i, k] * jump[j, l].conj())
 
 
 def _lindblad_stack(schedule: Schedule, rho0s: np.ndarray, tau: float) -> np.ndarray:
     """Density matrices ``rho0s`` (m, dim, dim) through the exact Lindblad channel,
-    as one stack on the compiled basis of their rows' and columns' support."""
+    as one stack on the compiled basis of their rows' and columns' support.
+    The blocks L T of one size, over all timed segments, take one ``_expm``
+    call, which treats each matrix on its own; they act in segment order."""
     compiled = _compile(schedule, NoiseParams(tau=tau, epsilon=0.0),   # checks tau > 0
                         (rho0s != 0).any(axis=1) | (rho0s != 0).any(axis=2))
+    stacks, steps = {}, {}
+    for n, idx, gen in _liouvillian_blocks(compiled):
+        stack = stacks.setdefault(idx.shape[1], [])
+        steps.setdefault(n, []).append((idx, sum(map(len, stack))))   # its first row
+        stack.append(gen * schedule.segments[n].nominal_duration)
+    exps = {m: _expm(np.concatenate(stack)) for m, stack in stacks.items()}
     support = compiled.support
     pairs, r = np.ix_(range(len(rho0s)), support, support), len(support)
     vecs = rho0s[pairs].reshape(len(rho0s), r * r)
-    for seg, ev in zip(schedule.segments, compiled.evolvers):
+    for n, (seg, ev) in enumerate(zip(schedule.segments, compiled.evolvers)):
         if seg.kind == "classical_pulse":
             # the rows of the identity are the basis kets, so this gives U^T
             u = ev.apply(np.eye(r, dtype=np.complex128), np.ones(r)).T
             vecs = (u @ vecs.reshape(-1, r, r) @ u.conj().T).reshape(len(vecs), -1)
-        elif seg.nominal_duration > 0.0:
-            for idx, props in _liouvillian_blocks(ev, compiled.annihilator,
-                                                  seg.nominal_duration):
-                vecs[:, idx] = (props @ vecs[:, idx, None])[..., 0]
+        for idx, first in steps.get(n, ()):
+            vecs[:, idx] = (exps[idx.shape[1]][first:first + len(idx)] @ vecs[:, idx, None])[..., 0]
     rhos = np.zeros(rho0s.shape, dtype=np.complex128)
     rhos[pairs] = vecs.reshape(-1, r, r)
     return rhos

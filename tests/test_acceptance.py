@@ -20,10 +20,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from cavity_toffoli.analysis import (DEFAULT_EPSILON_GRID, DEFAULT_TAU_GRID,
+from cavity_toffoli.analysis import (_IMAGES, DEFAULT_EPSILON_GRID, DEFAULT_TAU_GRID,
                                      dispersive_validation, gate_fidelity,
-                                     logical_process_matrix, sweep,
-                                     truth_table_fidelities)
+                                     logical_process_matrix, sweep)
 from cavity_toffoli.cli import main
 from cavity_toffoli.model import (Level, annihilation, dispersive_hamiltonian,
                                   jc_hamiltonian)
@@ -49,8 +48,8 @@ def test_criterion_1_truth_table(params):
     the Toffoli permutation up to one global phase; runtime < 1 s."""
     start = time.monotonic()
     schedule = toffoli_schedule(params)
-    fids = truth_table_fidelities(schedule)
     process = logical_process_matrix(schedule)
+    fids = np.abs(process[_IMAGES, range(len(LOGICAL_BITS))]) ** 2
     elapsed = time.monotonic() - start
 
     assert np.all(fids >= 1 - 1e-9)

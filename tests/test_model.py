@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from cavity_toffoli.model import (Level, PhysicalParams, annihilation,
                                   dispersive_hamiltonian,
                                   full_detuned_hamiltonian, jc_hamiltonian,
-                                  number_operator, rig_block)
+                                  number_operator)
 from cavity_toffoli.protocol import segment_drift, toffoli_schedule
 from cavity_toffoli.qmath import (CompositeSpace, OperatorMatrix, StateVector,
                                   embed_operator, propagator)
 
-from test_protocol import _marginal
+from test_protocol import _marginal, _rig_block
 
 G, E, I = int(Level.g), int(Level.e), int(Level.i)
 
@@ -290,7 +290,7 @@ def pulse(space, atom, block):
 
 
 def test_rig_pulse_swaps_i_and_g(params, space):
-    u = pulse(space, 1, rig_block()).entries
+    u = pulse(space, 1, _rig_block()).entries
     ig = space.basis_state([0, I, G]).amplitudes
     gg = space.basis_state([0, G, G]).amplitudes
     np.testing.assert_allclose(u @ ig, gg, atol=0)
@@ -298,17 +298,17 @@ def test_rig_pulse_swaps_i_and_g(params, space):
 
 
 def test_rig_pulse_involution_and_e_invariance(params, space):
-    u = pulse(space, 1, rig_block()).entries
+    u = pulse(space, 1, _rig_block()).entries
     np.testing.assert_allclose(u @ u, np.eye(space.total_dim), atol=0)
     eg = space.basis_state([1, E, G]).amplitudes
     np.testing.assert_allclose(u @ eg, eg, atol=0)
 
 
 def test_rig_pulse_angle_family_hits_swap_at_pi(params, space):
-    u_exact = pulse(space, 1, rig_block()).entries
-    u_near = pulse(space, 1, rig_block(math.pi * (1 + 1e-12))).entries
+    u_exact = pulse(space, 1, _rig_block()).entries
+    u_near = pulse(space, 1, _rig_block(math.pi * (1 + 1e-12))).entries
     assert np.max(np.abs(u_exact - u_near)) < 1e-10
-    u_j = pulse(space, 1, rig_block(math.pi * 1.05))
+    u_j = pulse(space, 1, _rig_block(math.pi * 1.05))
     assert u_j.unitary  # construction asserts unitarity
 
 

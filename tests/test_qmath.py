@@ -184,7 +184,7 @@ def test_propagator_adjoint_inverts(seed):
     rng = np.random.default_rng(seed)
     h = random_hermitian(4, rng, scale=1e5)
     u = propagator(h, 7e-6)
-    np.testing.assert_allclose(u.entries @ u.dag().entries, np.eye(4), atol=1e-10)
+    np.testing.assert_allclose(u.entries @ u.entries.conj().T, np.eye(4), atol=1e-10)
 
 
 @given(SEEDS)

@@ -1,5 +1,6 @@
 """Quantum-jump engine and Lindblad oracle."""
 
+import collections
 import itertools
 import math
 import os
@@ -19,7 +20,7 @@ import cavity_toffoli
 from cavity_toffoli import trajectories
 from cavity_toffoli.analysis import (DEFAULT_TAU_GRID, _logical_basis, gate_fidelity,
                                      lindblad_gate_fidelity)
-from cavity_toffoli.model import Level, PhysicalParams, annihilation, rig_block
+from cavity_toffoli.model import Level, PhysicalParams, annihilation
 from cavity_toffoli.protocol import (LOGICAL_BITS, Schedule, Segment,
                                      encode_logical, segment_drift,
                                      toffoli_map, toffoli_schedule)
@@ -566,8 +567,7 @@ def test_full_support_ket_matches_dense_evolution():
     vec = rho0.entries.reshape(-1)
     for seg in schedule.segments:
         if seg.kind == "classical_pulse":
-            op = OperatorMatrix(CompositeSpace((3,)), rig_block(math.pi))
-            u = embed_operator(space, [seg.atom], op).entries
+            u = _segment_unitary(schedule, seg).entries
             vec = np.kron(u, u.conj()) @ vec
         else:
             h = segment_drift(schedule, seg).entries
@@ -820,14 +820,19 @@ def _dense_liouvillian(h, a, kappa):
             + kappa * (np.kron(a, a.conj()) - 0.5 * (np.kron(n, eye) + np.kron(eye, n.T))))
 
 
-@pytest.mark.parametrize("fock_dim, tau", [(3, 1e-3), (3, math.inf), (4, 1e-3)],
-                         ids=["tau-1ms", "lossless", "fock-4"])
-def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau):
+@pytest.mark.parametrize("fock_dim, tau, loss_scope",
+                         [(3, 1e-3, "all_segments"), (3, math.inf, "all_segments"),
+                          (4, 1e-3, "all_segments"), (3, 1e-3, "collision_only")],
+                         ids=["tau-1ms", "lossless", "fock-4", "collision-only"])
+def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau, loss_scope):
     """Each timed segment's blocks partition the pair indices with no
-    nonzero of the dense Liouvillian L between two blocks, so exp(L T) is
-    scipy's expm of each block of L; the blockwise channel equals it on a
-    random full-rank rho within 1e-12."""
-    schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim))
+    nonzero of the dense Liouvillian L between two blocks, and each yielded
+    generator is its block of L, at the segment's own kappa (0 where its loss
+    is off), so ``_expm(gen * T)`` is scipy's expm of that block; on a random
+    full-rank rho, ``lindblad_evolve`` of the segment alone equals scipy's
+    blockwise channel within 1e-12."""
+    schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim),
+                                loss_scope=loss_scope)
     space = schedule.space
     dim = space.total_dim
     compiled = trajectories._compile(schedule, NoiseParams(tau=tau), np.eye(dim))
@@ -837,21 +842,26 @@ def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho0 = DensityMatrix(space, g @ g.conj().T / np.trace(g @ g.conj().T))
     assert float(np.linalg.eigvalsh(rho0.entries).min()) > 1e-6   # full rank
-    for seg, ev in zip(schedule.segments, compiled.evolvers):
-        if seg.kind == "classical_pulse":
-            continue
-        liouv = _dense_liouvillian(segment_drift(schedule, seg).entries, a, kappa)
+    blocks = list(trajectories._liouvillian_blocks(compiled))
+    timed = [k for k, seg in enumerate(schedule.segments) if seg.kind != "classical_pulse"]
+    assert sorted({k for k, _, _ in blocks}) == timed
+    for k in timed:
+        seg = schedule.segments[k]
+        liouv = _dense_liouvillian(segment_drift(schedule, seg).entries, a,
+                                   kappa if seg.loss_active else 0.0)
         block_of = np.full(dim * dim, -1)
         first = 0
         vec0, exact = rho0.entries.reshape(-1), np.empty(dim * dim, dtype=complex)
-        for idx, _ in trajectories._liouvillian_blocks(ev, compiled.annihilator,
-                                                       seg.nominal_duration):
+        for idx, gen in ((idx, gen) for n, idx, gen in blocks if n == k):
             assert np.all(block_of[idx] == -1)
             block_of[idx] = first + np.arange(len(idx))[:, None]
             first += len(idx)
-            blocks = scipy.linalg.expm(liouv[idx[:, :, None], idx[:, None, :]]
-                                       * seg.nominal_duration)
-            exact[idx] = (blocks @ vec0[idx][..., None])[..., 0]
+            dense = liouv[idx[:, :, None], idx[:, None, :]]
+            assert np.max(np.abs(gen - dense)) <= 1e-9 * max(1.0, np.max(np.abs(dense)))
+            ref = scipy.linalg.expm(dense * seg.nominal_duration)
+            props = trajectories._expm(gen * seg.nominal_duration)
+            assert np.max(np.abs(props - ref)) <= 1e-12, (seg.kind, idx.shape)
+            exact[idx] = (ref @ vec0[idx][..., None])[..., 0]
         assert np.all(block_of >= 0)
         rows, cols = np.nonzero(liouv)
         assert np.array_equal(block_of[rows], block_of[cols]), seg.kind
@@ -861,30 +871,81 @@ def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau):
         assert np.max(np.abs(rho - exact)) <= 1e-12, seg.kind
 
 
-@pytest.mark.parametrize("fock_dim", [3, 4], ids=["fock-3", "fock-4"])
-def test_liouvillian_block_exponentials_match_expm(fock_dim):
-    """Over the default tau grid and tau = 2e-5, every exp(L T) block of every
-    timed segment's channel equals scipy's expm of that block of the dense
-    Liouvillian within 1e-12."""
-    schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim))
+@pytest.mark.parametrize("fock_dim, loss_scope",
+                         [(3, "all_segments"), (4, "all_segments"), (3, "collision_only")],
+                         ids=["fock-3", "fock-4", "fock-3-collision-only"])
+def test_liouvillian_block_exponentials_match_expm(fock_dim, loss_scope):
+    """Over the default tau grid and tau = 2e-5, ``_expm(gen * T)`` of every
+    yielded generator block of every timed segment equals scipy's expm of
+    that block of the dense Liouvillian, at the segment's own kappa, within
+    1e-12."""
+    schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim),
+                                loss_scope=loss_scope)
+    dim = schedule.space.total_dim
     a = embed_operator(schedule.space, [0], annihilation(fock_dim)).entries
-    timed = [(k, seg) for k, seg in enumerate(schedule.segments)
-             if seg.kind != "classical_pulse" and seg.nominal_duration > 0.0]
+    timed = {k: seg for k, seg in enumerate(schedule.segments)
+             if seg.kind != "classical_pulse" and seg.nominal_duration > 0.0}
     hamiltonian_part = {k: _dense_liouvillian(segment_drift(schedule, seg).entries, a, 0.0)
-                        for k, seg in timed}
+                        for k, seg in timed.items()}
     loss_part = _dense_liouvillian(np.zeros_like(a), a, 1.0)
     for tau in (*DEFAULT_TAU_GRID, 2e-5):
         compiled = trajectories._compile(schedule, NoiseParams(tau=tau, epsilon=0.0),
-                                         np.eye(schedule.space.total_dim))
-        for k, seg in timed:
-            ev = compiled.evolvers[k]
-            liouv = hamiltonian_part[k] + ev.kappa * loss_part
-            for idx, props in trajectories._liouvillian_blocks(ev, compiled.annihilator,
-                                                               seg.nominal_duration):
-                for rows, prop in zip(idx, props):
-                    block = liouv[rows[:, None], rows[None, :]] * seg.nominal_duration
-                    err = np.max(np.abs(prop - scipy.linalg.expm(block)))
-                    assert err <= 1e-12, (tau, seg.kind, len(rows), err)
+                                         np.eye(dim))
+        liouvs = {k: hamiltonian_part[k] + (1.0 / tau if seg.loss_active else 0.0) * loss_part
+                  for k, seg in timed.items()}
+        for k, idx, gen in trajectories._liouvillian_blocks(compiled):
+            seg, liouv = timed[k], liouvs[k]
+            props = trajectories._expm(gen * seg.nominal_duration)
+            for rows, prop in zip(idx, props):
+                block = liouv[rows[:, None], rows[None, :]] * seg.nominal_duration
+                err = np.max(np.abs(prop - scipy.linalg.expm(block)))
+                assert err <= 1e-12, (tau, seg.kind, len(rows), err)
+
+
+def test_lindblad_takes_one_expm_per_block_size(params, schedule, monkeypatch):
+    """One ``lindblad_gate_fidelity`` call exponentiates every timed
+    segment's blocks of one size together: exactly one ``_expm`` call per
+    distinct block size of the schedule (8 at fock_dim 3), whose stack holds
+    every block of that size."""
+    starts = _logical_basis(schedule)
+    mask = np.any(starts != 0, axis=0)
+    compiled = trajectories._compile(schedule, NoiseParams(tau=1e-3), mask[None])
+    blocks = list(trajectories._liouvillian_blocks(compiled))
+    count = collections.Counter()
+    for _, idx, _ in blocks:
+        count[idx.shape[1]] += len(idx)
+    assert len(count) == 8 and len(blocks) > len(count)
+    expm, calls = trajectories._expm, []
+    monkeypatch.setattr(trajectories, "_expm", lambda a: calls.append(a.shape) or expm(a))
+    lindblad_gate_fidelity(params, 1e-3)
+    assert sorted(calls) == sorted((n, size, size) for size, n in count.items())
+
+
+def test_lindblad_partition_is_memoized_read_only(params, schedule, monkeypatch):
+    """A repeated oracle call computes no partition: no ``_components`` call,
+    and the memo records a hit; every memoized array is read-only."""
+    trajectories._partition.cache_clear()
+    first = lindblad_gate_fidelity(params, 1e-3)
+    assert trajectories._partition.cache_info().misses == 1
+    components, calls = trajectories._components, []
+    monkeypatch.setattr(trajectories, "_components",
+                        lambda *args: calls.append(1) or components(*args))
+    assert lindblad_gate_fidelity(params, 5e-3) != first
+    assert lindblad_gate_fidelity(params, 1e-3) == first
+    assert calls == []
+    info = trajectories._partition.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    mask = np.any(_logical_basis(schedule) != 0, axis=0)
+    compiled = trajectories._compile(schedule, NoiseParams(tau=1e-3), mask[None])
+    partition = trajectories._partition(schedule, compiled.starts_mask,
+                                        tuple(ev.lossy for ev in compiled.evolvers))
+    assert trajectories._partition.cache_info().misses == 1
+    arrays = [x for entry in partition for block in entry for x in block]
+    assert arrays
+    for x in arrays:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[(0,) * x.ndim] = x[(0,) * x.ndim]
 
 
 def test_lindblad_oracle_runs_no_eigendecomposition(params, schedule, monkeypatch):
