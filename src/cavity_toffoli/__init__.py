@@ -14,23 +14,21 @@ from .model import (Level, PhysicalParams, annihilation, dispersive_hamiltonian,
 from .protocol import (LOGICAL_BITS, Schedule, Segment, encode_logical,
                        toffoli_map, toffoli_schedule)
 from .qmath import (CompositeSpace, DensityMatrix, OperatorMatrix, StateVector,
-                    embed_operator, propagator, trace_distance)
-from .trajectories import (NoiseParams, TrajectoryResult, ensemble_density,
-                           lindblad_evolve, mcwf_trajectory, run_ideal,
-                           run_trajectories)
+                    embed_operator, trace_distance)
+from .trajectories import (NoiseParams, TrajectoryResult, lindblad_evolve,
+                           mcwf_trajectory, run_ideal, run_trajectories)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CompositeSpace", "StateVector", "OperatorMatrix", "DensityMatrix",
-    "embed_operator", "propagator", "trace_distance",
+    "embed_operator", "trace_distance",
     "Level", "PhysicalParams", "annihilation", "number_operator",
     "jc_hamiltonian", "dispersive_hamiltonian", "full_detuned_hamiltonian",
     "Segment", "Schedule", "LOGICAL_BITS", "encode_logical", "toffoli_map",
     "toffoli_schedule",
     "NoiseParams", "TrajectoryResult", "run_ideal",
-    "mcwf_trajectory", "run_trajectories", "ensemble_density",
-    "lindblad_evolve",
+    "mcwf_trajectory", "run_trajectories", "lindblad_evolve",
     "FidelityResult", "FidelityGrid", "DispersiveOverlap", "gate_fidelity",
     "lindblad_gate_fidelity", "logical_process_matrix", "sweep",
     "dispersive_validation",

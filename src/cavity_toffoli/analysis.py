@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .model import PhysicalParams, _detuned_family, _dispersive_family
 from .protocol import (LOGICAL_BITS, Schedule, encode_logical, toffoli_map,
                        toffoli_schedule)
-from .qmath import propagator
-from .trajectories import (NoiseParams, _check_counter_words, _compiled_groups,
-                           _CompiledSchedule, _ideal_states, _lindblad_stack, _rows_matmul,
-                           _trajectory_blocks)
+from .trajectories import (_STRUCTURES, NoiseParams, _check_counter_words, _compiled_groups,
+                           _CompiledSchedule, _DriftEvolver, _ideal_states, _lindblad_stack,
+                           _rows_matmul, _trajectory_blocks)
 # perfbench/selftest.py checks that its tracer patches this binding too
 from .trajectories import mcwf_trajectory  # noqa: F401
 
@@ -82,22 +82,17 @@ class FidelityGrid:
                              f"{cell.std_error!r},{cell.n_traj}")
         return "\n".join(lines) + "\n"
 
-    def to_jsonable(self) -> dict:
-        return {
-            "tau_values": ["inf" if math.isinf(t) else t for t in self.tau_values],
-            "epsilon_values": list(self.epsilon_values),
-            "cells": [[cell.to_jsonable() for cell in row] for row in self.cells],
-        }
-
 
 #: row of LOGICAL_BITS holding the Toffoli image of each basis input
 _IMAGES = [LOGICAL_BITS.index(toffoli_map(bits)) for bits in LOGICAL_BITS]
 
 
+@lru_cache(maxsize=_STRUCTURES)
 def _logical_basis(schedule: Schedule) -> np.ndarray:
-    """Rows are the 8 encoded basis states, in LOGICAL_BITS order."""
-    return np.stack([encode_logical(bits, schedule.space).amplitudes
-                     for bits in LOGICAL_BITS])
+    """Rows are the 8 encoded basis states, in LOGICAL_BITS order; memoized, read-only."""
+    basis = np.stack([encode_logical(bits, schedule.space).amplitudes for bits in LOGICAL_BITS])
+    basis.flags.writeable = False
+    return basis
 
 
 def logical_process_matrix(schedule: Schedule) -> np.ndarray:
@@ -199,7 +194,7 @@ class DispersiveOverlap:
             raise ValueError("overlap above 1")
 
 
-def _collision_inputs(params: PhysicalParams) -> list[np.ndarray]:
+def _collision_inputs(params: PhysicalParams) -> np.ndarray:
     """The 8 encoded states as they enter the collision: the ideal gate's
     first two segments (pi-Rabi then R_ig), as one stack.
 
@@ -208,16 +203,17 @@ def _collision_inputs(params: PhysicalParams) -> list[np.ndarray]:
     """
     schedule = toffoli_schedule(replace(params, delta=4.0 * params.omega))
     encoding = replace(schedule, segments=schedule.segments[:2])
-    return [psi.amplitudes for psi in _ideal_states(encoding, _logical_basis(schedule))]
+    return np.stack([psi.amplitudes for psi in _ideal_states(encoding, _logical_basis(schedule))])
 
 
 def dispersive_validation(params: PhysicalParams,
                           ratios=VALIDATION_RATIOS) -> list[DispersiveOverlap]:
-    """Compare exp(-i H_disp t_col) against the full detuned two-atom model.
+    """Compare the dispersive collision against the full detuned two-atom model.
 
-    For each delta/omega ratio, reports min_b |<psi_b| U_full^dag U_disp
-    |psi_b>|^2 over the 8 encoded collision-input states, with matched
-    lambda = omega^2/(4 delta) and t_col = pi/lambda.
+    For each delta/omega ratio, the 8 encoded collision-input states evolve
+    as rows through the engine's lossless ``_DriftEvolver`` under each
+    Hamiltonian for t_col = pi/lambda, with matched lambda = omega^2/(4 delta);
+    reports |<U_full psi_b | U_disp psi_b>|^2 per input and its minimum.
     """
     ratios = tuple(float(r) for r in ratios)
     if any(r < 1.0 for r in ratios):
@@ -228,12 +224,11 @@ def dispersive_validation(params: PhysicalParams,
     reports = []
     for ratio in ratios:
         p = replace(params, delta=ratio * params.omega)
-        t_col = p.t_collision
-        u_disp = propagator(h_disp(p.lam), t_col).entries
-        u_full = propagator(h_full(p.delta), t_col).entries
-        compare = u_full.conj().T @ u_disp
-        overlaps = tuple(
-            float(min(abs(np.vdot(psi, compare @ psi)) ** 2, 1.0)) for psi in inputs)
+        t_col = np.full(len(inputs), p.t_collision)
+        evs = [_DriftEvolver(h.entries, 0.0, None) for h in (h_disp(p.lam), h_full(p.delta))]
+        psi_disp, psi_full = (ev.evolve(ev.coefficients(inputs), t_col) for ev in evs)
+        overlaps = tuple(float(min(abs(np.vdot(f, d)) ** 2, 1.0))
+                         for f, d in zip(psi_full, psi_disp))
         reports.append(DispersiveOverlap(ratio=ratio, min_overlap=min(overlaps),
                                          overlaps=overlaps))
     return reports

@@ -1,8 +1,8 @@
 """Dense complex linear algebra for small composite quantum systems.
 
-States, operators, tensor embedding, exact propagation and the trace
-distance.  Everything is a plain numpy array wrapped in a frozen
-dataclass that validates its own invariants at construction time.
+States, operators, tensor embedding and the trace distance.  Everything
+is a plain numpy array wrapped in a frozen dataclass that validates its
+own invariants at construction time.
 
 Conventions (fixed once, asserted in tests):
   * hbar = 1: Hamiltonians are in rad/s, durations in seconds,
@@ -194,18 +194,6 @@ def embed_operator(space: CompositeSpace, targets: Sequence[int],
     tensor = tensor.transpose(axes + [k + a for a in axes])
     full = tensor.reshape(space.total_dim, space.total_dim)
     return OperatorMatrix(space, full, hermitian=op.hermitian, unitary=op.unitary)
-
-
-def propagator(h: OperatorMatrix, t: float) -> OperatorMatrix:
-    """exp(-i H t) for hermitian H, via eigendecomposition.
-
-    Exactly unitary up to rounding; raises if H is not tagged hermitian.
-    """
-    if not h.hermitian:
-        raise ValueError("propagator requires a hermitian-tagged operator")
-    w, v = np.linalg.eigh(h.entries)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return OperatorMatrix(h.space, u, unitary=True)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

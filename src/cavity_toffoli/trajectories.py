@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -622,24 +622,13 @@ def run_trajectories(schedule: Schedule, psi0: StateVector, noise: NoiseParams,
 
 def _trajectory_density(schedule: Schedule, psi0: StateVector,
                         noise: NoiseParams) -> DensityMatrix:
-    """``ensemble_density(run_trajectories(...))`` without per-trajectory objects."""
+    """(1/N) sum |psi_k><psi_k| over the final states of ``run_trajectories``,
+    one stacked product per block, without per-trajectory objects."""
     start = psi0.amplitudes[None, :]
     blocks = _trajectory_blocks(_compile(schedule, noise, start), start, noise,
                                 np.array([0]), 0)
     return DensityMatrix(schedule.space,
                          sum(b.states.T @ b.states.conj() for b in blocks) / noise.n_traj)
-
-
-def ensemble_density(results: Sequence[TrajectoryResult]) -> DensityMatrix:
-    """(1/N) sum |psi_k><psi_k|, one stacked product per ``_BLOCK_ROWS`` states."""
-    if len(results) == 0:
-        raise ValueError("ensemble_density needs at least one trajectory")
-    space = results[0].final_state.space
-    if any(res.final_state.space != space for res in results):
-        raise ValueError("trajectories live on different spaces")
-    rows = [res.final_state.amplitudes for res in results]
-    blocks = (np.stack(rows[i:i + _BLOCK_ROWS]) for i in range(0, len(rows), _BLOCK_ROWS))
-    return DensityMatrix(space, sum(b.T @ b.conj() for b in blocks) / len(rows))
 
 
 def _components(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:

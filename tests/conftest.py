@@ -9,12 +9,23 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import re  # noqa: E402
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from cavity_toffoli.model import PhysicalParams  # noqa: E402
+from cavity_toffoli.qmath import OperatorMatrix  # noqa: E402
 
 _ACCEPTANCE: dict[str, str] = {}
 _CRITERION_RE = re.compile(r"::test_(criterion_\d+[a-z]?_[a-z0-9_]+)")
+
+
+def dense_unitary(h: OperatorMatrix, t: float) -> OperatorMatrix:
+    """Reference exp(-i H t) of a hermitian-tagged H, by eigendecomposition,
+    tagged unitary.  Not scipy's expm: at delta/omega = 50 (|H t|_1 ~ 6e4) its
+    scaling and squaring is 3e-12 off, outside the 1e-12 pins that use this."""
+    assert h.hermitian
+    w, v = np.linalg.eigh(h.entries)
+    return OperatorMatrix(h.space, (v * np.exp(-1j * w * t)) @ v.conj().T, unitary=True)
 
 
 @pytest.fixture(scope="session")

@@ -31,10 +31,11 @@ from cavity_toffoli.protocol import (LOGICAL_BITS, Schedule, Segment,
                                      segment_drift, toffoli_map,
                                      toffoli_schedule)
 from cavity_toffoli.qmath import (CompositeSpace, DensityMatrix, StateVector,
-                                  embed_operator, propagator, trace_distance)
-from cavity_toffoli.trajectories import (NoiseParams, ensemble_density,
+                                  embed_operator, trace_distance)
+from cavity_toffoli.trajectories import (NoiseParams, _trajectory_density,
                                          lindblad_evolve, run_trajectories)
 
+from conftest import dense_unitary
 from test_analysis import LINDBLAD_EPS0
 from test_protocol import _segment_unitary
 
@@ -67,13 +68,13 @@ def test_criterion_2_encoding_step(params):
     schedule = toffoli_schedule(params)
     space = schedule.space
     encode = schedule.segments[0]
-    u1 = propagator(segment_drift(schedule, encode), encode.nominal_duration).entries
+    u1 = dense_unitary(segment_drift(schedule, encode), encode.nominal_duration).entries
 
     ket_1g = space.basis_state([1, G, G]).amplitudes
     ket_0e = space.basis_state([0, E, G]).amplitudes
     np.testing.assert_allclose(u1 @ ket_1g, -ket_0e, atol=1e-10)
 
-    u2pi = propagator(jc_hamiltonian(params, 1, space), 2 * math.pi / params.omega)
+    u2pi = dense_unitary(jc_hamiltonian(params, 1, space), 2 * math.pi / params.omega)
     np.testing.assert_allclose(u2pi.entries @ ket_1g, -ket_1g, atol=1e-10)
 
 
@@ -89,7 +90,7 @@ def test_criterion_3_collision_map(params):
     cannot include |1, i, g>.
     """
     space = params.protocol_space()
-    u = propagator(dispersive_hamiltonian(params, 1, 2, space),
+    u = dense_unitary(dispersive_hamiltonian(params, 1, 2, space),
                    params.t_collision).entries
 
     s = 1 / math.sqrt(2)
@@ -142,7 +143,7 @@ def test_criterion_5b_ensemble_vs_lindblad(params):
     psi0 = StateVector(schedule.space, amps / np.linalg.norm(amps))
     for tau in (0.5e-3, 1e-3, 5e-3):
         noise = NoiseParams(tau=tau, epsilon=0.0, n_traj=10000, seed=42)
-        rho_mc = ensemble_density(run_trajectories(schedule, psi0, noise))
+        rho_mc = _trajectory_density(schedule, psi0, noise)
         rho_ref = lindblad_evolve(schedule, DensityMatrix.from_state(psi0), tau)
         assert trace_distance(rho_mc, rho_ref) <= 0.02, tau
     assert time.monotonic() - start < 120.0
@@ -269,7 +270,7 @@ def test_criterion_7_fig2_shape(params):
 
 
 def test_criterion_8_dispersive_validity(params):
-    """Dispersive propagator vs full detuned model: min encoded-input
+    """Dispersive collision vs full detuned model: min encoded-input
     overlap >= 0.90 at delta/omega = 4, >= 0.999 at 50, monotone."""
     reports = dispersive_validation(params, (4.0, 8.0, 16.0, 50.0))
     mins = [rep.min_overlap for rep in reports]

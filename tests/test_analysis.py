@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cavity_toffoli import trajectories
+from cavity_toffoli import analysis, trajectories
 from cavity_toffoli.analysis import (DEFAULT_EPSILON_GRID, DEFAULT_TAU_GRID,
                                      FidelityGrid, FidelityResult, _logical_basis,
                                      dispersive_validation, gate_fidelity,
@@ -23,7 +23,7 @@ LINDBLAD_EPS0 = {
     5.0e-3: 0.9906606235969584,
 }
 
-# Frozen first-run overlaps of the dispersive propagator against the full
+# Frozen first-run overlaps of the dispersive collision against the full
 # detuned model (deterministic eigendecompositions).
 DISPERSIVE_MIN_OVERLAP = {
     4.0: 0.9176532387555264,
@@ -90,6 +90,22 @@ def test_loss_dominated_estimate_pinned_to_lindblad(params):
 def test_lindblad_reference_regression(params, tau):
     assert lindblad_gate_fidelity(params, tau) == pytest.approx(
         LINDBLAD_EPS0[tau], abs=1e-6)
+
+
+def test_repeated_oracle_call_encodes_nothing(params, monkeypatch):
+    """The 8 encoded kets are memoized per schedule: a repeated
+    ``lindblad_gate_fidelity`` call, on a schedule rebuilt equal, makes no
+    ``encode_logical`` call and gives the same number; the basis is read-only."""
+    first = lindblad_gate_fidelity(params, 1e-3)
+    encode, calls = analysis.encode_logical, []
+    monkeypatch.setattr(analysis, "encode_logical",
+                        lambda *args: calls.append(args) or encode(*args))
+    assert lindblad_gate_fidelity(params, 1e-3) == first
+    assert calls == []
+    basis = _logical_basis(toffoli_schedule(params))
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0] = 0.0
 
 
 def test_fock_dim_4_reproduces_the_anchor(params):
@@ -235,16 +251,6 @@ def test_default_grids():
     assert DEFAULT_TAU_GRID[0] == pytest.approx(2e-4)
     assert DEFAULT_TAU_GRID[-1] == pytest.approx(1e-2)
     assert DEFAULT_EPSILON_GRID == tuple(0.01 * k for k in range(9))
-
-
-def test_grid_json_mirrors_result_fields(params):
-    grid = sweep(params, (1e-3, math.inf), (0.0,), n_traj=5, seed=2)
-    doc = grid.to_jsonable()
-    assert doc["tau_values"] == [1e-3, "inf"]
-    assert doc["epsilon_values"] == [0.0]
-    cell = doc["cells"][0][0]
-    assert set(cell) == {"mean", "std_error", "n_traj", "tau", "epsilon"}
-    assert doc["cells"][1][0]["tau"] == "inf"
 
 
 # ---------------------------------------------------------------- dispersive

@@ -12,8 +12,9 @@ from cavity_toffoli.model import (Level, PhysicalParams, annihilation,
                                   number_operator)
 from cavity_toffoli.protocol import segment_drift, toffoli_schedule
 from cavity_toffoli.qmath import (CompositeSpace, OperatorMatrix, StateVector,
-                                  embed_operator, propagator)
+                                  embed_operator)
 
+from conftest import dense_unitary
 from test_protocol import _marginal, _rig_block
 
 G, E, I = int(Level.g), int(Level.e), int(Level.i)
@@ -119,7 +120,7 @@ def test_jc_conserves_i_population(seed):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     psi = StateVector(space, amps / np.linalg.norm(amps))
-    u = propagator(jc_hamiltonian(params, 1, space), rng.uniform(0.1, 6.0) / params.omega)
+    u = dense_unitary(jc_hamiltonian(params, 1, space), rng.uniform(0.1, 6.0) / params.omega)
     before = _marginal(psi, 1)[I]
     after = _marginal(u.apply(psi), 1)[I]
     assert abs(before - after) <= 1e-10
@@ -133,7 +134,7 @@ def test_collision_conserves_i_population_of_both_atoms(seed):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(27) + 1j * rng.standard_normal(27)
     psi = StateVector(space, amps / np.linalg.norm(amps))
-    u = propagator(dispersive_hamiltonian(params, 1, 2, space),
+    u = dense_unitary(dispersive_hamiltonian(params, 1, 2, space),
                    rng.uniform(0.05, 1.5) * params.t_collision)
     out = u.apply(psi)
     for atom in (1, 2):
@@ -146,7 +147,7 @@ def test_collision_conserves_i_population_of_both_atoms(seed):
 
 def rabi(params, space, angle):
     """Resonant Rabi rotation of atom 1 by ``angle`` (duration angle/omega)."""
-    return propagator(jc_hamiltonian(params, 1, space), angle / params.omega)
+    return dense_unitary(jc_hamiltonian(params, 1, space), angle / params.omega)
 
 
 def test_pi_rabi_swap_signs(params, pair_space):
@@ -178,8 +179,8 @@ def test_adjoint_rabi_inverts(params):
     encode, decode = schedule.segments[0], schedule.segments[-1]
     assert decode.adjoint and decode.nominal_duration == encode.nominal_duration
     assert encode.nominal_duration == pytest.approx(math.pi / params.omega)
-    u = propagator(segment_drift(schedule, encode), encode.nominal_duration)
-    u_adj = propagator(segment_drift(schedule, decode), decode.nominal_duration)
+    u = dense_unitary(segment_drift(schedule, encode), encode.nominal_duration)
+    u_adj = dense_unitary(segment_drift(schedule, decode), decode.nominal_duration)
     np.testing.assert_allclose(u_adj.entries @ u.entries,
                                np.eye(schedule.space.total_dim), atol=1e-10)
 
@@ -221,7 +222,7 @@ def test_dispersive_commutes_with_total_excitation(params, space):
 
 
 def test_collision_flips_target_conditioned_on_i_control(params, space):
-    u = propagator(dispersive_hamiltonian(params, 1, 2, space),
+    u = dense_unitary(dispersive_hamiltonian(params, 1, 2, space),
                    params.t_collision).entries
     s = 1 / math.sqrt(2)
     for sign in (+1.0, -1.0):
@@ -239,7 +240,7 @@ def test_collision_exchange_block_returns_with_plus_one(params, space):
     eigs = np.linalg.eigvalsh(block)
     np.testing.assert_allclose(sorted(eigs * params.t_collision),
                                [0.0, 2 * math.pi], atol=1e-9)
-    u = propagator(dispersive_hamiltonian(params, 1, 2, space),
+    u = dense_unitary(dispersive_hamiltonian(params, 1, 2, space),
                    params.t_collision).entries
     ket = space.basis_state([0, E, G]).amplitudes
     out = u @ ket
@@ -247,7 +248,7 @@ def test_collision_exchange_block_returns_with_plus_one(params, space):
 
 
 def test_collision_ignores_double_i(params, space):
-    u = propagator(dispersive_hamiltonian(params, 1, 2, space),
+    u = dense_unitary(dispersive_hamiltonian(params, 1, 2, space),
                    0.37 * params.t_collision).entries
     for n in range(space.subsystem_dims[0]):
         ket = space.basis_state([n, I, I]).amplitudes
@@ -264,7 +265,7 @@ def test_collision_basis_states_phase_map(params, space):
     gate only ever reaches the (n=0, i) pair, whose e-component flip is
     the conditional dynamics the protocol exploits.
     """
-    u = propagator(dispersive_hamiltonian(params, 1, 2, space),
+    u = dense_unitary(dispersive_hamiltonian(params, 1, 2, space),
                    params.t_collision).entries
     expected_phase = {
         (0, I, G): 1.0, (0, I, E): -1.0,   # the conditional flip pair

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +18,10 @@ from cavity_toffoli.protocol import (LOGICAL_BITS, Segment, encode_logical,
                                      process_phase_spread, segment_drift,
                                      toffoli_map, toffoli_schedule)
 from cavity_toffoli.qmath import (CompositeSpace, OperatorMatrix, StateVector,
-                                  embed_operator, propagator)
+                                  embed_operator)
 from cavity_toffoli.trajectories import run_ideal
+
+from conftest import dense_unitary
 
 G, E, I = int(Level.g), int(Level.e), int(Level.i)
 
@@ -44,9 +47,9 @@ def _segment_unitary(schedule, seg, *, duration=None, angle_scale=1.0):
         return embed_operator(schedule.space, [seg.atom], op)
     t = seg.nominal_duration if duration is None else duration
     if seg.kind == "resonant_rabi":
-        u = propagator(jc_hamiltonian(schedule.params, seg.atom, schedule.space), t)
+        u = dense_unitary(jc_hamiltonian(schedule.params, seg.atom, schedule.space), t)
         return OperatorMatrix(u.space, u.entries.conj().T, unitary=True) if seg.adjoint else u
-    return propagator(segment_drift(schedule, seg), t)
+    return dense_unitary(segment_drift(schedule, seg), t)
 
 
 def _dense_ideal(schedule, amps):
@@ -228,13 +231,18 @@ _IDEAL_CASES = {
     "collision-loss": ({}, {"loss_scope": "collision_only"}),
 }
 
+#: the [2, 4) edge below ``VALIDATION_RATIOS`` and the range of
+#: scripts/collision_accuracy.py
+_DISPERSIVE_RATIOS = (1.0, 2.0, 3.0, 4.0, 8.0, 16.0, 50.0)
+
 
 @pytest.mark.parametrize("case", list(_IDEAL_CASES))
 def test_ideal_path_matches_dense_reference(case):
     """The engine's ideal path equals the product of dense segment
     unitaries within 1e-12: the process matrix, each run_ideal output, and
-    the collision inputs of the dispersive check, whose overlaps then equal
-    those of the dense route (the computation they were first made by)."""
+    the collision inputs of the dispersive check, whose overlaps, for every
+    input at every ratio of ``_DISPERSIVE_RATIOS``, then equal those of the
+    dense route (the computation they were first made by), with no warning."""
     param_kw, schedule_kw = _IDEAL_CASES[case]
     params = PhysicalParams.from_frequency(**param_kw)
     schedule = toffoli_schedule(params, **schedule_kw)
@@ -248,11 +256,15 @@ def test_ideal_path_matches_dense_reference(case):
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     inputs = _dense_ideal(_prefix(schedule, 2), basis)
-    assert np.max(np.abs(np.stack(_collision_inputs(params)) - inputs)) <= 1e-12
-    for rep in dispersive_validation(params):
+    assert np.max(np.abs(_collision_inputs(params) - inputs)) <= 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = dispersive_validation(params, _DISPERSIVE_RATIOS)
+    assert [rep.ratio for rep in reports] == list(_DISPERSIVE_RATIOS)
+    for rep in reports:
         p = replace(params, delta=rep.ratio * params.omega)
-        u_disp = propagator(dispersive_hamiltonian(p, 1, 2, space), p.t_collision)
-        u_full = propagator(full_detuned_hamiltonian(p, 1, 2, space), p.t_collision)
+        u_disp = dense_unitary(dispersive_hamiltonian(p, 1, 2, space), p.t_collision)
+        u_full = dense_unitary(full_detuned_hamiltonian(p, 1, 2, space), p.t_collision)
         compare = u_full.entries.conj().T @ u_disp.entries
         overlaps = [min(abs(np.vdot(psi, compare @ psi)) ** 2, 1.0) for psi in inputs]
         np.testing.assert_allclose(rep.overlaps, overlaps, rtol=0, atol=1e-12)

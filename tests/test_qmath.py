@@ -1,27 +1,14 @@
-"""Linear-algebra layer: tensor structure, propagation, density matrices."""
-
-import math
+"""Linear-algebra layer: tensor structure, density matrices."""
 
 import numpy as np
 import pytest
-import scipy.linalg
-from hypothesis import given, settings, strategies as st
 
 from cavity_toffoli.qmath import (CompositeSpace, DensityMatrix, OperatorMatrix,
-                                  StateVector, embed_operator, propagator,
-                                  trace_distance)
+                                  StateVector, embed_operator, trace_distance)
 
-SEEDS = st.integers(0, 2 ** 32 - 1)
-
-
-def random_state(space, rng):
-    amps = rng.standard_normal(space.total_dim) + 1j * rng.standard_normal(space.total_dim)
-    return StateVector(space, amps / np.linalg.norm(amps))
-
-
-def random_hermitian(dim, rng, scale=1.0):
+def random_hermitian(dim, rng):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = 0.5 * (m + m.conj().T) * scale
+    h = 0.5 * (m + m.conj().T)
     return OperatorMatrix(CompositeSpace((dim,)), h, hermitian=True)
 
 
@@ -124,78 +111,6 @@ def test_embed_reversed_targets_transposes_factors():
                         hermitian=True)
     out = embed_operator(space, [1, 0], ba)
     np.testing.assert_allclose(out.entries, np.kron(a.entries, b.entries), atol=1e-14)
-
-
-# ---------------------------------------------------------------- propagator
-
-def test_propagator_of_zero_is_identity():
-    h = OperatorMatrix(CompositeSpace((4,)), np.zeros((4, 4)), hermitian=True)
-    np.testing.assert_allclose(propagator(h, 3.7).entries, np.eye(4), atol=1e-15)
-
-
-def test_propagator_sigma_y_quarter_turn():
-    # H = (w/2) sigma_y for t = pi/w rotates by pi/2: [[0, -1], [1, 0]]
-    omega = 2 * math.pi * 50e3
-    sy = np.array([[0, -1j], [1j, 0]])
-    h = OperatorMatrix(CompositeSpace((2,)), 0.5 * omega * sy, hermitian=True)
-    u = propagator(h, math.pi / omega)
-    np.testing.assert_allclose(u.entries, [[0, -1], [1, 0]], atol=1e-12)
-
-
-def test_propagator_requires_hermitian_tag():
-    h = OperatorMatrix(CompositeSpace((2,)), [[0, 1], [0, 0]])
-    with pytest.raises(ValueError):
-        propagator(h, 1.0)
-
-
-@given(SEEDS)
-@settings(max_examples=25, deadline=None)
-def test_propagator_unitarity(seed):
-    rng = np.random.default_rng(seed)
-    h = random_hermitian(5, rng, scale=1e5)
-    u = propagator(h, 1e-5).entries
-    assert np.max(np.abs(u @ u.conj().T - np.eye(5))) <= 1e-10
-
-
-@given(SEEDS)
-@settings(max_examples=25, deadline=None)
-def test_propagator_matches_pade_exponential(seed):
-    """Cross-check the eigendecomposition route against scipy's expm."""
-    rng = np.random.default_rng(seed)
-    h = random_hermitian(6, rng, scale=1e5)
-    t = rng.uniform(0, 2e-5)
-    np.testing.assert_allclose(propagator(h, t).entries,
-                               scipy.linalg.expm(-1j * h.entries * t), atol=1e-9)
-
-
-@given(SEEDS)
-@settings(max_examples=25, deadline=None)
-def test_propagator_composition(seed):
-    rng = np.random.default_rng(seed)
-    h = random_hermitian(4, rng, scale=1e5)
-    t1, t2 = rng.uniform(0, 1e-5, size=2)
-    lhs = propagator(h, t1).entries @ propagator(h, t2).entries
-    np.testing.assert_allclose(lhs, propagator(h, t1 + t2).entries, atol=1e-10)
-
-
-@given(SEEDS)
-@settings(max_examples=25, deadline=None)
-def test_propagator_adjoint_inverts(seed):
-    rng = np.random.default_rng(seed)
-    h = random_hermitian(4, rng, scale=1e5)
-    u = propagator(h, 7e-6)
-    np.testing.assert_allclose(u.entries @ u.entries.conj().T, np.eye(4), atol=1e-10)
-
-
-@given(SEEDS)
-@settings(max_examples=25, deadline=None)
-def test_propagator_preserves_norm(seed):
-    rng = np.random.default_rng(seed)
-    space = CompositeSpace((6,))
-    h = random_hermitian(6, rng, scale=1e5)
-    psi = random_state(space, rng)
-    out = propagator(h, 1.3e-5).apply(psi)
-    assert abs(out.norm() - psi.norm()) <= 1e-10
 
 
 # ---------------------------------------------------------------- trace distance

@@ -15,6 +15,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
 import cavity_toffoli
 from cavity_toffoli import trajectories
@@ -26,9 +27,7 @@ from cavity_toffoli.protocol import (LOGICAL_BITS, Schedule, Segment,
                                      toffoli_map, toffoli_schedule)
 from cavity_toffoli.qmath import (CompositeSpace, DensityMatrix, OperatorMatrix,
                                   StateVector, embed_operator, trace_distance)
-from cavity_toffoli.trajectories import (_BLOCK_ROWS, NoiseParams,
-                                         TrajectoryResult,
-                                         ensemble_density, jitter_factors,
+from cavity_toffoli.trajectories import (_BLOCK_ROWS, NoiseParams, jitter_factors,
                                          lindblad_evolve, mcwf_trajectory,
                                          run_ideal, run_trajectories)
 
@@ -461,6 +460,24 @@ def test_drift_evolver_falls_back_on_ill_conditioned_k():
         assert np.max(np.abs(got - expected)) <= 1e-14
 
 
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_lossless_drift_evolver_matches_pade_exponential(seed):
+    """At kappa = 0, the route of ``dispersive_validation``, the evolver takes
+    rows through exp(-i H t) of a hermitian H, each for its own time: it
+    matches scipy's expm and keeps every norm."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    ev = trajectories._DriftEvolver(0.5e5 * (m + m.conj().T), 0.0, None)
+    rows = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+    times = rng.uniform(0, 2e-5, size=3)
+    out = ev.evolve(ev.coefficients(rows), times)
+    for row, t, got in zip(rows, times, out):
+        np.testing.assert_allclose(got, scipy.linalg.expm(-1j * ev.k * t) @ row, atol=1e-9)
+    np.testing.assert_allclose(np.linalg.norm(out, axis=1), np.linalg.norm(rows, axis=1),
+                               rtol=1e-10)
+
+
 def test_gate_drift_generators_stay_on_eigenbasis_path():
     """Every lossy segment's K, at 3 to 5 Fock levels, under both loss scopes,
     over the default tau grid and tau = 2e-5, 1e-5 and 1e-6, compiled from
@@ -744,52 +761,27 @@ def test_mcwf_validates_input(schedule):
 
 # ---------------------------------------------------------------- ensembles
 
-def test_ensemble_density_single_trajectory_is_projector(schedule):
-    noise = NoiseParams(tau=math.inf, epsilon=0.0, n_traj=1, seed=6)
-    psi0 = encode_logical((0, 0, 0), schedule.space)
-    res = run_trajectories(schedule, psi0, noise)
-    rho = ensemble_density(res)
-    assert abs(np.trace(rho.entries @ rho.entries) - 1.0) <= 1e-10
-    amps = res[0].final_state.amplitudes
-    np.testing.assert_allclose(rho.entries, np.outer(amps, amps.conj()),
-                               atol=1e-14)
-
-
-def test_ensemble_density_trace_and_validation(schedule, monkeypatch):
-    noise = NoiseParams(tau=1e-3, epsilon=0.0, n_traj=64, seed=8)
-    psi0 = encode_logical((0, 0, 1), schedule.space)
-    results = run_trajectories(schedule, psi0, noise)
-    monkeypatch.setattr(trajectories, "_BLOCK_ROWS", 10)   # 6 full stacks and a partial one
-    rho = ensemble_density(results)
-    assert abs(np.trace(rho.entries) - 1.0) <= 1e-12
-    loop = sum(np.outer(r.final_state.amplitudes, r.final_state.amplitudes.conj())
-               for r in results) / len(results)
-    assert np.max(np.abs(rho.entries - loop)) <= len(results) * np.finfo(float).eps
-    with pytest.raises(ValueError):
-        ensemble_density([])
-    foreign = TrajectoryResult(CompositeSpace((2,)).basis_state([0]), (), ())
-    with pytest.raises(ValueError):
-        ensemble_density([*results, foreign])
-
-
 @pytest.mark.parametrize("n_traj", [1, 1000, 2500])
 def test_trajectory_density_equals_ensemble_of_trajectories(schedule, n_traj):
-    """``validate``'s reducer is ``ensemble_density(run_trajectories(...))`` bit
-    for bit, also past the ``_BLOCK_ROWS`` boundary (2500 > 2048 rows)."""
+    """``validate``'s reducer is (1/N) sum |psi_k><psi_k| over the final states
+    of ``run_trajectories``, summed as one outer product per ``_BLOCK_ROWS``
+    stack, bit for bit, also past the block boundary (2500 > 2048 rows)."""
     amps = sum(encode_logical(b, schedule.space).amplitudes for b in LOGICAL_BITS)
     psi0 = StateVector(schedule.space, amps / np.linalg.norm(amps))
     noise = NoiseParams(tau=0.5e-3, epsilon=0.03, n_traj=n_traj, seed=4)
     rho = trajectories._trajectory_density(schedule, psi0, noise)
-    ref = ensemble_density(run_trajectories(schedule, psi0, noise))
-    assert np.array_equal(rho.entries, ref.entries)
+    rows = np.stack([res.final_state.amplitudes
+                     for res in run_trajectories(schedule, psi0, noise)])
+    stacks = (rows[i:i + _BLOCK_ROWS] for i in range(0, n_traj, _BLOCK_ROWS))
+    assert np.array_equal(rho.entries, sum(b.T @ b.conj() for b in stacks) / n_traj)
 
 
 def test_ensemble_of_identical_trajectories_is_that_projector(schedule):
-    noise = NoiseParams(tau=math.inf, epsilon=0.0, n_traj=1, seed=6)
+    """Without loss or jitter every trajectory is the ideal one."""
+    noise = NoiseParams(tau=math.inf, epsilon=0.0, n_traj=3, seed=6)
     psi0 = encode_logical((1, 0, 1), schedule.space)
-    res = run_trajectories(schedule, psi0, noise)[0]
-    rho = ensemble_density([res, res, res])
-    amps = res.final_state.amplitudes
+    rho = trajectories._trajectory_density(schedule, psi0, noise)
+    amps = run_ideal(schedule, psi0).amplitudes
     np.testing.assert_allclose(rho.entries, np.outer(amps, amps.conj()),
                                atol=1e-14)
 
@@ -1036,7 +1028,7 @@ def test_mcwf_ensemble_agrees_with_lindblad(schedule):
     """Trace distance between the trajectory average and the master equation."""
     psi0 = encode_logical((0, 0, 0), schedule.space)   # photon-carrying branch
     noise = NoiseParams(tau=1e-3, epsilon=0.0, n_traj=1500, seed=12)
-    rho_mc = ensemble_density(run_trajectories(schedule, psi0, noise))
+    rho_mc = trajectories._trajectory_density(schedule, psi0, noise)
     rho_ref = lindblad_evolve(schedule, DensityMatrix.from_state(psi0), 1e-3)
     assert trace_distance(rho_mc, rho_ref) <= 0.03
 
