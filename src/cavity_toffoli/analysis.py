@@ -130,9 +130,17 @@ def _cell_fidelity(groups: list[tuple[np.ndarray, _CompiledSchedule]], basis: np
     targets = basis[_IMAGES].conj()
     fids = np.empty((len(basis), noise.n_traj))
     for inputs, compiled in groups:
-        blocks = _trajectory_blocks(compiled, basis[inputs], noise, inputs, cell_index)
-        overlaps = np.concatenate([_rows_matmul(block.states[block.inputs == b], targets[b])
-                                   for block in blocks for b in np.unique(block.inputs)])
+        overlaps = []
+        for block in _trajectory_blocks(compiled, basis[inputs], noise, inputs, cell_index):
+            # one overlap per distinct state, against its input's target on the basis
+            state_inputs = np.empty(len(block.psi), dtype=np.intp)
+            state_inputs[block.owner] = block.inputs
+            per_state = np.empty(len(block.psi), dtype=np.complex128)
+            for b in np.unique(state_inputs):
+                mine = state_inputs == b
+                per_state[mine] = _rows_matmul(block.psi[mine], targets[b, compiled.support])
+            overlaps.append(per_state[block.owner])
+        overlaps = np.concatenate(overlaps)
         fids[inputs] = np.minimum(overlaps.real ** 2 + overlaps.imag ** 2,
                                   1.0).reshape(len(inputs), -1)
     mean = float(fids.mean())

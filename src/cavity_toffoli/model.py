@@ -192,9 +192,10 @@ def _rig_amplitudes(angle: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pi model angle imprecision; an array gives one (c, s) per entry."""
     angle = np.asarray(angle, dtype=np.float64)
     half = 0.5 * angle
-    phase = np.cos(half) + 1j * np.sin(half)
-    c = phase * np.cos(half)
-    s = -1j * phase * np.sin(half)
+    cos, sin = np.cos(half), np.sin(half)
+    phase = cos + 1j * sin
+    c = phase * cos
+    s = -1j * phase * sin
     return np.where(angle == math.pi, 0.0, c), np.where(angle == math.pi, 1.0, s)
 
 

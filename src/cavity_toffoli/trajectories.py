@@ -5,7 +5,8 @@ operator sqrt(kappa) a with kappa = 1/tau, tau the photon lifetime, so
 <n> decays as exp(-t/tau).  Atomic decay is neglected (circular states).
 Every path runs on the basis states its start states reach (``_compile``;
 at any fock_dim 13 from the logical inputs, 7 from the four without a
-photon) and embeds its results back in the full space.  That basis, and
+photon).  The trajectory reductions stay on that basis; only per-trajectory
+results and density matrices are embedded in the full space.  That basis, and
 each segment's H, N, a and pulse maps on it, depend on the schedule and
 the start support only, so ``_structure`` memoizes them, read-only;
 ``_compile`` builds new evolvers (K at the call's kappa, diagonalized on
@@ -384,17 +385,27 @@ def _compiled_groups(schedule: Schedule, noise: NoiseParams, starts: np.ndarray
 
 @dataclass(frozen=True)
 class _Block:
-    """Final states and records of a block of trajectories, one row each."""
+    """Final states and records of a block of trajectories: row i ends in the
+    distinct state ``psi[owner[i]]`` on the compiled basis ``support``."""
 
     space: CompositeSpace
-    states: np.ndarray                          # (n, dim)
+    support: np.ndarray                         # (r,) full-space index of each basis state
+    psi: np.ndarray                             # (m, r) distinct final states
+    owner: np.ndarray                           # (n,) state of each row
     events: tuple[tuple[np.ndarray, np.ndarray], ...]  # per pass with jumps: rows, times
     durations: np.ndarray                       # (n, n_segments)
     inputs: Optional[np.ndarray] = None         # (n,) basis input of each row
 
     @cached_property
+    def states(self) -> np.ndarray:
+        """(n, dim) final rows, embedded in the full space."""
+        states = np.zeros((len(self.owner), self.space.total_dim), dtype=np.complex128)
+        states[:, self.support] = self.psi[self.owner]
+        return states
+
+    @cached_property
     def jump_times(self) -> tuple[tuple[float, ...], ...]:
-        times: list[list[float]] = [[] for _ in self.states]
+        times: list[list[float]] = [[] for _ in self.owner]
         for rows, at in self.events:
             for row, t in zip(rows.tolist(), at.tolist()):
                 times[row].append(t)
@@ -425,9 +436,10 @@ def _decay(ev: _DriftEvolver, psi: np.ndarray, owner: np.ndarray, t0: np.ndarray
     # running states, the rows in them, and each row's place among the states
     states, rows, at = np.arange(len(psi)), np.arange(len(owner)), owner
     while states.size:
-        start = ev.coefficients(psi[states])
+        running = psi[states]
+        start = ev.coefficients(running)
         remaining = duration[states] - t_done[states]
-        norms = _sq_norms(psi[states])
+        norms = _sq_norms(running)
         slack = 1e-12 * norms
         ends = ev.evolve(start, remaining)
         end_norms = _sq_norms(ends)
@@ -485,13 +497,13 @@ def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, owner: np.ndarray,
             noise: NoiseParams, factors: np.ndarray, thresholds: np.ndarray,
             next_thresholds: Optional[Callable[..., np.ndarray]]) -> _Block:
     """Evolve rows from the distinct start states ``psi`` (m, dim), row i from
-    ``psi[owner[i]]``, one trajectory each, on the compiled basis, and embed
-    the final rows back in the full space.  Each distinct state evolves once
-    until a row jumps (``_decay``) or its segment factor parts from its
-    state's.  ``factors`` (n, n_segments) are the rows' jitter factors and
-    ``thresholds`` (n,) their first jump thresholds; ``next_thresholds(rows)``
-    gives the next thresholds of ``rows`` after they jump (None if no
-    segment decays).  The final rows are not renormalized.
+    ``psi[owner[i]]``, one trajectory each, on the compiled basis.  Each
+    distinct state evolves once until a row jumps (``_decay``) or its segment
+    factor parts from its state's.  ``factors`` (n, n_segments) are the rows'
+    jitter factors and ``thresholds`` (n,) their first jump thresholds;
+    ``next_thresholds(rows)`` gives the next thresholds of ``rows`` after
+    they jump (None if no segment decays).  The block keeps the distinct
+    final states on the compiled basis, not renormalized, and each row's.
     """
     segments = compiled.schedule.segments
     n = len(factors)
@@ -515,9 +527,8 @@ def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, owner: np.ndarray,
                                         thresholds, next_thresholds)
             events += passes
         elapsed += durations[:, k]
-    states = np.zeros((n, compiled.schedule.space.total_dim), dtype=np.complex128)
-    states[:, compiled.support] = psi[owner]
-    return _Block(compiled.schedule.space, states, tuple(events), durations)
+    return _Block(compiled.schedule.space, compiled.support, psi, owner, tuple(events),
+                  durations)
 
 
 def _check_initial_state(schedule: Schedule, psi0: StateVector) -> None:
@@ -536,7 +547,8 @@ def _run_block(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
     words and first threshold (drawn even if no segment decays); at
     epsilon = 0 it skips the blocks that hold only jitter words, which
     nothing reads.  A row whose thresholds outrun them gets the Philox
-    block of its next one.
+    block of its next one.  The block's distinct final states come back
+    renormalized, on the compiled basis.
     """
     n_seg, seed = len(compiled.schedule.segments), int(noise.seed)
     n_cached = 4 * (n_seg // 4 + 1)
@@ -560,8 +572,8 @@ def _run_block(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
     _, first, owner = np.unique(inputs, return_index=True, return_inverse=True)
     block = _evolve(compiled, psi[first], owner, noise, factors,
                     next_thresholds(np.arange(len(trajs))), next_thresholds)
-    return replace(block, states=block.states / np.sqrt(_sq_norms(block.states))[:, None],
-                   inputs=inputs)
+    psi = np.ascontiguousarray(block.psi)           # a pulse's gather may leave it strided
+    return replace(block, psi=psi * (1.0 / np.sqrt(_sq_norms(psi)))[:, None], inputs=inputs)
 
 
 def _trajectory_blocks(compiled: _CompiledSchedule, starts: np.ndarray, noise: NoiseParams,
@@ -617,18 +629,21 @@ def run_trajectories(schedule: Schedule, psi0: StateVector, noise: NoiseParams,
     start = psi0.amplitudes[None, :]
     blocks = _trajectory_blocks(_compile(schedule, noise, start), start, noise,
                                 np.array([basis_input]), cell)
-    return [block.result(row) for block in blocks for row in range(len(block.states))]
+    return [block.result(row) for block in blocks for row in range(len(block.owner))]
 
 
 def _trajectory_density(schedule: Schedule, psi0: StateVector,
                         noise: NoiseParams) -> DensityMatrix:
     """(1/N) sum |psi_k><psi_k| over the final states of ``run_trajectories``,
-    one stacked product per block, without per-trajectory objects."""
+    one stacked product per block on the compiled basis, embedded once,
+    without per-trajectory objects."""
     start = psi0.amplitudes[None, :]
-    blocks = _trajectory_blocks(_compile(schedule, noise, start), start, noise,
-                                np.array([0]), 0)
-    return DensityMatrix(schedule.space,
-                         sum(b.states.T @ b.states.conj() for b in blocks) / noise.n_traj)
+    compiled = _compile(schedule, noise, start)
+    blocks = _trajectory_blocks(compiled, start, noise, np.array([0]), 0)
+    rho = np.zeros((schedule.space.total_dim,) * 2, dtype=np.complex128)
+    rho[np.ix_(compiled.support, compiled.support)] = sum(
+        rows.T @ rows.conj() for rows in (b.psi[b.owner] for b in blocks)) / noise.n_traj
+    return DensityMatrix(schedule.space, rho)
 
 
 def _components(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:

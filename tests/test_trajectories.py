@@ -667,6 +667,45 @@ def test_gate_fidelity_row_sets_cross_inputs(params, schedule, monkeypatch):
         assert float.fromhex(results[0][0]) == pytest.approx(np.mean(per_input), abs=1e-14)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 0.08], ids=["eps-0", "eps-0.08"])
+def test_gate_fidelity_reduces_distinct_states_on_the_basis(params, schedule, monkeypatch,
+                                                            epsilon):
+    """``gate_fidelity`` takes one overlap per distinct final state on the
+    compiled basis; at epsilon = 0 a block holds far fewer of them than rows.
+    Its mean and standard error match a full-space reference within 1e-15,
+    over both input groups: every row embedded in the full space, divided by
+    its norm and overlapped with its input's full-space target."""
+    evolve, run_block, raw, blocks = trajectories._evolve, trajectories._run_block, [], []
+
+    def recording_evolve(*args):
+        raw.append(evolve(*args))
+        return raw[-1]
+
+    def recording_run_block(*args):
+        blocks.append(run_block(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(trajectories, "_evolve", recording_evolve)
+    monkeypatch.setattr(trajectories, "_run_block", recording_run_block)
+    noise = NoiseParams(tau=1e-3, epsilon=epsilon, n_traj=250, seed=8)
+    res = gate_fidelity(params, noise, cell_index=2)
+    assert sorted(len(block.support) for block in blocks) == [7, 13]
+    if epsilon == 0.0:
+        assert all(4 * len(block.psi) < len(block.owner) for block in blocks)
+    targets = _logical_basis(schedule)[[LOGICAL_BITS.index(toffoli_map(bits))
+                                        for bits in LOGICAL_BITS]]
+    fids = np.empty((len(LOGICAL_BITS), noise.n_traj))
+    for evolved, block in zip(raw, blocks):
+        rows = np.zeros((len(block.owner), schedule.space.total_dim), dtype=np.complex128)
+        rows[:, block.support] = evolved.psi[evolved.owner]
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        overlaps = np.einsum("ij,ij->i", targets[block.inputs].conj(), rows)
+        fids[np.unique(block.inputs)] = np.minimum(np.abs(overlaps) ** 2,
+                                                   1.0).reshape(-1, noise.n_traj)
+    assert abs(res.mean - fids.mean()) <= 1e-15
+    assert abs(res.std_error - fids.std(ddof=1) / math.sqrt(fids.size)) <= 1e-15
+
+
 @pytest.mark.parametrize("tau", [1e3, 2e-4])
 def test_rows_share_a_state_until_they_jump(schedule, monkeypatch, tau):
     """At epsilon = 0 the rows of one start share one state until they
@@ -761,19 +800,28 @@ def test_mcwf_validates_input(schedule):
 
 # ---------------------------------------------------------------- ensembles
 
-@pytest.mark.parametrize("n_traj", [1, 1000, 2500])
-def test_trajectory_density_equals_ensemble_of_trajectories(schedule, n_traj):
+@pytest.mark.parametrize("n_traj, epsilon",
+                         [(1, 0.03), (1000, 0.03), (2500, 0.03), (1000, 0.0), (2500, 0.0)],
+                         ids=["1", "1000", "2500", "1000-eps-0", "2500-eps-0"])
+def test_trajectory_density_equals_ensemble_of_trajectories(schedule, n_traj, epsilon):
     """``validate``'s reducer is (1/N) sum |psi_k><psi_k| over the final states
     of ``run_trajectories``, summed as one outer product per ``_BLOCK_ROWS``
-    stack, bit for bit, also past the block boundary (2500 > 2048 rows)."""
+    stack of rows on the compiled basis and embedded once, bit for bit, also
+    past the block boundary (2500 > 2048 rows) and at epsilon = 0, where rows
+    share their states.  The rows are exactly 0 off that basis."""
     amps = sum(encode_logical(b, schedule.space).amplitudes for b in LOGICAL_BITS)
     psi0 = StateVector(schedule.space, amps / np.linalg.norm(amps))
-    noise = NoiseParams(tau=0.5e-3, epsilon=0.03, n_traj=n_traj, seed=4)
+    noise = NoiseParams(tau=0.5e-3, epsilon=epsilon, n_traj=n_traj, seed=4)
     rho = trajectories._trajectory_density(schedule, psi0, noise)
     rows = np.stack([res.final_state.amplitudes
                      for res in run_trajectories(schedule, psi0, noise)])
-    stacks = (rows[i:i + _BLOCK_ROWS] for i in range(0, n_traj, _BLOCK_ROWS))
-    assert np.array_equal(rho.entries, sum(b.T @ b.conj() for b in stacks) / n_traj)
+    support = trajectories._compile(schedule, noise, psi0.amplitudes[None]).support
+    off = np.setdiff1d(np.arange(schedule.space.total_dim), support)
+    assert off.size and np.all(rows[:, off] == 0.0)
+    stacks = (rows[i:i + _BLOCK_ROWS, support] for i in range(0, n_traj, _BLOCK_ROWS))
+    expected = np.zeros_like(rho.entries)
+    expected[np.ix_(support, support)] = sum(b.T @ b.conj() for b in stacks) / n_traj
+    assert np.array_equal(rho.entries, expected)
 
 
 def test_ensemble_of_identical_trajectories_is_that_projector(schedule):
