@@ -160,7 +160,7 @@ def lindblad_gate_fidelity(params: PhysicalParams, tau: float, *,
     if schedule is None:
         schedule = toffoli_schedule(params)
     basis = _logical_basis(schedule)
-    rhos = _lindblad_stack(schedule, basis[:, :, None] * basis.conj()[:, None, :], tau)
+    rhos = _lindblad_stack(schedule, basis[:, :, None] * basis.conj()[:, None, :], (tau,))[0]
     return sum(float(np.vdot(target, rho @ target).real)
                for target, rho in zip(basis[_IMAGES], rhos)) / len(LOGICAL_BITS)
 

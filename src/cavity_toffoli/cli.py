@@ -15,6 +15,7 @@ round-trip formatting).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from .model import PhysicalParams
 from .protocol import (LOGICAL_BITS, Schedule, encode_logical,
                        process_phase_spread, toffoli_map, toffoli_schedule)
 from .qmath import DensityMatrix, StateVector, trace_distance
-from .trajectories import NoiseParams, _trajectory_density, lindblad_evolve
+from .trajectories import NoiseParams, _lindblad_stack, _trajectory_density
 
 SMOKE_TAUS = (0.5e-3, 1e-3, 5e-3)
 
@@ -147,15 +148,18 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, Schedule]:
     return config, schedule
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
+def _add_common_options(parser: argparse.ArgumentParser, *, noise: bool = True) -> None:
+    """The RunConfig flags; without ``noise`` (validate, which fixes its own
+    tau grid, epsilon and n_traj) not --tau, --epsilon and --n-traj."""
     parser.add_argument("--config", metavar="PATH",
                         help="JSON file with RunConfig field names")
     parser.add_argument("--omega-hz", dest="omega_hz", type=float)
     parser.add_argument("--delta-over-omega", dest="delta_over_omega", type=float)
-    parser.add_argument("--tau", dest="tau_s", type=_parse_tau,
-                        help="photon lifetime in s, or 'inf'")
-    parser.add_argument("--epsilon", dest="epsilon", type=float)
-    parser.add_argument("--n-traj", dest="n_traj", type=int)
+    if noise:
+        parser.add_argument("--tau", dest="tau_s", type=_parse_tau,
+                            help="photon lifetime in s, or 'inf'")
+        parser.add_argument("--epsilon", dest="epsilon", type=float)
+        parser.add_argument("--n-traj", dest="n_traj", type=int)
     parser.add_argument("--seed", dest="seed", type=int)
     parser.add_argument("--fock-dim", dest="fock_dim", type=int)
     parser.add_argument("--loss-scope", dest="loss_scope",
@@ -164,7 +168,9 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
                         choices=("all", "interactions_only"))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (``main`` reuses it)."""
     parser = _Parser(prog="cavity-toffoli",
                      description="Cavity-QED Toffoli gate simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -192,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="dispersive-approximation and "
                            "quantum-jump oracle checks")
-    _add_common_options(p_val)
+    _add_common_options(p_val, noise=False)
     p_val.add_argument("--quick", action="store_true",
                        help="10^3 trajectories and a relaxed 0.05 threshold")
     return parser
@@ -295,11 +301,12 @@ def cmd_validate(config: RunConfig, schedule: Schedule,
     psi0 = StateVector(schedule.space, amps / np.linalg.norm(amps))
     print(f"quantum jumps vs master equation ({n_traj} trajectories, "
           f"threshold {threshold}):")
-    for tau in SMOKE_TAUS:
+    rho_refs = _lindblad_stack(schedule, DensityMatrix.from_state(psi0).entries[None],
+                               SMOKE_TAUS)[:, 0]
+    for tau, rho_ref in zip(SMOKE_TAUS, rho_refs):
         noise = NoiseParams(tau=tau, epsilon=0.0, n_traj=n_traj, seed=config.seed)
         rho_mc = _trajectory_density(schedule, psi0, noise)
-        rho_ref = lindblad_evolve(schedule, DensityMatrix.from_state(psi0), tau)
-        dist = trace_distance(rho_mc, rho_ref)
+        dist = trace_distance(rho_mc, DensityMatrix(schedule.space, rho_ref))
         verdict = "ok" if dist <= threshold else "FAIL"
         if dist > threshold:
             ok = False

@@ -12,9 +12,10 @@ the start support only, so ``_structure`` memoizes them, read-only;
 ``_compile`` builds new evolvers (K at the call's kappa, diagonalized on
 first use) on every call.  The Lindblad oracle (``lindblad_evolve``)
 applies each timed segment's exact exp(L T), block by block, to stacked
-density matrices.  The blocks' partition is memoized beside the structure
-(``_partition``), and each block size of the whole schedule takes one
-Pade-13 ``_expm`` call.
+density matrices.  L = G_H + kappa G_loss is linear in kappa, so the blocks'
+partition and both kappa-free parts are memoized beside the structure
+(``_liouvillian``), and each block size of the whole schedule, over every
+tau of a call, takes one Pade-13 ``_expm`` call.
 
 The jump unraveling is one batched quantum-jump engine.  The trajectories
 of the basis inputs that reach one compiled basis evolve together on it as
@@ -60,7 +61,7 @@ from .qmath import CompositeSpace, DensityMatrix, StateVector, embed_operator
 
 #: trajectories evolved together; bounds the engine's memory for any n_traj
 _BLOCK_ROWS = 2048
-#: (schedule, start support) structures ``_compile`` keeps, and Liouvillian partitions
+#: (schedule, start support) structures ``_compile`` keeps, and Liouvillian memos
 _STRUCTURES = 8
 #: cond_1(V) above which a generator takes expm, not V exp(w T) V^-1
 _EIG_COND_MAX = 1e4
@@ -281,7 +282,6 @@ class _DriftEvolver:
 
     def __init__(self, h: np.ndarray, kappa: float, n_cav: np.ndarray):
         self.lossy = kappa > 0.0
-        self.kappa = kappa
         self.k = h - 0.5j * kappa * n_cav if self.lossy else h
 
     @cached_property
@@ -318,8 +318,6 @@ class _CompiledSchedule:
     annihilator: np.ndarray
     #: full-space index of each compiled basis state, ascending
     support: np.ndarray
-    #: the start support ``_structure`` was keyed by (a bool mask, as bytes)
-    starts_mask: bytes
 
 
 @lru_cache(maxsize=_STRUCTURES)
@@ -369,7 +367,7 @@ def _compile(schedule: Schedule, noise: NoiseParams,
         _PulseEvolver(*op) if seg.kind == "classical_pulse" else
         _DriftEvolver(op[0], noise.kappa if seg.loss_active else 0.0, n_cav)
         for seg, op in zip(schedule.segments, ops))
-    return _CompiledSchedule(schedule, evolvers, annihilator, support, starts_mask)
+    return _CompiledSchedule(schedule, evolvers, annihilator, support)
 
 
 def _compiled_groups(schedule: Schedule, noise: NoiseParams, starts: np.ndarray
@@ -658,75 +656,78 @@ def _components(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_STRUCTURES)
-def _partition(schedule: Schedule, starts_mask: bytes, decays: tuple[bool, ...]) -> tuple:
-    """Each segment's Liouvillian blocks on the ``_structure`` (schedule,
-    ``starts_mask``), given whether it ``decays``: per block size, the pair
-    indices (n_blocks, size) and their row (i, j) and column (k, l) grids,
-    read-only; () for pulses and zero durations.  L couples the pair index
-    i*dim + j only within products of K's connected components, joined where
-    the jump lowers both indices, so only the nonzeros of H and a matter."""
-    _, a, _, ops = _structure(schedule, starts_mask)
-    dim, parts = len(a), []
-    for seg, op, lossy in zip(schedule.segments, ops, decays):
-        if seg.kind == "classical_pulse" or seg.nominal_duration <= 0.0:
-            parts.append(())
+def _liouvillian(schedule: Schedule, starts_mask: bytes, lossy: bool) -> tuple:
+    """The kappa-free parts of the schedule's channel on the ``_structure``
+    (schedule, ``starts_mask``), with loss where ``lossy`` and the segment's
+    is active.  A timed segment's generator L = G_H + kappa G_loss, from
+    K = H - (i/2) kappa N, vectorizes d rho/dt = -i(K rho - rho K^dag)
+    + kappa a rho a^dag row-major; it couples the pair index i*dim + j only
+    within products of K's connected components, joined where the jump lowers
+    both indices, so only the nonzeros of H and a matter.  Returns the basis,
+    per block size (G_H T, G_loss T) stacked over every timed segment's blocks
+    of that size, and per segment its steps: a pulse's pair permutation, or
+    each block's (pair indices (n_blocks, size), first row in its stack).
+    Every array is read-only; no dim^2 x dim^2 operand is formed."""
+    support, a, n_cav, ops = _structure(schedule, starts_mask)
+    dim, parts, steps = len(a), {}, []
+    for seg, op in zip(schedule.segments, ops):
+        if seg.kind == "classical_pulse":
+            steps.append((np.add.outer(op[0] * dim, op[0]).ravel(), ()))
             continue
-        states = _components(dim, *np.nonzero(op[0]))
-        down, up = (states[axis] for axis in np.nonzero(a * lossy))
+        steps.append((None, []))
+        if seg.nominal_duration <= 0.0:
+            continue
+        h, t, decays = op[0], seg.nominal_duration, lossy and seg.loss_active
+        states = _components(dim, *np.nonzero(h))
+        down, up = (states[axis] for axis in np.nonzero(a * decays))
         sectors = _components(dim * dim, np.add.outer(down * dim, down).ravel(),
                               np.add.outer(up * dim, up).ravel())
         labels = sectors[np.add.outer(states * dim, states)].ravel()
         sizes = np.bincount(labels)[labels]
         order = np.lexsort((labels, sizes))
-        idxs = [order[sizes[order] == size].reshape(-1, size) for size in np.unique(sizes)]
-        parts.append(tuple((idx, *divmod(idx[:, :, None], dim), *divmod(idx[:, None, :], dim))
-                           for idx in idxs))
-        for x in (x for block in parts[-1] for x in block):
-            x.flags.writeable = False
-    return tuple(parts)
+        for size in np.unique(sizes).tolist():
+            idx = order[sizes[order] == size].reshape(-1, size)
+            (i, j), (k, l) = divmod(idx[:, :, None], dim), divmod(idx[:, None, :], dim)
+            g_h, g_loss = parts.setdefault(size, ([], []))
+            steps[-1][1].append((idx, sum(map(len, g_h))))
+            g_h.append(-1j * (h[i, k] * (j == l) - (i == k) * h[j, l].conj()) * t)
+            g_loss.append(decays * (a[i, k] * a[j, l].conj() - 0.5 * (
+                n_cav[i, k] * (j == l) + (i == k) * n_cav[j, l].conj())) * t)
+    stacks = {size: tuple(map(np.concatenate, part)) for size, part in parts.items()}
+    steps = tuple((pulse, tuple(blocks)) for pulse, blocks in steps)
+    for x in (*(x for part in stacks.values() for x in part),
+              *(x for pulse, blocks in steps for x in (pulse, *(b[0] for b in blocks))
+                if x is not None)):
+        x.flags.writeable = False
+    return support, stacks, steps
 
 
-def _liouvillian_blocks(compiled: _CompiledSchedule
-                        ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Generator L of each timed segment's channel exp(L T), as independent blocks:
-    L = -i(K kron 1 - 1 kron conj(K)) + kappa a kron conj(a), at the segment's own
-    kappa, vectorizes d rho/dt = -i(K rho - rho K^dag) + kappa a rho a^dag row-major.
-    Yields (segment, pair indices (n_blocks, size), their blocks of L) in segment
-    order, off the memoized ``_partition``; no dim^2 x dim^2 operand is formed."""
-    partition = _partition(compiled.schedule, compiled.starts_mask,
-                           tuple(ev.lossy for ev in compiled.evolvers))
-    for n, (ev, blocks) in enumerate(zip(compiled.evolvers, partition)):
-        jump = math.sqrt(ev.kappa) * compiled.annihilator if blocks else None
-        for idx, i, j, k, l in blocks:
-            yield n, idx, (-1j * (ev.k[i, k] * (j == l) - (i == k) * ev.k[j, l].conj())
-                           + jump[i, k] * jump[j, l].conj())
-
-
-def _lindblad_stack(schedule: Schedule, rho0s: np.ndarray, tau: float) -> np.ndarray:
-    """Density matrices ``rho0s`` (m, dim, dim) through the exact Lindblad channel,
-    as one stack on the compiled basis of their rows' and columns' support.
-    The blocks L T of one size, over all timed segments, take one ``_expm``
+def _lindblad_stack(schedule: Schedule, rho0s: np.ndarray,
+                    taus: tuple[float, ...]) -> np.ndarray:
+    """Density matrices ``rho0s`` (m, dim, dim) through the exact Lindblad channel
+    at each photon lifetime of ``taus``, all finite or all inf: (len(taus), m,
+    dim, dim), on the compiled basis of their rows' and columns' support.  The
+    blocks L T of one size, over all timed segments and taus, take one ``_expm``
     call, which treats each matrix on its own; they act in segment order."""
-    compiled = _compile(schedule, NoiseParams(tau=tau, epsilon=0.0),   # checks tau > 0
-                        (rho0s != 0).any(axis=1) | (rho0s != 0).any(axis=2))
-    stacks, steps = {}, {}
-    for n, idx, gen in _liouvillian_blocks(compiled):
-        stack = stacks.setdefault(idx.shape[1], [])
-        steps.setdefault(n, []).append((idx, sum(map(len, stack))))   # its first row
-        stack.append(gen * schedule.segments[n].nominal_duration)
-    exps = {m: _expm(np.concatenate(stack)) for m, stack in stacks.items()}
-    support = compiled.support
-    pairs, r = np.ix_(range(len(rho0s)), support, support), len(support)
-    vecs = rho0s[pairs].reshape(len(rho0s), r * r)
-    for n, (seg, ev) in enumerate(zip(schedule.segments, compiled.evolvers)):
-        if seg.kind == "classical_pulse":
-            # the rows of the identity are the basis kets, so this gives U^T
-            u = ev.apply(np.eye(r, dtype=np.complex128), np.ones(r)).T
-            vecs = (u @ vecs.reshape(-1, r, r) @ u.conj().T).reshape(len(vecs), -1)
-        for idx, first in steps.get(n, ()):
-            vecs[:, idx] = (exps[idx.shape[1]][first:first + len(idx)] @ vecs[:, idx, None])[..., 0]
-    rhos = np.zeros(rho0s.shape, dtype=np.complex128)
-    rhos[pairs] = vecs.reshape(-1, r, r)
+    kappas = np.array([NoiseParams(tau=tau, epsilon=0.0).kappa for tau in taus])
+    lossy = set((kappas > 0).tolist())              # one loss pattern: one memo
+    if len(lossy) != 1:
+        raise ValueError(f"taus must be all finite or all inf, got {taus!r}")
+    nonzero = rho0s != 0
+    support, stacks, steps = _liouvillian(
+        schedule, (nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2))).tobytes(), lossy.pop())
+    exps = {size: _expm((g_h + np.multiply.outer(kappas, g_loss)).reshape(-1, size, size))
+            .reshape(len(kappas), -1, size, size) for size, (g_h, g_loss) in stacks.items()}
+    pairs, r = (slice(None), support[:, None], support), len(support)
+    vecs = np.repeat(rho0s[pairs].reshape(1, len(rho0s), r * r), len(kappas), axis=0)
+    for pulse, blocks in steps:
+        if pulse is not None:
+            vecs = vecs[..., pulse]
+        for idx, first in blocks:
+            exp = exps[idx.shape[1]][:, None, first:first + len(idx)]
+            vecs[..., idx] = (exp @ vecs[..., idx, None])[..., 0]
+    rhos = np.zeros((len(kappas), *rho0s.shape), dtype=np.complex128)
+    rhos[(slice(None), *pairs)] = vecs.reshape(len(kappas), -1, r, r)
     return rhos
 
 
@@ -737,4 +738,4 @@ def lindblad_evolve(schedule: Schedule, rho0: DensityMatrix, tau: float) -> Dens
     """
     if rho0.space != schedule.space:
         raise ValueError("initial state does not live on the schedule's space")
-    return DensityMatrix(rho0.space, _lindblad_stack(schedule, rho0.entries[None], tau)[0])
+    return DensityMatrix(rho0.space, _lindblad_stack(schedule, rho0.entries[None], (tau,))[0, 0])

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cavity_toffoli
+from cavity_toffoli import cli
 from cavity_toffoli.cli import main
 
 FAST = ["--n-traj", "25", "--seed", "7"]
@@ -214,6 +215,36 @@ def test_validate_quick_passes(capsys):
     assert "delta/omega   4.0" in out
     assert "1000 trajectories, threshold 0.05" in out
     assert "validation: OK" in out
+
+
+@pytest.mark.parametrize("flag", [["--tau", "2e-3"], ["--epsilon", "0.01"], ["--n-traj", "50"]],
+                         ids=["tau", "epsilon", "n-traj"])
+def test_validate_rejects_flags_it_would_ignore(capsys, flag):
+    """validate fixes its own tau grid, epsilon 0 and n_traj, so --tau,
+    --epsilon and --n-traj are usage errors, reported before any output."""
+    code, out, err = run_cli(capsys, ["validate", "--quick", *flag])
+    assert code == 1
+    assert err.startswith("error:") and flag[0] in err
+    assert out == ""
+
+
+def test_validate_accepts_and_ignores_noise_fields_in_config_file(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau_s": 2e-3, "epsilon": 0.01, "n_traj": 50, "seed": 2}))
+    code, out, _ = run_cli(capsys, ["validate", "--quick", "--config", str(cfg)])
+    assert code == 0
+    assert out == run_cli(capsys, ["validate", "--quick", "--seed", "2"])[1]
+
+
+def test_main_builds_its_parser_once(capsys):
+    """Repeated ``main`` calls share one parser: the same stdout, and a usage
+    error between them still exits 1."""
+    cli.build_parser.cache_clear()
+    first = run_cli(capsys, ["truth-table"])
+    assert run_cli(capsys, ["run", "--tau", "never"])[0] == 1
+    assert run_cli(capsys, ["truth-table"]) == first
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 # ---------------------------------------------------------------- end to end

@@ -860,31 +860,40 @@ def _dense_liouvillian(h, a, kappa):
             + kappa * (np.kron(a, a.conj()) - 0.5 * (np.kron(n, eye) + np.kron(eye, n.T))))
 
 
+def _memo_blocks(memo, k, kappa):
+    """(pair indices, G_H T + kappa G_loss T) of each block of segment k of
+    a ``_liouvillian`` memo, at the call's kappa, as ``_lindblad_stack`` forms it."""
+    _, stacks, steps = memo
+    for idx, first in steps[k][1]:
+        g_h, g_loss = (x[first:first + len(idx)] for x in stacks[idx.shape[1]])
+        yield idx, g_h + kappa * g_loss
+
+
 @pytest.mark.parametrize("fock_dim, tau, loss_scope",
                          [(3, 1e-3, "all_segments"), (3, math.inf, "all_segments"),
                           (4, 1e-3, "all_segments"), (3, 1e-3, "collision_only")],
                          ids=["tau-1ms", "lossless", "fock-4", "collision-only"])
 def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau, loss_scope):
-    """Each timed segment's blocks partition the pair indices with no
-    nonzero of the dense Liouvillian L between two blocks, and each yielded
-    generator is its block of L, at the segment's own kappa (0 where its loss
-    is off), so ``_expm(gen * T)`` is scipy's expm of that block; on a random
-    full-rank rho, ``lindblad_evolve`` of the segment alone equals scipy's
-    blockwise channel within 1e-12."""
+    """Each timed segment's memoized blocks partition the pair indices with
+    no nonzero of the dense Liouvillian L between two blocks, and each
+    G_H T + kappa G_loss T, at the call's kappa, is its block of L T at the
+    segment's own kappa (0 where its loss is off), so its ``_expm`` is
+    scipy's expm of that block; on a random full-rank rho,
+    ``lindblad_evolve`` of the segment alone equals scipy's blockwise
+    channel within 1e-12."""
     schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim),
                                 loss_scope=loss_scope)
     space = schedule.space
     dim = space.total_dim
-    compiled = trajectories._compile(schedule, NoiseParams(tau=tau), np.eye(dim))
     kappa = 0.0 if math.isinf(tau) else 1.0 / tau
+    memo = trajectories._liouvillian(schedule, np.ones(dim, dtype=bool).tobytes(), kappa > 0)
     a = embed_operator(space, [0], annihilation(space.subsystem_dims[0])).entries
     rng = np.random.default_rng(8)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho0 = DensityMatrix(space, g @ g.conj().T / np.trace(g @ g.conj().T))
     assert float(np.linalg.eigvalsh(rho0.entries).min()) > 1e-6   # full rank
-    blocks = list(trajectories._liouvillian_blocks(compiled))
     timed = [k for k, seg in enumerate(schedule.segments) if seg.kind != "classical_pulse"]
-    assert sorted({k for k, _, _ in blocks}) == timed
+    assert [k for k, (_, blocks) in enumerate(memo[2]) if blocks] == timed
     for k in timed:
         seg = schedule.segments[k]
         liouv = _dense_liouvillian(segment_drift(schedule, seg).entries, a,
@@ -892,14 +901,15 @@ def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau, loss_scope):
         block_of = np.full(dim * dim, -1)
         first = 0
         vec0, exact = rho0.entries.reshape(-1), np.empty(dim * dim, dtype=complex)
-        for idx, gen in ((idx, gen) for n, idx, gen in blocks if n == k):
+        for idx, gen_t in _memo_blocks(memo, k, kappa):
             assert np.all(block_of[idx] == -1)
             block_of[idx] = first + np.arange(len(idx))[:, None]
             first += len(idx)
             dense = liouv[idx[:, :, None], idx[:, None, :]]
+            gen = gen_t / seg.nominal_duration
             assert np.max(np.abs(gen - dense)) <= 1e-9 * max(1.0, np.max(np.abs(dense)))
             ref = scipy.linalg.expm(dense * seg.nominal_duration)
-            props = trajectories._expm(gen * seg.nominal_duration)
+            props = trajectories._expm(gen_t)
             assert np.max(np.abs(props - ref)) <= 1e-12, (seg.kind, idx.shape)
             exact[idx] = (ref @ vec0[idx][..., None])[..., 0]
         assert np.all(block_of >= 0)
@@ -915,10 +925,10 @@ def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau, loss_scope):
                          [(3, "all_segments"), (4, "all_segments"), (3, "collision_only")],
                          ids=["fock-3", "fock-4", "fock-3-collision-only"])
 def test_liouvillian_block_exponentials_match_expm(fock_dim, loss_scope):
-    """Over the default tau grid and tau = 2e-5, ``_expm(gen * T)`` of every
-    yielded generator block of every timed segment equals scipy's expm of
-    that block of the dense Liouvillian, at the segment's own kappa, within
-    1e-12."""
+    """Over the default tau grid and tau = 2e-5, ``_expm`` of every memoized
+    G_H T + kappa G_loss T block of every timed segment equals scipy's expm
+    of that block of the dense Liouvillian times T, at the segment's own
+    kappa, within 1e-12; one memo serves every tau."""
     schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim),
                                 loss_scope=loss_scope)
     dim = schedule.space.total_dim
@@ -928,18 +938,22 @@ def test_liouvillian_block_exponentials_match_expm(fock_dim, loss_scope):
     hamiltonian_part = {k: _dense_liouvillian(segment_drift(schedule, seg).entries, a, 0.0)
                         for k, seg in timed.items()}
     loss_part = _dense_liouvillian(np.zeros_like(a), a, 1.0)
+    memo = trajectories._liouvillian(schedule, np.ones(dim, dtype=bool).tobytes(), True)
     for tau in (*DEFAULT_TAU_GRID, 2e-5):
-        compiled = trajectories._compile(schedule, NoiseParams(tau=tau, epsilon=0.0),
-                                         np.eye(dim))
-        liouvs = {k: hamiltonian_part[k] + (1.0 / tau if seg.loss_active else 0.0) * loss_part
-                  for k, seg in timed.items()}
-        for k, idx, gen in trajectories._liouvillian_blocks(compiled):
-            seg, liouv = timed[k], liouvs[k]
-            props = trajectories._expm(gen * seg.nominal_duration)
-            for rows, prop in zip(idx, props):
-                block = liouv[rows[:, None], rows[None, :]] * seg.nominal_duration
-                err = np.max(np.abs(prop - scipy.linalg.expm(block)))
-                assert err <= 1e-12, (tau, seg.kind, len(rows), err)
+        for k, seg in timed.items():
+            liouv = hamiltonian_part[k] + (1.0 / tau if seg.loss_active else 0.0) * loss_part
+            for idx, gen_t in _memo_blocks(memo, k, 1.0 / tau):
+                for rows, prop in zip(idx, trajectories._expm(gen_t)):
+                    block = liouv[rows[:, None], rows[None, :]] * seg.nominal_duration
+                    err = np.max(np.abs(prop - scipy.linalg.expm(block)))
+                    assert err <= 1e-12, (tau, seg.kind, len(rows), err)
+
+
+def _oracle_memo(schedule, starts=None):
+    """The ``_liouvillian`` memo at finite tau of the support of the rows
+    ``starts``, by default ``lindblad_gate_fidelity``'s logical basis."""
+    starts = _logical_basis(schedule) if starts is None else starts
+    return trajectories._liouvillian(schedule, np.any(starts != 0, axis=0).tobytes(), True)
 
 
 def test_lindblad_takes_one_expm_per_block_size(params, schedule, monkeypatch):
@@ -947,41 +961,63 @@ def test_lindblad_takes_one_expm_per_block_size(params, schedule, monkeypatch):
     segment's blocks of one size together: exactly one ``_expm`` call per
     distinct block size of the schedule (8 at fock_dim 3), whose stack holds
     every block of that size."""
-    starts = _logical_basis(schedule)
-    mask = np.any(starts != 0, axis=0)
-    compiled = trajectories._compile(schedule, NoiseParams(tau=1e-3), mask[None])
-    blocks = list(trajectories._liouvillian_blocks(compiled))
+    _, stacks, steps = _oracle_memo(schedule)
     count = collections.Counter()
-    for _, idx, _ in blocks:
+    for idx, _ in (block for _, blocks in steps for block in blocks):
         count[idx.shape[1]] += len(idx)
-    assert len(count) == 8 and len(blocks) > len(count)
+    assert len(count) == 8 and sum(len(blocks) for _, blocks in steps) > len(count)
+    assert count == {size: len(g_h) for size, (g_h, _) in stacks.items()}
     expm, calls = trajectories._expm, []
     monkeypatch.setattr(trajectories, "_expm", lambda a: calls.append(a.shape) or expm(a))
     lindblad_gate_fidelity(params, 1e-3)
     assert sorted(calls) == sorted((n, size, size) for size, n in count.items())
 
 
+def test_lindblad_stack_takes_every_tau_in_one_expm_per_block_size(params, schedule,
+                                                                   monkeypatch):
+    """Three taus in one ``_lindblad_stack`` call take one ``_expm`` call per
+    block size, holding 3x that size's blocks, and each tau's slice equals
+    the one-tau ``lindblad_evolve`` bit for bit; a finite and an infinite
+    tau in one call raise ``ValueError``."""
+    amps = _logical_basis(schedule).sum(axis=0)
+    rho0 = DensityMatrix.from_state(StateVector(schedule.space, amps / np.linalg.norm(amps)))
+    taus = (0.5e-3, 1e-3, 5e-3)
+    singles = [lindblad_evolve(schedule, rho0, tau).entries for tau in taus]
+    expm, calls = trajectories._expm, []
+    monkeypatch.setattr(trajectories, "_expm", lambda a: calls.append(a.shape) or expm(a))
+    rhos = trajectories._lindblad_stack(schedule, rho0.entries[None], taus)
+    _, stacks, _ = _oracle_memo(schedule, rho0.entries)
+    assert sorted(calls) == sorted((3 * len(g_h), size, size)
+                                   for size, (g_h, _) in stacks.items())
+    assert rhos.shape == (3, 1, *rho0.entries.shape)
+    for rho, single in zip(rhos[:, 0], singles):
+        assert np.array_equal(rho, single)
+    with pytest.raises(ValueError, match="all finite or all inf"):
+        trajectories._lindblad_stack(schedule, rho0.entries[None], (1e-3, math.inf))
+
+
 def test_lindblad_partition_is_memoized_read_only(params, schedule, monkeypatch):
-    """A repeated oracle call computes no partition: no ``_components`` call,
-    and the memo records a hit; every memoized array is read-only."""
-    trajectories._partition.cache_clear()
-    first = lindblad_gate_fidelity(params, 1e-3)
-    assert trajectories._partition.cache_info().misses == 1
+    """Oracle calls at 0.5, 1 and 5 ms build the kappa-free memo once: one
+    miss, no ``_components`` call after the first, hits after it; every
+    memoized array is read-only."""
+    trajectories._liouvillian.cache_clear()
+    first = lindblad_gate_fidelity(params, 0.5e-3)
+    assert trajectories._liouvillian.cache_info().misses == 1
     components, calls = trajectories._components, []
     monkeypatch.setattr(trajectories, "_components",
                         lambda *args: calls.append(1) or components(*args))
+    assert lindblad_gate_fidelity(params, 1e-3) != first
     assert lindblad_gate_fidelity(params, 5e-3) != first
-    assert lindblad_gate_fidelity(params, 1e-3) == first
+    assert lindblad_gate_fidelity(params, 0.5e-3) == first
     assert calls == []
-    info = trajectories._partition.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    mask = np.any(_logical_basis(schedule) != 0, axis=0)
-    compiled = trajectories._compile(schedule, NoiseParams(tau=1e-3), mask[None])
-    partition = trajectories._partition(schedule, compiled.starts_mask,
-                                        tuple(ev.lossy for ev in compiled.evolvers))
-    assert trajectories._partition.cache_info().misses == 1
-    arrays = [x for entry in partition for block in entry for x in block]
-    assert arrays
+    info = trajectories._liouvillian.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    support, stacks, steps = _oracle_memo(schedule)
+    assert trajectories._liouvillian.cache_info().misses == 1
+    arrays = [support, *(x for part in stacks.values() for x in part),
+              *(pulse for pulse, _ in steps if pulse is not None),
+              *(idx for _, blocks in steps for idx, _ in blocks)]
+    assert len(arrays) > 1 + 2 * len(stacks)
     for x in arrays:
         assert not x.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
