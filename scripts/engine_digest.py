@@ -1,0 +1,41 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of what the trajectory engine samples, to check that a
+change to the engine keeps every bit.  Run it on two trees and compare:
+
+    PYTHONPATH=src python3 scripts/engine_digest.py
+
+It digests the anchor cell's repr((mean, std_error)) at seed 42, the
+perfbench surface sweep's CSV at seed 42, and the final-state bytes and
+jump times of 300-row run_trajectories for each of the 8 logical inputs at
+(1 ms, 3%), (0.2 ms, 8%) and (1 ms, 0).
+"""
+
+import hashlib
+
+import numpy as np
+
+from cavity_toffoli.analysis import gate_fidelity, sweep
+from cavity_toffoli.model import PhysicalParams
+from cavity_toffoli.protocol import LOGICAL_BITS, encode_logical, toffoli_schedule
+from cavity_toffoli.trajectories import NoiseParams, run_trajectories
+
+
+def main() -> None:
+    params = PhysicalParams.from_frequency()
+    anchor = gate_fidelity(params, NoiseParams(tau=1e-3, epsilon=0.03, n_traj=2000, seed=42))
+    print("anchor", hashlib.sha256(repr((anchor.mean, anchor.std_error)).encode()).hexdigest())
+    grid = sweep(params, (0.2e-3, 0.5e-3, 1e-3, 5e-3, 10e-3), (0.0, 0.08), 250, 42)
+    print("surface", hashlib.sha256(grid.to_csv().encode()).hexdigest())
+    schedule = toffoli_schedule(params)
+    for tau, epsilon in ((1e-3, 0.03), (0.2e-3, 0.08), (1e-3, 0.0)):
+        noise, h = NoiseParams(tau=tau, epsilon=epsilon, n_traj=300, seed=42), hashlib.sha256()
+        for b, bits in enumerate(LOGICAL_BITS):
+            psi0 = encode_logical(bits, schedule.space)
+            for res in run_trajectories(schedule, psi0, noise, basis_input=b):
+                h.update(res.final_state.amplitudes.tobytes())
+                h.update(np.array(res.jump_times, dtype=np.float64).tobytes())
+        print(f"trajectories tau={tau!r} epsilon={epsilon!r}", h.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

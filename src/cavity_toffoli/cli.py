@@ -148,17 +148,19 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, Schedule]:
     return config, schedule
 
 
-def _add_common_options(parser: argparse.ArgumentParser, *, noise: bool = True) -> None:
-    """The RunConfig flags; without ``noise`` (validate, which fixes its own
-    tau grid, epsilon and n_traj) not --tau, --epsilon and --n-traj."""
+def _add_common_options(parser: argparse.ArgumentParser, *, noise: tuple[str, ...] = ()) -> None:
+    """The RunConfig flags, but of the noise flags --tau, --epsilon and
+    --n-traj only those in ``noise``, the ones the command reads."""
     parser.add_argument("--config", metavar="PATH",
                         help="JSON file with RunConfig field names")
     parser.add_argument("--omega-hz", dest="omega_hz", type=float)
     parser.add_argument("--delta-over-omega", dest="delta_over_omega", type=float)
-    if noise:
+    if "--tau" in noise:
         parser.add_argument("--tau", dest="tau_s", type=_parse_tau,
                             help="photon lifetime in s, or 'inf'")
+    if "--epsilon" in noise:
         parser.add_argument("--epsilon", dest="epsilon", type=float)
+    if "--n-traj" in noise:
         parser.add_argument("--n-traj", dest="n_traj", type=int)
     parser.add_argument("--seed", dest="seed", type=int)
     parser.add_argument("--fock-dim", dest="fock_dim", type=int)
@@ -185,10 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
                            "the inverse (introduces a -1 phase defect)")
 
     p_run = sub.add_parser("run", help="one fidelity evaluation, JSON output")
-    _add_common_options(p_run)
+    _add_common_options(p_run, noise=("--tau", "--epsilon", "--n-traj"))
 
-    p_sweep = sub.add_parser("sweep", help="fidelity over a (tau, epsilon) grid")
-    _add_common_options(p_sweep)
+    # no abbreviations: sweep takes no --tau, which would otherwise read as --tau-grid
+    p_sweep = sub.add_parser("sweep", help="fidelity over a (tau, epsilon) grid",
+                             allow_abbrev=False)
+    _add_common_options(p_sweep, noise=("--n-traj",))
     p_sweep.add_argument("--tau-grid", metavar="SPEC",
                          help="comma list or start:stop:count (seconds)")
     p_sweep.add_argument("--eps-grid", metavar="SPEC",
@@ -198,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="dispersive-approximation and "
                            "quantum-jump oracle checks")
-    _add_common_options(p_val, noise=False)
+    _add_common_options(p_val)
     p_val.add_argument("--quick", action="store_true",
                        help="10^3 trajectories and a relaxed 0.05 threshold")
     return parser

@@ -156,11 +156,10 @@ def _philox(seed: int, trajs, blocks, basis_inputs, cell: int) -> np.ndarray:
     even, odd = x[0::2], x[1::2]
     keys = np.array([[(seed + r * _PHILOX_W[0]) % 2 ** 64, r * _PHILOX_W[1] % 2 ** 64]
                      for r in range(10)], dtype=np.uint64)
-    for key in keys[:, :, None]:
+    for key in keys[:, :, None]:                    # mulhu of Hacker's Delight, 8-2
         lo, hi = even & _LO32, even >> _32
-        lo_lo, lo_hi, hi_lo = lo * _PHILOX_M_LO, lo * _PHILOX_M_HI, hi * _PHILOX_M_LO
-        carry = ((lo_lo >> _32) + (lo_hi & _LO32) + (hi_lo & _LO32)) >> _32
-        mul_hi = hi * _PHILOX_M_HI + (lo_hi >> _32) + (hi_lo >> _32) + carry
+        mid = hi * _PHILOX_M_LO + ((lo * _PHILOX_M_LO) >> _32)
+        mul_hi = hi * _PHILOX_M_HI + (mid >> _32) + ((lo * _PHILOX_M_HI + (mid & _LO32)) >> _32)
         even, odd = mul_hi[::-1] ^ odd ^ key, (even * _PHILOX_M)[::-1]
     return np.stack((even[0], odd[0], even[1], odd[1]), -1).reshape(*counters[0].shape, 4)
 
@@ -173,22 +172,23 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
 def _ndtri(p: np.ndarray) -> np.ndarray:
     """Standard normal quantile by AS241, equal to ``NormalDist().inv_cdf``.
 
-    Each branch runs on its own entries only.  The tails take ``math.log``
-    per entry, as numpy's vectorised log can differ from libm's in the last bit.
+    The central rational runs on every entry (its denominator stays above 2e-3
+    on the tails), then the tails are overwritten.  They take ``math.log`` per
+    entry, as numpy's vectorised log can differ from libm's in the last bit.
     """
-    q = p - 0.5
-    x = np.empty_like(q)
-    central = np.abs(q) <= 0.425
-    qc, qt = q[central], q[~central]
-    r = 0.180625 - qc * qc
-    x[central] = np.polyval(_AS241[0][0], r) * qc / np.polyval(_AS241[0][1], r)
-    lows = np.where(qt <= 0.0, p[~central], 1.0 - p[~central])
-    r = np.sqrt(-np.array([math.log(v) for v in lows.tolist()]))
+    flat = p.reshape(-1)
+    q = flat - 0.5
+    r = 0.180625 - q * q
+    x = np.polyval(_AS241[0][0], r) * q / np.polyval(_AS241[0][1], r)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    qt, pt = q[tail], flat[tail]
+    lows = np.where(qt <= 0.0, pt, 1.0 - pt)
+    r = np.sqrt(-np.fromiter(map(math.log, lows.tolist()), np.float64, tail.size))
     xt = np.empty_like(r)
     for near, (num, den), shift in ((r <= 5.0, _AS241[1], 1.6), (r > 5.0, _AS241[2], 5.0)):
         xt[near] = np.polyval(num, r[near] - shift) / np.polyval(den, r[near] - shift)
-    x[~central] = np.where(qt < 0.0, -xt, xt)
-    return x
+    x[tail] = np.where(qt < 0.0, -xt, xt)
+    return x.reshape(p.shape)
 
 
 def jitter_factors(schedule: Schedule, epsilon: float, u: np.ndarray) -> np.ndarray:
@@ -256,19 +256,21 @@ class _PulseEvolver:
     at angle scale x a row becomes c psi + s psi[partner], with (c, s) =
     ``_rig_amplitudes(pi x)``, so psi[partner] at x = 1.
     ``partner[j]`` is compiled basis state j with the pulsed atom's |g> and
-    |i> exchanged; states with that atom in |e> are ``fixed``, self-partnered."""
+    |i> exchanged; states with that atom in |e> are fixed, self-partnered,
+    and a pulse rewrites only the others, its ``moving`` states."""
 
-    def __init__(self, partner: np.ndarray, fixed: np.ndarray):
+    def __init__(self, partner: np.ndarray, moving: np.ndarray):
         self.lossy = False
-        self._partner, self._fixed = partner, fixed
+        self._partner, self._moving = partner, moving
 
     def apply(self, psi: np.ndarray, angle_scales: np.ndarray) -> np.ndarray:
         """Rows of ``psi`` after the R_ig pulse, each at its own angle scale."""
         if np.all(angle_scales == 1.0):
             return psi[:, self._partner]
         c, s = _rig_amplitudes(math.pi * angle_scales)
-        swapped = c[:, None] * psi + s[:, None] * psi[:, self._partner]
-        return np.where(self._fixed, psi, swapped)
+        out, moving = psi.copy(), self._moving
+        out[:, moving] = c[:, None] * psi[:, moving] + s[:, None] * psi[:, self._partner[moving]]
+        return out
 
 
 class _DriftEvolver:
@@ -324,8 +326,8 @@ class _CompiledSchedule:
 def _structure(schedule: Schedule, starts_mask: bytes) -> tuple:
     """The tau-independent part of ``_compile``, for the start support
     ``starts_mask`` (a bool mask over the full space, as bytes): the compiled
-    basis, a and N on it, and per segment either a pulse's (partner, fixed)
-    maps or a timed segment's H, every array read-only."""
+    basis, a and N on it, and per segment either a pulse's partner map and
+    moving states or a timed segment's H, every array read-only."""
     space, dims = schedule.space, schedule.space.subsystem_dims
     levels = np.array(np.unravel_index(np.arange(space.total_dim), dims))
     n_cav = embed_operator(space, [0], number_operator(dims[0])).entries
@@ -343,7 +345,7 @@ def _structure(schedule: Schedule, starts_mask: bytes) -> tuple:
     reach = steps @ np.frombuffer(starts_mask, dtype=bool)
     support, index = np.flatnonzero(reach), np.cumsum(reach) - 1
     sub = np.ix_(support, support)
-    ops = [(index[op[support]], levels[seg.atom, support] == Level.e)
+    ops = [(index[op[support]], np.flatnonzero(levels[seg.atom, support] != Level.e))
            if seg.kind == "classical_pulse" else (op[sub],)
            for seg, op in zip(schedule.segments, ops)]
     a, n_cav = a[sub], n_cav[sub]
@@ -431,10 +433,11 @@ def _decay(ev: _DriftEvolver, psi: np.ndarray, owner: np.ndarray, t0: np.ndarray
     their jump times); every state returned has a row.
     """
     owner, t_done, events = owner.copy(), np.zeros(len(psi)), []
-    # running states, the rows in them, and each row's place among the states
+    # running states, the rows in them, and each row's place among the states;
+    # the first pass runs every state in order, so it reads and replaces psi whole
     states, rows, at = np.arange(len(psi)), np.arange(len(owner)), owner
+    psi = running = np.ascontiguousarray(psi)
     while states.size:
-        running = psi[states]
         start = ev.coefficients(running)
         remaining = duration[states] - t_done[states]
         norms = _sq_norms(running)
@@ -443,7 +446,10 @@ def _decay(ev: _DriftEvolver, psi: np.ndarray, owner: np.ndarray, t0: np.ndarray
         end_norms = _sq_norms(ends)
         if not np.all(end_norms <= norms + slack):
             raise RuntimeError("squared norm must be non-increasing between jumps")
-        psi[states] = ends
+        if running is psi:
+            psi = ends
+        else:
+            psi[states] = ends
         fell = np.flatnonzero(end_norms[at] < thresholds[rows])
         if fell.size == 0:
             break
@@ -485,6 +491,7 @@ def _decay(ev: _DriftEvolver, psi: np.ndarray, owner: np.ndarray, t0: np.ndarray
         owner[rows] = new
         keep = duration[new] - t_done[new] > 0.0
         states, rows, at = new[keep], rows[keep], np.arange(np.count_nonzero(keep))
+        running = psi[states]
     live = np.bincount(owner, minlength=len(psi)) > 0
     if not live.all():
         psi, owner = psi[live], (np.cumsum(live) - 1)[owner]

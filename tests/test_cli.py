@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, determinism, precedence."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -217,15 +218,25 @@ def test_validate_quick_passes(capsys):
     assert "validation: OK" in out
 
 
-@pytest.mark.parametrize("flag", [["--tau", "2e-3"], ["--epsilon", "0.01"], ["--n-traj", "50"]],
-                         ids=["tau", "epsilon", "n-traj"])
-def test_validate_rejects_flags_it_would_ignore(capsys, flag):
-    """validate fixes its own tau grid, epsilon 0 and n_traj, so --tau,
-    --epsilon and --n-traj are usage errors, reported before any output."""
-    code, out, err = run_cli(capsys, ["validate", "--quick", *flag])
+@pytest.mark.parametrize("command, flag", [
+    (command, flag)
+    for command, flags in ((["validate", "--quick"], ["--tau", "--epsilon", "--n-traj"]),
+                           (["sweep", "--tau-grid", "1e-3", "--eps-grid", "0", "--n-traj", "5"],
+                            ["--tau", "--epsilon"]),
+                           (["truth-table"], ["--tau", "--epsilon", "--n-traj"]))
+    for flag in flags
+], ids=lambda x: x[0] if isinstance(x, list) else x.lstrip("-"))
+def test_commands_reject_flags_they_would_ignore(capsys, tmp_path, command, flag):
+    """A command registers only the noise flags it reads: validate fixes its
+    own tau grid, epsilon 0 and n_traj, sweep takes tau and epsilon from its
+    grids, and truth-table runs the ideal gate.  Any other noise flag is a
+    usage error, reported before any output or file."""
+    out_path = tmp_path / "grid.csv"
+    extra = ["--out", str(out_path)] if command[0] == "sweep" else []
+    code, out, err = run_cli(capsys, [*command, *extra, flag, "5"])
     assert code == 1
-    assert err.startswith("error:") and flag[0] in err
-    assert out == ""
+    assert err.startswith("error:") and flag in err
+    assert out == "" and not out_path.exists()
 
 
 def test_validate_accepts_and_ignores_noise_fields_in_config_file(capsys, tmp_path):
@@ -261,6 +272,15 @@ def test_collision_accuracy_script_runs():
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.splitlines()) >= 3
+
+
+def test_engine_digest_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "engine_digest.py"
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["anchor", "surface"] + ["trajectories"] * 3
+    assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[-1]) for line in lines)
 
 def test_module_entry_point_end_to_end(tmp_path):
     """Exit codes through the real process boundary."""

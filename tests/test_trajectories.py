@@ -21,7 +21,7 @@ import cavity_toffoli
 from cavity_toffoli import trajectories
 from cavity_toffoli.analysis import (DEFAULT_TAU_GRID, _logical_basis, gate_fidelity,
                                      lindblad_gate_fidelity)
-from cavity_toffoli.model import Level, PhysicalParams, annihilation
+from cavity_toffoli.model import Level, PhysicalParams, _rig_amplitudes, annihilation
 from cavity_toffoli.protocol import (LOGICAL_BITS, Schedule, Segment,
                                      encode_logical, segment_drift,
                                      toffoli_map, toffoli_schedule)
@@ -119,6 +119,14 @@ def test_stream_factory_matches_substream():
                 alone = trajectories._philox(seed, traj, np.arange(3), basis_input, cell)
                 np.testing.assert_array_equal(alone.reshape(-1)[:11], expected)
                 np.testing.assert_array_equal(batched[row, :11], expected)
+    # full-width 64-bit seeds and counters carry through every limb of the
+    # mulhi; numpy takes a list counter through float64, so it gets uint64 words
+    rng = np.random.default_rng(21)
+    for seed, traj, basis_input, cell in rng.integers(0, 2 ** 64, (40, 4), np.uint64).tolist():
+        counter = np.array([0, traj, basis_input, cell], dtype=np.uint64)
+        expected = np.random.Philox(key=seed, counter=counter).random_raw(11)
+        alone = trajectories._philox(seed, traj, np.arange(3), basis_input, cell)
+        np.testing.assert_array_equal(alone.reshape(-1)[:11], expected)
 
 
 def test_ndtri_equals_stdlib_inv_cdf():
@@ -132,6 +140,17 @@ def test_ndtri_equals_stdlib_inv_cdf():
     assert p.size >= 10 ** 4
     expected = np.array([statistics.NormalDist().inv_cdf(v) for v in p.tolist()])
     np.testing.assert_array_equal(trajectories._ndtri(p), expected)
+    # jitter_factors passes (n, k) arrays; the shape comes back, and an input
+    # may hold no tail entry, only tail entries, or nothing at all
+    central = np.abs(p - 0.5) <= 0.425
+    assert central.any() and not central.all()
+    for part in (np.arange(9000), central, ~central, np.arange(0)):
+        x, want = p[part], expected[part]
+        n = x.size // 4 * 4
+        for got, ref in ((trajectories._ndtri(x), want),
+                         (trajectories._ndtri(x[:n].reshape(-1, 4)), want[:n].reshape(-1, 4))):
+            assert got.shape == ref.shape
+            np.testing.assert_array_equal(got, ref)
 
 
 @pytest.mark.parametrize("n_traj, traj", [
@@ -514,6 +533,31 @@ def test_compiled_basis_is_the_reachable_sector(fock_dim):
     np.testing.assert_array_equal(compiled.support, expected)
 
 
+def test_pulse_rewrites_only_moving_amplitudes(schedule):
+    """At per-row angle scales a pulse gives c psi + s psi[partner] on the
+    states whose pulsed atom is not in |e> and keeps the others, bit for bit
+    as the whole-row swap masked back; its input array stays as it was."""
+    compiled = trajectories._compile(schedule, NoiseParams(), _logical_basis(schedule))
+    levels = np.unravel_index(compiled.support, schedule.space.subsystem_dims)
+    rng = np.random.default_rng(31)
+    pulses = 0
+    for seg, ev in zip(schedule.segments, compiled.evolvers):
+        if seg.kind != "classical_pulse":
+            continue
+        pulses += 1
+        fixed = levels[seg.atom] == Level.e
+        assert fixed.any() and not fixed.all()
+        for order in ("C", "F"):                    # a pulse's gather leaves rows strided
+            psi = np.asarray(rng.normal(size=(50, len(fixed), 2)) @ [1.0, 1j], order=order)
+            scales = 1.0 + 0.05 * rng.normal(size=len(psi))
+            before = psi.copy()
+            c, s = _rig_amplitudes(math.pi * scales)
+            expected = np.where(fixed, psi, c[:, None] * psi + s[:, None] * psi[:, ev._partner])
+            assert np.array_equal(ev.apply(psi, scales), expected)
+            assert np.array_equal(psi, before)
+    assert pulses > 0
+
+
 def test_compile_memoizes_structure_not_evolvers(params, schedule, monkeypatch):
     """Two compiles of one (schedule, starts) share the same read-only
     structure arrays and build their own evolvers, each diagonalizing its
@@ -528,8 +572,8 @@ def test_compile_memoizes_structure_not_evolvers(params, schedule, monkeypatch):
     for a, b in zip(first.evolvers, second.evolvers):
         assert a is not b
         if isinstance(a, trajectories._PulseEvolver):
-            assert a._partner is b._partner and a._fixed is b._fixed
-            shared += [a._partner, a._fixed]
+            assert a._partner is b._partner and a._moving is b._moving
+            shared += [a._partner, a._moving]
         else:
             assert a.k is not b.k
     for x in shared:
