@@ -5,19 +5,23 @@ change to the engine keeps every bit.  Run it on two trees and compare:
     PYTHONPATH=src python3 scripts/engine_digest.py
 
 It digests the anchor cell's repr((mean, std_error)) at seed 42, the
-perfbench surface sweep's CSV at seed 42, and the final-state bytes and
+perfbench surface sweep's CSV at seed 42, the final-state bytes and
 jump times of 300-row run_trajectories for each of the 8 logical inputs at
-(1 ms, 3%), (0.2 ms, 8%) and (1 ms, 0).
+(1 ms, 3%), (0.2 ms, 8%) and (1 ms, 0), and the bytes of the exact Lindblad
+channel (_lindblad_stack) at 0.5, 1 and 5 ms of the 8 logical projectors and
+of validate's equal superposition.
 """
 
 import hashlib
 
 import numpy as np
 
-from cavity_toffoli.analysis import gate_fidelity, sweep
+from cavity_toffoli.analysis import _logical_basis, gate_fidelity, sweep
+from cavity_toffoli.cli import SMOKE_TAUS
 from cavity_toffoli.model import PhysicalParams
 from cavity_toffoli.protocol import LOGICAL_BITS, encode_logical, toffoli_schedule
-from cavity_toffoli.trajectories import NoiseParams, run_trajectories
+from cavity_toffoli.qmath import DensityMatrix, StateVector
+from cavity_toffoli.trajectories import NoiseParams, _lindblad_stack, run_trajectories
 
 
 def main() -> None:
@@ -35,6 +39,13 @@ def main() -> None:
                 h.update(res.final_state.amplitudes.tobytes())
                 h.update(np.array(res.jump_times, dtype=np.float64).tobytes())
         print(f"trajectories tau={tau!r} epsilon={epsilon!r}", h.hexdigest())
+    basis, h = _logical_basis(schedule), hashlib.sha256()
+    amps = sum(encode_logical(bits, schedule.space).amplitudes for bits in LOGICAL_BITS)
+    superposition = StateVector(schedule.space, amps / np.linalg.norm(amps))
+    for rho0s in (basis[:, :, None] * basis.conj()[:, None, :],
+                  DensityMatrix.from_state(superposition).entries[None]):
+        h.update(_lindblad_stack(schedule, rho0s, SMOKE_TAUS).tobytes())
+    print("lindblad", h.hexdigest())
 
 
 if __name__ == "__main__":

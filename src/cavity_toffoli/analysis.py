@@ -235,8 +235,7 @@ def dispersive_validation(params: PhysicalParams,
         t_col = np.full(len(inputs), p.t_collision)
         evs = [_DriftEvolver(h.entries, 0.0, None) for h in (h_disp(p.lam), h_full(p.delta))]
         psi_disp, psi_full = (ev.evolve(ev.coefficients(inputs), t_col) for ev in evs)
-        overlaps = tuple(float(min(abs(np.vdot(f, d)) ** 2, 1.0))
-                         for f, d in zip(psi_full, psi_disp))
+        overlaps = tuple(float(abs(np.vdot(f, d)) ** 2) for f, d in zip(psi_full, psi_disp))
         reports.append(DispersiveOverlap(ratio=ratio, min_overlap=min(overlaps),
                                          overlaps=overlaps))
     return reports

@@ -173,12 +173,12 @@ def _add_common_options(parser: argparse.ArgumentParser, *, noise: tuple[str, ..
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (``main`` reuses it)."""
-    parser = _Parser(prog="cavity-toffoli",
+    parser = _Parser(prog="cavity-toffoli", allow_abbrev=False,
                      description="Cavity-QED Toffoli gate simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_tt = sub.add_parser("truth-table", help="run the ideal protocol on all "
-                          "8 logical inputs and check the gate action")
+    p_tt = sub.add_parser("truth-table", allow_abbrev=False, help="run the ideal "
+                          "protocol on all 8 logical inputs and check the gate action")
     _add_common_options(p_tt)
     p_tt.add_argument("--dump-schedule", action="store_true",
                       help="print the schedule as JSON and exit")
@@ -186,12 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="debug: decode with the forward pulse instead of "
                            "the inverse (introduces a -1 phase defect)")
 
-    p_run = sub.add_parser("run", help="one fidelity evaluation, JSON output")
+    p_run = sub.add_parser("run", allow_abbrev=False,
+                           help="one fidelity evaluation, JSON output")
     _add_common_options(p_run, noise=("--tau", "--epsilon", "--n-traj"))
 
-    # no abbreviations: sweep takes no --tau, which would otherwise read as --tau-grid
-    p_sweep = sub.add_parser("sweep", help="fidelity over a (tau, epsilon) grid",
-                             allow_abbrev=False)
+    p_sweep = sub.add_parser("sweep", allow_abbrev=False,
+                             help="fidelity over a (tau, epsilon) grid")
     _add_common_options(p_sweep, noise=("--n-traj",))
     p_sweep.add_argument("--tau-grid", metavar="SPEC",
                          help="comma list or start:stop:count (seconds)")
@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="sweep.csv", metavar="PATH",
                          help="CSV output path (default sweep.csv)")
 
-    p_val = sub.add_parser("validate", help="dispersive-approximation and "
-                           "quantum-jump oracle checks")
+    p_val = sub.add_parser("validate", allow_abbrev=False, help="dispersive-"
+                           "approximation and quantum-jump oracle checks")
     _add_common_options(p_val)
     p_val.add_argument("--quick", action="store_true",
                        help="10^3 trajectories and a relaxed 0.05 threshold")

@@ -182,11 +182,8 @@ def embed_operator(space: CompositeSpace, targets: Sequence[int],
 
     rest = [s for s in range(k) if s not in targets]
     perm = targets + rest
-    rest_dim = math.prod(dims[s] for s in rest) if rest else 1
+    rest_dim = math.prod(dims[s] for s in rest)
     big = np.kron(op.entries, np.eye(rest_dim, dtype=np.complex128))
-    if perm == list(range(k)):
-        return OperatorMatrix(space, big, hermitian=op.hermitian, unitary=op.unitary)
-
     perm_dims = tuple(dims[s] for s in perm)
     tensor = big.reshape(perm_dims + perm_dims)
     # axes[i] = where subsystem i sits in the permuted ordering

@@ -37,7 +37,8 @@ draws or jumps.
 Randomness contract: one root seed.  Word j of trajectory k of basis
 input b in grid cell c is element j % 4 of Philox4x64-10 (Salmon et al.,
 SC'11) at counter (j // 4 + 1, k, b, c) under key (seed, 0), i.e. the j-th
-``random_raw`` output of numpy's ``Philox(key=seed, counter=[0, k, b, c])``.
+``random_raw`` output of numpy's ``Philox(key=seed, counter=c0)`` with c0 the
+``np.uint64`` array [0, k, b, c] (a Python list goes through float64).
 A word depends on its indices only, so results are bit-reproducible however
 trajectories are scheduled, and a block's words come from one vectorised
 pass.  Word k < n_segments is segment k's jitter word, used or not (at
@@ -663,18 +664,19 @@ def _components(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_STRUCTURES)
-def _liouvillian(schedule: Schedule, starts_mask: bytes, lossy: bool) -> tuple:
+def _liouvillian(schedule: Schedule, starts_mask: bytes) -> tuple:
     """The kappa-free parts of the schedule's channel on the ``_structure``
-    (schedule, ``starts_mask``), with loss where ``lossy`` and the segment's
-    is active.  A timed segment's generator L = G_H + kappa G_loss, from
-    K = H - (i/2) kappa N, vectorizes d rho/dt = -i(K rho - rho K^dag)
-    + kappa a rho a^dag row-major; it couples the pair index i*dim + j only
-    within products of K's connected components, joined where the jump lowers
-    both indices, so only the nonzeros of H and a matter.  Returns the basis,
-    per block size (G_H T, G_loss T) stacked over every timed segment's blocks
-    of that size, and per segment its steps: a pulse's pair permutation, or
-    each block's (pair indices (n_blocks, size), first row in its stack).
-    Every array is read-only; no dim^2 x dim^2 operand is formed."""
+    (schedule, ``starts_mask``), with loss where the segment's is active, for
+    every tau (tau = inf is kappa = 0 on the same blocks).  A timed segment's
+    generator L = G_H + kappa G_loss, from K = H - (i/2) kappa N, vectorizes
+    d rho/dt = -i(K rho - rho K^dag) + kappa a rho a^dag row-major; it couples
+    the pair index i*dim + j only within products of K's connected components,
+    joined where the jump lowers both indices, so only the nonzeros of H and a
+    matter, not tau.  Returns the basis, per block size (G_H T, G_loss T)
+    stacked over every timed segment's blocks of that size, and per segment
+    its steps: a pulse's pair permutation, or each block's (pair indices
+    (n_blocks, size), first row in its stack).  Every array is read-only; no
+    dim^2 x dim^2 operand is formed."""
     support, a, n_cav, ops = _structure(schedule, starts_mask)
     dim, parts, steps = len(a), {}, []
     for seg, op in zip(schedule.segments, ops):
@@ -684,7 +686,7 @@ def _liouvillian(schedule: Schedule, starts_mask: bytes, lossy: bool) -> tuple:
         steps.append((None, []))
         if seg.nominal_duration <= 0.0:
             continue
-        h, t, decays = op[0], seg.nominal_duration, lossy and seg.loss_active
+        h, t, decays = op[0], seg.nominal_duration, seg.loss_active
         states = _components(dim, *np.nonzero(h))
         down, up = (states[axis] for axis in np.nonzero(a * decays))
         sectors = _components(dim * dim, np.add.outer(down * dim, down).ravel(),
@@ -712,17 +714,14 @@ def _liouvillian(schedule: Schedule, starts_mask: bytes, lossy: bool) -> tuple:
 def _lindblad_stack(schedule: Schedule, rho0s: np.ndarray,
                     taus: tuple[float, ...]) -> np.ndarray:
     """Density matrices ``rho0s`` (m, dim, dim) through the exact Lindblad channel
-    at each photon lifetime of ``taus``, all finite or all inf: (len(taus), m,
+    at each photon lifetime of ``taus``, finite or inf in any mix: (len(taus), m,
     dim, dim), on the compiled basis of their rows' and columns' support.  The
     blocks L T of one size, over all timed segments and taus, take one ``_expm``
     call, which treats each matrix on its own; they act in segment order."""
     kappas = np.array([NoiseParams(tau=tau, epsilon=0.0).kappa for tau in taus])
-    lossy = set((kappas > 0).tolist())              # one loss pattern: one memo
-    if len(lossy) != 1:
-        raise ValueError(f"taus must be all finite or all inf, got {taus!r}")
     nonzero = rho0s != 0
     support, stacks, steps = _liouvillian(
-        schedule, (nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2))).tobytes(), lossy.pop())
+        schedule, (nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2))).tobytes())
     exps = {size: _expm((g_h + np.multiply.outer(kappas, g_loss)).reshape(-1, size, size))
             .reshape(len(kappas), -1, size, size) for size, (g_h, g_loss) in stacks.items()}
     pairs, r = (slice(None), support[:, None], support), len(support)

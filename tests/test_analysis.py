@@ -92,6 +92,11 @@ def test_lindblad_reference_regression(params, tau):
         LINDBLAD_EPS0[tau], abs=1e-6)
 
 
+def test_lossless_oracle_fidelity_is_one(params):
+    """At tau = inf the exact channel is the ideal gate: fidelity 1."""
+    assert lindblad_gate_fidelity(params, math.inf) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_repeated_oracle_call_encodes_nothing(params, monkeypatch):
     """The 8 encoded kets are memoized per schedule: a repeated
     ``lindblad_gate_fidelity`` call, on a schedule rebuilt equal, makes no
@@ -270,6 +275,18 @@ def test_dispersive_overlap_bounds_and_monotonicity(params):
     assert mins == sorted(mins)
     for rep in reports:
         assert all(o <= 1.0 + 1e-12 for o in rep.overlaps)
+
+
+def test_dispersive_overlap_above_one_raises(params, monkeypatch):
+    """Overlaps reach ``DispersiveOverlap`` unclamped: an evolver that
+    inflates norms by 1% makes the check fire."""
+    inputs = analysis._collision_inputs(params)
+    monkeypatch.setattr(analysis, "_collision_inputs", lambda p: inputs)
+    evolve = trajectories._DriftEvolver.evolve
+    monkeypatch.setattr(trajectories._DriftEvolver, "evolve",
+                        lambda self, coeffs, t: 1.01 * evolve(self, coeffs, t))
+    with pytest.raises(ValueError, match="overlap above 1"):
+        dispersive_validation(params)
 
 
 def test_dispersive_rejects_sub_unit_ratio(params):

@@ -239,6 +239,20 @@ def test_commands_reject_flags_they_would_ignore(capsys, tmp_path, command, flag
     assert out == "" and not out_path.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ([], ["--he"]), (["run"], ["--eps", "0.05"]), (["run"], ["--n", "5"]),
+    (["truth-table"], ["--dump"]), (["sweep"], ["--tau", "1e-3"]), (["validate"], ["--q"]),
+], ids=["top-level-he", "run-eps", "run-n", "truth-table-dump", "sweep-tau", "validate-q"])
+def test_no_command_takes_an_abbreviated_flag(capsys, tmp_path, monkeypatch, command, flag):
+    """A prefix of a flag is a usage error, not that flag, so dropping or
+    renaming a flag never rebinds it to another: exit 1, nothing on stdout,
+    no file written."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, [*command, *flag])
+    assert code == 1 and err.startswith("error:")
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 def test_validate_accepts_and_ignores_noise_fields_in_config_file(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tau_s": 2e-3, "epsilon": 0.01, "n_traj": 50, "seed": 2}))
@@ -279,7 +293,8 @@ def test_engine_digest_script_runs():
     done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["anchor", "surface"] + ["trajectories"] * 3
+    assert [line.split()[0] for line in lines] == ["anchor", "surface",
+                                                   *["trajectories"] * 3, "lindblad"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[-1]) for line in lines)
 
 def test_module_entry_point_end_to_end(tmp_path):

@@ -913,91 +913,67 @@ def _memo_blocks(memo, k, kappa):
         yield idx, g_h + kappa * g_loss
 
 
-@pytest.mark.parametrize("fock_dim, tau, loss_scope",
-                         [(3, 1e-3, "all_segments"), (3, math.inf, "all_segments"),
-                          (4, 1e-3, "all_segments"), (3, 1e-3, "collision_only")],
-                         ids=["tau-1ms", "lossless", "fock-4", "collision-only"])
-def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau, loss_scope):
-    """Each timed segment's memoized blocks partition the pair indices with
-    no nonzero of the dense Liouvillian L between two blocks, and each
-    G_H T + kappa G_loss T, at the call's kappa, is its block of L T at the
-    segment's own kappa (0 where its loss is off), so its ``_expm`` is
-    scipy's expm of that block; on a random full-rank rho,
-    ``lindblad_evolve`` of the segment alone equals scipy's blockwise
-    channel within 1e-12."""
-    schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim),
-                                loss_scope=loss_scope)
-    space = schedule.space
-    dim = space.total_dim
-    kappa = 0.0 if math.isinf(tau) else 1.0 / tau
-    memo = trajectories._liouvillian(schedule, np.ones(dim, dtype=bool).tobytes(), kappa > 0)
-    a = embed_operator(space, [0], annihilation(space.subsystem_dims[0])).entries
-    rng = np.random.default_rng(8)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho0 = DensityMatrix(space, g @ g.conj().T / np.trace(g @ g.conj().T))
-    assert float(np.linalg.eigvalsh(rho0.entries).min()) > 1e-6   # full rank
-    timed = [k for k, seg in enumerate(schedule.segments) if seg.kind != "classical_pulse"]
-    assert [k for k, (_, blocks) in enumerate(memo[2]) if blocks] == timed
-    for k in timed:
-        seg = schedule.segments[k]
-        liouv = _dense_liouvillian(segment_drift(schedule, seg).entries, a,
-                                   kappa if seg.loss_active else 0.0)
-        block_of = np.full(dim * dim, -1)
-        first = 0
-        vec0, exact = rho0.entries.reshape(-1), np.empty(dim * dim, dtype=complex)
-        for idx, gen_t in _memo_blocks(memo, k, kappa):
-            assert np.all(block_of[idx] == -1)
-            block_of[idx] = first + np.arange(len(idx))[:, None]
-            first += len(idx)
-            dense = liouv[idx[:, :, None], idx[:, None, :]]
-            gen = gen_t / seg.nominal_duration
-            assert np.max(np.abs(gen - dense)) <= 1e-9 * max(1.0, np.max(np.abs(dense)))
-            ref = scipy.linalg.expm(dense * seg.nominal_duration)
-            props = trajectories._expm(gen_t)
-            assert np.max(np.abs(props - ref)) <= 1e-12, (seg.kind, idx.shape)
-            exact[idx] = (ref @ vec0[idx][..., None])[..., 0]
-        assert np.all(block_of >= 0)
-        rows, cols = np.nonzero(liouv)
-        assert np.array_equal(block_of[rows], block_of[cols]), seg.kind
-
-        one_segment = Schedule(space, (seg,), schedule.params)
-        rho = lindblad_evolve(one_segment, rho0, tau).entries.reshape(-1)
-        assert np.max(np.abs(rho - exact)) <= 1e-12, seg.kind
-
-
 @pytest.mark.parametrize("fock_dim, loss_scope",
                          [(3, "all_segments"), (4, "all_segments"), (3, "collision_only")],
                          ids=["fock-3", "fock-4", "fock-3-collision-only"])
 def test_liouvillian_block_exponentials_match_expm(fock_dim, loss_scope):
-    """Over the default tau grid and tau = 2e-5, ``_expm`` of every memoized
-    G_H T + kappa G_loss T block of every timed segment equals scipy's expm
-    of that block of the dense Liouvillian times T, at the segment's own
-    kappa, within 1e-12; one memo serves every tau."""
+    """One memo serves every tau.  Each timed segment's memoized blocks
+    partition the pair indices with no nonzero of the dense Liouvillian L,
+    at any kappa, between two blocks.  Over the default tau grid, 2e-5, 1 ms
+    and inf, each G_H T + kappa G_loss T is within 1e-9 of its block of L T at
+    the segment's own kappa (0 where its loss is off), and its ``_expm`` is
+    scipy's expm of that block within 1e-12; on a random full-rank rho,
+    ``lindblad_evolve`` of the segment alone equals scipy's blockwise channel
+    within 1e-12 at 1 ms and at inf."""
     schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim),
                                 loss_scope=loss_scope)
-    dim = schedule.space.total_dim
-    a = embed_operator(schedule.space, [0], annihilation(fock_dim)).entries
-    timed = {k: seg for k, seg in enumerate(schedule.segments)
-             if seg.kind != "classical_pulse" and seg.nominal_duration > 0.0}
-    hamiltonian_part = {k: _dense_liouvillian(segment_drift(schedule, seg).entries, a, 0.0)
-                        for k, seg in timed.items()}
+    space = schedule.space
+    dim = space.total_dim
+    memo = trajectories._liouvillian(schedule, np.ones(dim, dtype=bool).tobytes())
+    a = embed_operator(space, [0], annihilation(fock_dim)).entries
     loss_part = _dense_liouvillian(np.zeros_like(a), a, 1.0)
-    memo = trajectories._liouvillian(schedule, np.ones(dim, dtype=bool).tobytes(), True)
-    for tau in (*DEFAULT_TAU_GRID, 2e-5):
-        for k, seg in timed.items():
-            liouv = hamiltonian_part[k] + (1.0 / tau if seg.loss_active else 0.0) * loss_part
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho0 = DensityMatrix(space, g @ g.conj().T / np.trace(g @ g.conj().T))
+    assert float(np.linalg.eigvalsh(rho0.entries).min()) > 1e-6   # full rank
+    vec0 = rho0.entries.reshape(-1)
+    timed = [k for k, seg in enumerate(schedule.segments) if seg.kind != "classical_pulse"]
+    assert [k for k, (_, blocks) in enumerate(memo[2]) if blocks] == timed
+    for k in timed:
+        seg = schedule.segments[k]
+        hamiltonian_part = _dense_liouvillian(segment_drift(schedule, seg).entries, a, 0.0)
+        block_of = np.full(dim * dim, -1)
+        first = 0
+        for idx, _ in _memo_blocks(memo, k, 0.0):
+            assert np.all(block_of[idx] == -1)
+            block_of[idx] = first + np.arange(len(idx))[:, None]
+            first += len(idx)
+        assert np.all(block_of >= 0)
+        rows, cols = np.nonzero((hamiltonian_part != 0) | (seg.loss_active & (loss_part != 0)))
+        assert np.array_equal(block_of[rows], block_of[cols]), seg.kind
+
+        one_segment = Schedule(space, (seg,), schedule.params)
+        for tau in (*DEFAULT_TAU_GRID, 2e-5, 1e-3, math.inf):
+            liouv = hamiltonian_part + (1.0 / tau if seg.loss_active else 0.0) * loss_part
+            exact = np.empty(dim * dim, dtype=complex)
             for idx, gen_t in _memo_blocks(memo, k, 1.0 / tau):
-                for rows, prop in zip(idx, trajectories._expm(gen_t)):
-                    block = liouv[rows[:, None], rows[None, :]] * seg.nominal_duration
-                    err = np.max(np.abs(prop - scipy.linalg.expm(block)))
-                    assert err <= 1e-12, (tau, seg.kind, len(rows), err)
+                dense = liouv[idx[:, :, None], idx[:, None, :]]
+                gen = gen_t / seg.nominal_duration
+                assert np.max(np.abs(gen - dense)) <= 1e-9 * max(1.0, np.max(np.abs(dense)))
+                ref = scipy.linalg.expm(dense * seg.nominal_duration)
+                err = np.max(np.abs(trajectories._expm(gen_t) - ref))
+                assert err <= 1e-12, (tau, seg.kind, idx.shape, err)
+                exact[idx] = (ref @ vec0[idx][..., None])[..., 0]
+            if tau in (1e-3, math.inf):
+                rho = lindblad_evolve(one_segment, rho0, tau).entries.reshape(-1)
+                assert np.max(np.abs(rho - exact)) <= 1e-12, (tau, seg.kind)
 
 
 def _oracle_memo(schedule, starts=None):
-    """The ``_liouvillian`` memo at finite tau of the support of the rows
-    ``starts``, by default ``lindblad_gate_fidelity``'s logical basis."""
+    """The ``_liouvillian`` memo of the support of the rows ``starts``, by
+    default ``lindblad_gate_fidelity``'s logical basis."""
     starts = _logical_basis(schedule) if starts is None else starts
-    return trajectories._liouvillian(schedule, np.any(starts != 0, axis=0).tobytes(), True)
+    return trajectories._liouvillian(schedule, np.any(starts != 0, axis=0).tobytes())
 
 
 def test_lindblad_takes_one_expm_per_block_size(params, schedule, monkeypatch):
@@ -1019,31 +995,28 @@ def test_lindblad_takes_one_expm_per_block_size(params, schedule, monkeypatch):
 
 def test_lindblad_stack_takes_every_tau_in_one_expm_per_block_size(params, schedule,
                                                                    monkeypatch):
-    """Three taus in one ``_lindblad_stack`` call take one ``_expm`` call per
-    block size, holding 3x that size's blocks, and each tau's slice equals
-    the one-tau ``lindblad_evolve`` bit for bit; a finite and an infinite
-    tau in one call raise ``ValueError``."""
+    """Finite and infinite taus in one ``_lindblad_stack`` call take one
+    ``_expm`` call per block size, holding 4x that size's blocks, and each
+    tau's slice equals the one-tau ``lindblad_evolve`` bit for bit."""
     amps = _logical_basis(schedule).sum(axis=0)
     rho0 = DensityMatrix.from_state(StateVector(schedule.space, amps / np.linalg.norm(amps)))
-    taus = (0.5e-3, 1e-3, 5e-3)
+    taus = (0.5e-3, 1e-3, math.inf, 5e-3)
     singles = [lindblad_evolve(schedule, rho0, tau).entries for tau in taus]
     expm, calls = trajectories._expm, []
     monkeypatch.setattr(trajectories, "_expm", lambda a: calls.append(a.shape) or expm(a))
     rhos = trajectories._lindblad_stack(schedule, rho0.entries[None], taus)
     _, stacks, _ = _oracle_memo(schedule, rho0.entries)
-    assert sorted(calls) == sorted((3 * len(g_h), size, size)
+    assert sorted(calls) == sorted((4 * len(g_h), size, size)
                                    for size, (g_h, _) in stacks.items())
-    assert rhos.shape == (3, 1, *rho0.entries.shape)
+    assert rhos.shape == (4, 1, *rho0.entries.shape)
     for rho, single in zip(rhos[:, 0], singles):
         assert np.array_equal(rho, single)
-    with pytest.raises(ValueError, match="all finite or all inf"):
-        trajectories._lindblad_stack(schedule, rho0.entries[None], (1e-3, math.inf))
 
 
 def test_lindblad_partition_is_memoized_read_only(params, schedule, monkeypatch):
-    """Oracle calls at 0.5, 1 and 5 ms build the kappa-free memo once: one
-    miss, no ``_components`` call after the first, hits after it; every
-    memoized array is read-only."""
+    """Oracle calls at 0.5, 1 and 5 ms and at inf build the kappa-free memo
+    once: one miss, no ``_components`` call after the first, hits after it;
+    every memoized array is read-only."""
     trajectories._liouvillian.cache_clear()
     first = lindblad_gate_fidelity(params, 0.5e-3)
     assert trajectories._liouvillian.cache_info().misses == 1
@@ -1052,10 +1025,11 @@ def test_lindblad_partition_is_memoized_read_only(params, schedule, monkeypatch)
                         lambda *args: calls.append(1) or components(*args))
     assert lindblad_gate_fidelity(params, 1e-3) != first
     assert lindblad_gate_fidelity(params, 5e-3) != first
+    assert lindblad_gate_fidelity(params, math.inf) != first
     assert lindblad_gate_fidelity(params, 0.5e-3) == first
     assert calls == []
     info = trajectories._liouvillian.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert (info.misses, info.hits) == (1, 4)
     support, stacks, steps = _oracle_memo(schedule)
     assert trajectories._liouvillian.cache_info().misses == 1
     arrays = [support, *(x for part in stacks.values() for x in part),
