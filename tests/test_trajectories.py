@@ -913,60 +913,84 @@ def _memo_blocks(memo, k, kappa):
         yield idx, g_h + kappa * g_loss
 
 
-@pytest.mark.parametrize("fock_dim, loss_scope",
-                         [(3, "all_segments"), (4, "all_segments"), (3, "collision_only")],
-                         ids=["fock-3", "fock-4", "fock-3-collision-only"])
-def test_liouvillian_block_exponentials_match_expm(fock_dim, loss_scope):
-    """One memo serves every tau.  Each timed segment's memoized blocks
-    partition the pair indices with no nonzero of the dense Liouvillian L,
-    at any kappa, between two blocks.  Over the default tau grid, 2e-5, 1 ms
-    and inf, each G_H T + kappa G_loss T is within 1e-9 of its block of L T at
-    the segment's own kappa (0 where its loss is off), and its ``_expm`` is
-    scipy's expm of that block within 1e-12; on a random full-rank rho,
-    ``lindblad_evolve`` of the segment alone equals scipy's blockwise channel
-    within 1e-12 at 1 ms and at inf."""
+@pytest.mark.parametrize("fock_dim, tau, loss_scope",
+                         [(3, 1e-3, "all_segments"), (3, math.inf, "all_segments"),
+                          (4, 1e-3, "all_segments"), (3, 1e-3, "collision_only")],
+                         ids=["tau-1ms", "lossless", "fock-4", "collision-only"])
+def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau, loss_scope):
+    """Each timed segment's memoized blocks partition the pair indices with
+    no nonzero of the dense Liouvillian L between two blocks, and each
+    G_H T + kappa G_loss T, at the call's kappa, is its block of L T at the
+    segment's own kappa (0 where its loss is off), so its ``_expm`` is
+    scipy's expm of that block; on a random full-rank rho,
+    ``lindblad_evolve`` of the segment alone equals scipy's blockwise
+    channel within 1e-12."""
     schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim),
                                 loss_scope=loss_scope)
     space = schedule.space
     dim = space.total_dim
+    kappa = 0.0 if math.isinf(tau) else 1.0 / tau
     memo = trajectories._liouvillian(schedule, np.ones(dim, dtype=bool).tobytes())
-    a = embed_operator(space, [0], annihilation(fock_dim)).entries
-    loss_part = _dense_liouvillian(np.zeros_like(a), a, 1.0)
+    a = embed_operator(space, [0], annihilation(space.subsystem_dims[0])).entries
     rng = np.random.default_rng(8)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho0 = DensityMatrix(space, g @ g.conj().T / np.trace(g @ g.conj().T))
     assert float(np.linalg.eigvalsh(rho0.entries).min()) > 1e-6   # full rank
-    vec0 = rho0.entries.reshape(-1)
     timed = [k for k, seg in enumerate(schedule.segments) if seg.kind != "classical_pulse"]
     assert [k for k, (_, blocks) in enumerate(memo[2]) if blocks] == timed
     for k in timed:
         seg = schedule.segments[k]
-        hamiltonian_part = _dense_liouvillian(segment_drift(schedule, seg).entries, a, 0.0)
+        liouv = _dense_liouvillian(segment_drift(schedule, seg).entries, a,
+                                   kappa if seg.loss_active else 0.0)
         block_of = np.full(dim * dim, -1)
         first = 0
-        for idx, _ in _memo_blocks(memo, k, 0.0):
+        vec0, exact = rho0.entries.reshape(-1), np.empty(dim * dim, dtype=complex)
+        for idx, gen_t in _memo_blocks(memo, k, kappa):
             assert np.all(block_of[idx] == -1)
             block_of[idx] = first + np.arange(len(idx))[:, None]
             first += len(idx)
+            dense = liouv[idx[:, :, None], idx[:, None, :]]
+            gen = gen_t / seg.nominal_duration
+            assert np.max(np.abs(gen - dense)) <= 1e-9 * max(1.0, np.max(np.abs(dense)))
+            ref = scipy.linalg.expm(dense * seg.nominal_duration)
+            props = trajectories._expm(gen_t)
+            assert np.max(np.abs(props - ref)) <= 1e-12, (seg.kind, idx.shape)
+            exact[idx] = (ref @ vec0[idx][..., None])[..., 0]
         assert np.all(block_of >= 0)
-        rows, cols = np.nonzero((hamiltonian_part != 0) | (seg.loss_active & (loss_part != 0)))
+        rows, cols = np.nonzero(liouv)
         assert np.array_equal(block_of[rows], block_of[cols]), seg.kind
 
         one_segment = Schedule(space, (seg,), schedule.params)
-        for tau in (*DEFAULT_TAU_GRID, 2e-5, 1e-3, math.inf):
-            liouv = hamiltonian_part + (1.0 / tau if seg.loss_active else 0.0) * loss_part
-            exact = np.empty(dim * dim, dtype=complex)
+        rho = lindblad_evolve(one_segment, rho0, tau).entries.reshape(-1)
+        assert np.max(np.abs(rho - exact)) <= 1e-12, seg.kind
+
+
+@pytest.mark.parametrize("fock_dim, loss_scope",
+                         [(3, "all_segments"), (4, "all_segments"), (3, "collision_only")],
+                         ids=["fock-3", "fock-4", "fock-3-collision-only"])
+def test_liouvillian_block_exponentials_match_expm(fock_dim, loss_scope):
+    """Over the default tau grid, tau = 2e-5 and tau = inf, ``_expm`` of every
+    memoized G_H T + kappa G_loss T block of every timed segment equals
+    scipy's expm of that block of the dense Liouvillian times T, at the
+    segment's own kappa, within 1e-12; one memo serves every tau."""
+    schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim),
+                                loss_scope=loss_scope)
+    dim = schedule.space.total_dim
+    a = embed_operator(schedule.space, [0], annihilation(fock_dim)).entries
+    timed = {k: seg for k, seg in enumerate(schedule.segments)
+             if seg.kind != "classical_pulse" and seg.nominal_duration > 0.0}
+    hamiltonian_part = {k: _dense_liouvillian(segment_drift(schedule, seg).entries, a, 0.0)
+                        for k, seg in timed.items()}
+    loss_part = _dense_liouvillian(np.zeros_like(a), a, 1.0)
+    memo = trajectories._liouvillian(schedule, np.ones(dim, dtype=bool).tobytes())
+    for tau in (*DEFAULT_TAU_GRID, 2e-5, math.inf):
+        for k, seg in timed.items():
+            liouv = hamiltonian_part[k] + (1.0 / tau if seg.loss_active else 0.0) * loss_part
             for idx, gen_t in _memo_blocks(memo, k, 1.0 / tau):
-                dense = liouv[idx[:, :, None], idx[:, None, :]]
-                gen = gen_t / seg.nominal_duration
-                assert np.max(np.abs(gen - dense)) <= 1e-9 * max(1.0, np.max(np.abs(dense)))
-                ref = scipy.linalg.expm(dense * seg.nominal_duration)
-                err = np.max(np.abs(trajectories._expm(gen_t) - ref))
-                assert err <= 1e-12, (tau, seg.kind, idx.shape, err)
-                exact[idx] = (ref @ vec0[idx][..., None])[..., 0]
-            if tau in (1e-3, math.inf):
-                rho = lindblad_evolve(one_segment, rho0, tau).entries.reshape(-1)
-                assert np.max(np.abs(rho - exact)) <= 1e-12, (tau, seg.kind)
+                for rows, prop in zip(idx, trajectories._expm(gen_t)):
+                    block = liouv[rows[:, None], rows[None, :]] * seg.nominal_duration
+                    err = np.max(np.abs(prop - scipy.linalg.expm(block)))
+                    assert err <= 1e-12, (tau, seg.kind, len(rows), err)
 
 
 def _oracle_memo(schedule, starts=None):
