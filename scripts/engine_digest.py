@@ -9,14 +9,17 @@ perfbench surface sweep's CSV at seed 42, the final-state bytes and
 jump times of 300-row run_trajectories for each of the 8 logical inputs at
 (1 ms, 3%), (0.2 ms, 8%) and (1 ms, 0), and the bytes of the exact Lindblad
 channel (_lindblad_stack) at 0.5, 1 and 5 ms of the 8 logical projectors and
-of validate's equal superposition.
+of validate's equal superposition, and the ideal path: the logical process
+matrix's bytes of the default gate, of loss_scope="collision_only" and of
+fock_dim=4, with the repr of dispersive_validation's overlaps.
 """
 
 import hashlib
 
 import numpy as np
 
-from cavity_toffoli.analysis import _logical_basis, gate_fidelity, sweep
+from cavity_toffoli.analysis import (_logical_basis, dispersive_validation, gate_fidelity,
+                                     logical_process_matrix, sweep)
 from cavity_toffoli.cli import SMOKE_TAUS
 from cavity_toffoli.model import PhysicalParams
 from cavity_toffoli.protocol import LOGICAL_BITS, encode_logical, toffoli_schedule
@@ -46,6 +49,12 @@ def main() -> None:
                   DensityMatrix.from_state(superposition).entries[None]):
         h.update(_lindblad_stack(schedule, rho0s, SMOKE_TAUS).tobytes())
     print("lindblad", h.hexdigest())
+    h = hashlib.sha256()
+    for gate in (schedule, toffoli_schedule(params, loss_scope="collision_only"),
+                 toffoli_schedule(PhysicalParams.from_frequency(fock_dim=4))):
+        h.update(logical_process_matrix(gate).tobytes())
+    h.update(repr([rep.overlaps for rep in dispersive_validation(params)]).encode())
+    print("ideal", h.hexdigest())
 
 
 if __name__ == "__main__":

@@ -76,15 +76,8 @@ class RunConfig:
                                 jitter_scope=self.jitter_scope)
 
 
-def _parse_tau(text: str) -> float:
-    if text.strip().lower() == "inf":
-        return math.inf
-    return float(text)
-
-
-def _parse_grid(text: str, *, tau: bool = False) -> tuple[float, ...]:
+def _parse_grid(text: str) -> tuple[float, ...]:
     """Comma-separated values, or start:stop:count (linearly spaced)."""
-    parse_one = _parse_tau if tau else float
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -95,7 +88,7 @@ def _parse_grid(text: str, *, tau: bool = False) -> tuple[float, ...]:
         if count < 1:
             raise ValueError("grid count must be >= 1")
         return tuple(float(x) for x in np.linspace(start, stop, count))
-    values = tuple(parse_one(v) for v in text.split(",") if v.strip())
+    values = tuple(float(v) for v in text.split(",") if v.strip())
     if not values:
         raise ValueError(f"grid spec {text!r} holds no value")
     return values
@@ -117,7 +110,7 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     if isinstance(data.get("tau_s"), str):
         try:
-            data["tau_s"] = _parse_tau(data["tau_s"])
+            data["tau_s"] = float(data["tau_s"])
         except ValueError as exc:
             raise UsageError(f"config file {path}: bad tau_s: {exc}") from exc
     for name, value in data.items():
@@ -156,7 +149,7 @@ def _add_common_options(parser: argparse.ArgumentParser, *, noise: tuple[str, ..
     parser.add_argument("--omega-hz", dest="omega_hz", type=float)
     parser.add_argument("--delta-over-omega", dest="delta_over_omega", type=float)
     if "--tau" in noise:
-        parser.add_argument("--tau", dest="tau_s", type=_parse_tau,
+        parser.add_argument("--tau", dest="tau_s", type=float,
                             help="photon lifetime in s, or 'inf'")
     if "--epsilon" in noise:
         parser.add_argument("--epsilon", dest="epsilon", type=float)
@@ -253,10 +246,8 @@ def cmd_run(config: RunConfig, schedule: Schedule, args: argparse.Namespace) -> 
 
 def cmd_sweep(config: RunConfig, schedule: Schedule, args: argparse.Namespace) -> int:
     try:
-        tau_values = (_parse_grid(args.tau_grid, tau=True)
-                      if args.tau_grid else DEFAULT_TAU_GRID)
-        eps_values = (_parse_grid(args.eps_grid)
-                      if args.eps_grid else DEFAULT_EPSILON_GRID)
+        tau_values = _parse_grid(args.tau_grid) if args.tau_grid else DEFAULT_TAU_GRID
+        eps_values = _parse_grid(args.eps_grid) if args.eps_grid else DEFAULT_EPSILON_GRID
         # a bad value fails here, not after every cell before it has run
         for tau in tau_values:
             for eps in eps_values:

@@ -99,7 +99,7 @@ class NoiseParams:
 
     @property
     def kappa(self) -> float:
-        return 0.0 if math.isinf(self.tau) else 1.0 / self.tau
+        return 1.0 / self.tau
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def jitter_factors(schedule: Schedule, epsilon: float, u: np.ndarray) -> np.ndar
     law's CDF, so the cut is exact; 1 + eta is clamped to the smallest
     positive normal double, as rounding next to the cut can give <= 0.
     Segments with jitter_applies=False, and all at epsilon = 0, get exactly
-    1.0; zero-duration segments use their factor as a rotation-angle scale.
+    1.0; classical pulses use their factor as a rotation-angle scale.
     """
     factors = np.ones(np.shape(u))
     if epsilon == 0.0:
@@ -341,7 +341,7 @@ def _structure(schedule: Schedule, starts_mask: bytes) -> tuple:
             edges[ops[-1], np.arange(space.total_dim)] = True
         else:
             ops.append(segment_drift(schedule, seg).entries)
-            edges |= (ops[-1] != 0) & (seg.nominal_duration > 0.0)
+            edges |= ops[-1] != 0
     steps = np.linalg.matrix_power(edges | np.eye(len(edges), dtype=bool), len(edges))
     reach = steps @ np.frombuffer(starts_mask, dtype=bool)
     support, index = np.flatnonzero(reach), np.cumsum(reach) - 1
@@ -517,8 +517,6 @@ def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, owner: np.ndarray,
     thresholds = np.array(thresholds, dtype=np.float64)
     psi, events, elapsed = psi[:, compiled.support], [], np.zeros(n)
     for k, (seg, ev) in enumerate(zip(segments, compiled.evolvers)):
-        if seg.kind != "classical_pulse" and seg.nominal_duration <= 0.0:
-            continue
         rep = np.zeros(len(psi), dtype=np.intp)     # a row of each state
         rep[owner] = np.arange(n)
         if len(psi) < n and np.any(factors[:, k] != factors[rep[owner], k]):
@@ -684,8 +682,6 @@ def _liouvillian(schedule: Schedule, starts_mask: bytes) -> tuple:
             steps.append((np.add.outer(op[0] * dim, op[0]).ravel(), ()))
             continue
         steps.append((None, []))
-        if seg.nominal_duration <= 0.0:
-            continue
         h, t, decays = op[0], seg.nominal_duration, seg.loss_active
         states = _components(dim, *np.nonzero(h))
         down, up = (states[axis] for axis in np.nonzero(a * decays))

@@ -59,8 +59,10 @@ def test_run_emits_fidelity_json(capsys):
     assert 0.0 <= doc["mean"] <= 1.0
 
 
-def test_run_lossless_limit(capsys):
-    code, out, _ = run_cli(capsys, ["run", "--tau", "inf", "--epsilon", "0",
+@pytest.mark.parametrize("spelling", ["inf", "INF", "Infinity"])
+def test_run_lossless_limit(capsys, spelling):
+    """--tau reads any spelling of infinity that float reads."""
+    code, out, _ = run_cli(capsys, ["run", "--tau", spelling, "--epsilon", "0",
                                     "--n-traj", "5"])
     assert code == 0
     doc = json.loads(out)
@@ -83,6 +85,9 @@ def test_invalid_values_exit_1(capsys):
         code, _, err = run_cli(capsys, argv)
         assert code == 1, argv
         assert "error" in err.lower()
+    code, _, err = run_cli(capsys, ["run", "--tau", "never"])
+    assert code == 1
+    assert "invalid float value: 'never'" in err and "_parse" not in err
 
 
 @pytest.mark.parametrize("command", ["run", "truth-table", "validate"])
@@ -131,19 +136,24 @@ def test_config_file_errors(capsys, tmp_path):
 @pytest.mark.parametrize("doc", [{"seed": 1.5}, {"seed": True}, {"fock_dim": 3.5},
                                  {"n_traj": 2.5}, {"n_traj": True}, {"tau_s": "abc"},
                                  {"omega_hz": "abc"}, {"tau_s": True}, {"epsilon": "0.1"},
-                                 {"delta_over_omega": None}],
+                                 {"delta_over_omega": None}, {"epsilon": 1.5},
+                                 {"n_traj": 0}],
                          ids=["seed-float", "seed-bool", "fock-float", "ntraj-float",
                               "ntraj-bool", "tau-text", "omega-text", "tau-bool",
-                              "eps-text", "delta-null"])
+                              "eps-text", "delta-null", "eps-range", "ntraj-zero"])
 def test_config_file_bad_value_exits_1(capsys, tmp_path, doc):
     """A value of the wrong kind is a usage error, not a truncated setting
-    or a traceback from inside the engine."""
-    cfg = tmp_path / "cfg.json"
+    or a traceback from inside the engine.  Every command checks the whole
+    file, the noise fields too, though only run and sweep read them."""
+    cfg, csv = tmp_path / "cfg.json", tmp_path / "grid.csv"
     cfg.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, ["run", "--config", str(cfg)])
-    assert code == 1
-    assert err.startswith("error:") and next(iter(doc)) in err
-    assert "Traceback" not in err and out == ""
+    for argv in (["run"], ["truth-table"], ["validate", "--quick"],
+                 ["sweep", "--out", str(csv)]):
+        code, out, err = run_cli(capsys, [*argv, "--config", str(cfg)])
+        assert code == 1, argv
+        assert err.startswith("error:") and next(iter(doc)) in err, argv
+        assert "Traceback" not in err and out == "", argv
+    assert not csv.exists()
 
 
 # ---------------------------------------------------------------- sweep
@@ -294,7 +304,8 @@ def test_engine_digest_script_runs():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["anchor", "surface",
-                                                   *["trajectories"] * 3, "lindblad"]
+                                                   *["trajectories"] * 3, "lindblad",
+                                                   "ideal"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[-1]) for line in lines)
 
 def test_module_entry_point_end_to_end(tmp_path):

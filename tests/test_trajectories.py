@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import cavity_toffoli
 from cavity_toffoli import trajectories
 from cavity_toffoli.analysis import (DEFAULT_TAU_GRID, _logical_basis, gate_fidelity,
-                                     lindblad_gate_fidelity)
+                                     lindblad_gate_fidelity, logical_process_matrix)
 from cavity_toffoli.model import Level, PhysicalParams, _rig_amplitudes, annihilation
 from cavity_toffoli.protocol import (LOGICAL_BITS, Schedule, Segment,
                                      encode_logical, segment_drift,
@@ -978,7 +978,7 @@ def test_liouvillian_block_exponentials_match_expm(fock_dim, loss_scope):
     dim = schedule.space.total_dim
     a = embed_operator(schedule.space, [0], annihilation(fock_dim)).entries
     timed = {k: seg for k, seg in enumerate(schedule.segments)
-             if seg.kind != "classical_pulse" and seg.nominal_duration > 0.0}
+             if seg.kind != "classical_pulse"}
     hamiltonian_part = {k: _dense_liouvillian(segment_drift(schedule, seg).entries, a, 0.0)
                         for k, seg in timed.items()}
     loss_part = _dense_liouvillian(np.zeros_like(a), a, 1.0)
@@ -1171,3 +1171,33 @@ def test_lindblad_respects_loss_scope(params):
     f_scoped = float(np.vdot(target, rho.entries @ target).real)
     f_all = float(np.vdot(target, rho_all.entries @ target).real)
     assert f_scoped > f_all
+
+
+def test_zero_length_timed_segments_change_nothing(params, schedule):
+    """A zero-length idle, Rabi and collision segment inserted into the gate
+    evolve for zero time on every path: the process matrix and the exact
+    channel of the 8 logical projectors at 1 and 5 ms stay within 1e-15 of
+    the plain gate's, the compiled supports are the plain gate's, and
+    gate_fidelity at (0.2 ms, 0), seed 31 and 500 trajectories per input,
+    lies within 3 standard errors of the plain gate's exact channel."""
+    segments = list(schedule.segments)
+    segments.insert(3, Segment("collision", 0.0))
+    segments.insert(1, Segment("resonant_rabi", 0.0, atom=1))
+    segments.insert(0, Segment("idle", 0.0))
+    padded = Schedule(schedule.space, tuple(segments), params)
+    assert np.max(np.abs(logical_process_matrix(padded)
+                         - logical_process_matrix(schedule))) <= 1e-15
+    basis = _logical_basis(schedule)
+    projectors = basis[:, :, None] * basis.conj()[:, None, :]
+    rhos = [trajectories._lindblad_stack(gate, projectors, (1e-3, 5e-3))
+            for gate in (padded, schedule)]
+    assert rhos[0].shape == rhos[1].shape
+    assert np.max(np.abs(rhos[0] - rhos[1])) <= 1e-15
+    noise = NoiseParams(tau=0.2e-3, epsilon=0.0, n_traj=500, seed=31)
+    groups = [trajectories._compiled_groups(gate, noise, basis) for gate in (padded, schedule)]
+    assert [len(compiled.support) for _, compiled in groups[0]] == [13, 7]
+    for (inputs, compiled), (plain_inputs, plain) in zip(*groups):
+        np.testing.assert_array_equal(inputs, plain_inputs)
+        np.testing.assert_array_equal(compiled.support, plain.support)
+    result = gate_fidelity(params, noise, schedule=padded)
+    assert abs(result.mean - lindblad_gate_fidelity(params, 0.2e-3)) <= 3 * result.std_error
