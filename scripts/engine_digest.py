@@ -5,9 +5,11 @@ change to the engine keeps every bit.  Run it on two trees and compare:
     PYTHONPATH=src python3 scripts/engine_digest.py
 
 It digests the anchor cell's repr((mean, std_error)) at seed 42, the
-perfbench surface sweep's CSV at seed 42, the final-state bytes and
-jump times of 300-row run_trajectories for each of the 8 logical inputs at
-(1 ms, 3%), (0.2 ms, 8%) and (1 ms, 0), and the bytes of the exact Lindblad
+perfbench surface sweep's CSV at seed 42, the CSV of a (0.3 ms, 2 ms) x
+(0, 1%, 5%, 8%) sweep at 130 per input and seed 5, whose row sets straddle
+engine blocks, the final-state bytes and jump times of 300-row
+run_trajectories for each of the 8 logical inputs at (1 ms, 3%),
+(0.2 ms, 8%) and (1 ms, 0), and the bytes of the exact Lindblad
 channel (_lindblad_stack) at 0.5, 1 and 5 ms of the 8 logical projectors and
 of validate's equal superposition, and the ideal path: the logical process
 matrix's bytes of the default gate, of loss_scope="collision_only" and of
@@ -33,6 +35,8 @@ def main() -> None:
     print("anchor", hashlib.sha256(repr((anchor.mean, anchor.std_error)).encode()).hexdigest())
     grid = sweep(params, (0.2e-3, 0.5e-3, 1e-3, 5e-3, 10e-3), (0.0, 0.08), 250, 42)
     print("surface", hashlib.sha256(grid.to_csv().encode()).hexdigest())
+    grid = sweep(params, (0.3e-3, 2e-3), (0.0, 0.01, 0.05, 0.08), 130, 5)
+    print("sweep", hashlib.sha256(grid.to_csv().encode()).hexdigest())
     schedule = toffoli_schedule(params)
     for tau, epsilon in ((1e-3, 0.03), (0.2e-3, 0.08), (1e-3, 0.0)):
         noise, h = NoiseParams(tau=tau, epsilon=epsilon, n_traj=300, seed=42), hashlib.sha256()

@@ -121,17 +121,21 @@ def gate_fidelity(params: PhysicalParams, noise: NoiseParams, *,
     if schedule is None:
         schedule = toffoli_schedule(params)
     basis = _logical_basis(schedule)
-    return _cell_fidelity(_compiled_groups(schedule, noise, basis), basis, noise, cell_index)
+    groups = _compiled_groups(schedule, noise, basis)
+    return _cell_fidelity(groups, basis, (noise,), np.array([cell_index]))[0]
 
 
 def _cell_fidelity(groups: list[tuple[np.ndarray, _CompiledSchedule]], basis: np.ndarray,
-                   noise: NoiseParams, cell_index: int) -> FidelityResult:
-    """``gate_fidelity`` from (inputs, their schedule compiled at ``noise.tau``) groups."""
-    targets = basis[_IMAGES].conj()
-    fids = np.empty((len(basis), noise.n_traj))
+                   noises: tuple[NoiseParams, ...], cells: np.ndarray) -> list[FidelityResult]:
+    """``gate_fidelity`` of each cell ``cells[c]`` at ``noises[c]``, cells that
+    differ in epsilon only, from (inputs, their schedule compiled at the common
+    tau) groups.  A group runs all the cells as one cell-major row set."""
+    targets, epsilons = basis[_IMAGES].conj(), np.array([noise.epsilon for noise in noises])
+    fids = np.empty((len(noises), len(basis), noises[0].n_traj))
     for inputs, compiled in groups:
         overlaps = []
-        for block in _trajectory_blocks(compiled, basis[inputs], noise, inputs, cell_index):
+        for block in _trajectory_blocks(compiled, basis[inputs], noises[0], inputs, cells,
+                                        epsilons):
             # one overlap per distinct state, against its input's target on the basis
             state_inputs = np.empty(len(block.psi), dtype=np.intp)
             state_inputs[block.owner] = block.inputs
@@ -141,12 +145,12 @@ def _cell_fidelity(groups: list[tuple[np.ndarray, _CompiledSchedule]], basis: np
                 per_state[mine] = _rows_matmul(block.psi[mine], targets[b, compiled.support])
             overlaps.append(per_state[block.owner])
         overlaps = np.concatenate(overlaps)
-        fids[inputs] = np.minimum(overlaps.real ** 2 + overlaps.imag ** 2,
-                                  1.0).reshape(len(inputs), -1)
-    mean = float(fids.mean())
-    std_error = float(fids.std(ddof=1) / math.sqrt(fids.size))
-    return FidelityResult(mean=mean, std_error=std_error, n_traj=noise.n_traj,
-                          tau=noise.tau, epsilon=noise.epsilon)
+        fids[:, inputs] = np.minimum(overlaps.real ** 2 + overlaps.imag ** 2,
+                                     1.0).reshape(len(noises), len(inputs), -1)
+    return [FidelityResult(mean=float(cell.mean()),
+                           std_error=float(cell.std(ddof=1) / math.sqrt(cell.size)),
+                           n_traj=noise.n_traj, tau=noise.tau, epsilon=noise.epsilon)
+            for cell, noise in zip(fids, noises)]
 
 
 def lindblad_gate_fidelity(params: PhysicalParams, tau: float, *,
@@ -169,10 +173,11 @@ def sweep(params: PhysicalParams, tau_values, epsilon_values, n_traj: int,
           seed: int, *, schedule: Schedule | None = None) -> FidelityGrid:
     """Fidelity surface on the (tau, epsilon) grid, deterministic per seed.
 
-    Cell (i, j) uses the RNG stream family of cell index i*len(eps)+j, so a
-    1x1 grid reproduces a direct ``gate_fidelity`` call bit for bit.  Every
-    cell's settings are checked, and each (tau, input group) compiled once,
-    before any cell runs.
+    Cell (i, j) uses the RNG stream family of cell index i*len(eps)+j, so
+    it reproduces a direct ``gate_fidelity`` call with that ``cell_index``
+    bit for bit.  Every cell's settings are checked, and each (tau, input
+    group) compiled once, before any cell runs; the cells of one tau run as
+    one row set per input group.
     """
     tau_values = tuple(float(t) for t in tau_values)
     epsilon_values = tuple(float(e) for e in epsilon_values)
@@ -184,8 +189,9 @@ def sweep(params: PhysicalParams, tau_values, epsilon_values, n_traj: int,
         schedule = toffoli_schedule(params)
     basis = _logical_basis(schedule)
     compiled = [_compiled_groups(schedule, row[0], basis) for row in noises]
-    cells = tuple(tuple(_cell_fidelity(compiled[i], basis, noise, i * len(row) + j)
-                        for j, noise in enumerate(row)) for i, row in enumerate(noises))
+    cells = tuple(tuple(_cell_fidelity(groups, basis, row,
+                                       np.arange(i * len(row), (i + 1) * len(row))))
+                  for i, (groups, row) in enumerate(zip(compiled, noises)))
     return FidelityGrid(tau_values, epsilon_values, cells)
 
 

@@ -19,20 +19,22 @@ tau of a call, takes one Pade-13 ``_expm`` call.
 
 The jump unraveling is one batched quantum-jump engine.  The trajectories
 of the basis inputs that reach one compiled basis evolve together on it as
-one input-major row set, in blocks of ``_BLOCK_ROWS`` rows so that memory
-does not grow with n_traj; a single trajectory (``mcwf_trajectory``) is the
-one-row case.  Rows point at distinct states, each evolved once: the rows
-of one start share its state until they jump or their jitter factors part
-(at epsilon = 0 they share the no-jump path).  A state evolves under
-K = H - (i/2) kappa a^dag a exactly per segment, at its jittered duration,
-as exp(-i w t) in the eigenbasis of K.  Between jumps its squared norm
-only falls, so each pass evaluates it once, at the end point of its
-remaining time; a row whose uniform threshold is above that norm bisects
-the crossing to tau/10^4 and jumps into a state of its own.  Pulses swap
-amplitudes elementwise.  A row's result does not depend on which other
-rows share its block.  The ideal gate (``run_ideal``) is the same
-engine at kappa = 0 with unit jitter factors: no row ever decays, so none
-draws or jumps.
+one row set, cell-major over the epsilon cells of one tau (a sweep runs
+them all at once), then input-major, in blocks of ``_BLOCK_ROWS`` rows so
+that memory does not grow with n_traj; a single trajectory
+(``mcwf_trajectory``) is the one-row case.  Rows point at distinct states,
+each evolved once: the rows of one input and cell share a start state
+until they jump or their jitter factors part, and the split is per state,
+so at epsilon = 0 they share the no-jump path even beside jittered rows.
+A state evolves under K = H - (i/2) kappa a^dag a exactly per segment, at
+its jittered duration, as exp(-i w t) in the eigenbasis of K.  Between
+jumps its squared norm only falls, so each pass evaluates it once, at the
+end point of its remaining time; a row whose uniform threshold is above
+that norm bisects the crossing to tau/10^4 and jumps into a state of its
+own.  Pulses swap amplitudes elementwise.  A row's result does not depend
+on which other rows share its block.  The ideal gate (``run_ideal``) is
+the same engine at kappa = 0 with unit jitter factors: no row ever
+decays, so none draws or jumps.
 
 Randomness contract: one root seed.  Word j of trajectory k of basis
 input b in grid cell c is element j % 4 of Philox4x64-10 (Salmon et al.,
@@ -43,8 +45,9 @@ A word depends on its indices only, so results are bit-reproducible however
 trajectories are scheduled, and a block's words come from one vectorised
 pass.  Word k < n_segments is segment k's jitter word, used or not (at
 epsilon = 0 none is, and the 4-word blocks that hold only jitter words are
-not drawn); word n_segments + n is the n-th jump threshold.  Word w is
-used as the uniform ((w >> 12) + 1/2) 2^-52, never 0 or 1.
+not drawn, also in a block beside jittered rows); word n_segments + n is
+the n-th jump threshold.  Word w is used as the uniform
+((w >> 12) + 1/2) 2^-52, never 0 or 1.
 """
 
 from __future__ import annotations
@@ -146,13 +149,13 @@ def _check_counter_words(**words: int) -> None:
             raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
 
 
-def _philox(seed: int, trajs, blocks, basis_inputs, cell: int) -> np.ndarray:
-    """Philox4x64-10 at counters (blocks + 1, trajs, basis_inputs, cell), key
+def _philox(seed: int, trajs, blocks, basis_inputs, cells) -> np.ndarray:
+    """Philox4x64-10 at counters (blocks + 1, trajs, basis_inputs, cells), key
     (seed, 0): words 4 blocks .. 4 blocks + 3 of the streams, on a new last
     axis.  Counter words 0, 2 (``even``) and 1, 3 (``odd``) run as stacked
     pairs; the round keys are formed as Python ints mod 2^64.
     """
-    counters = np.broadcast_arrays(np.add(blocks, 1), trajs, basis_inputs, cell)
+    counters = np.broadcast_arrays(np.add(blocks, 1), trajs, basis_inputs, cells)
     x = np.array(counters, dtype=np.uint64).reshape(4, -1)
     even, odd = x[0::2], x[1::2]
     keys = np.array([[(seed + r * _PHILOX_W[0]) % 2 ** 64, r * _PHILOX_W[1] % 2 ** 64]
@@ -505,11 +508,15 @@ def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, owner: np.ndarray,
     """Evolve rows from the distinct start states ``psi`` (m, dim), row i from
     ``psi[owner[i]]``, one trajectory each, on the compiled basis.  Each
     distinct state evolves once until a row jumps (``_decay``) or its segment
-    factor parts from its state's.  ``factors`` (n, n_segments) are the rows'
-    jitter factors and ``thresholds`` (n,) their first jump thresholds;
-    ``next_thresholds(rows)`` gives the next thresholds of ``rows`` after
-    they jump (None if no segment decays).  The block keeps the distinct
-    final states on the compiled basis, not renormalized, and each row's.
+    factor parts from its state's: the split is per state, so at segment k
+    a row whose factor differs from its state's representative row takes a
+    copy of that state for its own, and the rows that agree keep sharing
+    (an epsilon = 0 row keeps its no-jump state beside jittered rows).
+    ``factors`` (n, n_segments) are the rows' jitter factors and
+    ``thresholds`` (n,) their first jump thresholds; ``next_thresholds(rows)``
+    gives the next thresholds of ``rows`` after they jump (None if no
+    segment decays).  The block keeps the distinct final states on the
+    compiled basis, not renormalized, and each row's.
     """
     segments = compiled.schedule.segments
     n = len(factors)
@@ -519,8 +526,14 @@ def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, owner: np.ndarray,
     for k, (seg, ev) in enumerate(zip(segments, compiled.evolvers)):
         rep = np.zeros(len(psi), dtype=np.intp)     # a row of each state
         rep[owner] = np.arange(n)
-        if len(psi) < n and np.any(factors[:, k] != factors[rep[owner], k]):
-            psi, owner, rep = psi[owner], np.arange(n), np.arange(n)
+        # a row whose factor parts from its state's representative takes a copy of it
+        split = np.flatnonzero(factors[:, k] != factors[rep[owner], k]) if len(psi) < n else []
+        if len(split):
+            # one gather: a second block-sized temporary costs page faults
+            psi = psi[np.concatenate((np.arange(len(rep)), owner[split]))]
+            owner = owner.copy()
+            owner[split] = len(rep) + np.arange(len(split))
+            rep = np.concatenate((rep, split))
         if seg.kind == "classical_pulse":
             psi = ev.apply(psi, factors[rep, k])
         elif not ev.lossy:
@@ -543,52 +556,73 @@ def _check_initial_state(schedule: Schedule, psi0: StateVector) -> None:
 
 
 def _run_block(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
-               trajs: np.ndarray, inputs: np.ndarray, cell: int) -> _Block:
+               trajs: np.ndarray, inputs: np.ndarray, cells: np.ndarray,
+               epsilons: np.ndarray) -> _Block:
     """Start rows ``psi`` (n, dim) as one block: row r is trajectory ``trajs[r]``
-    of basis input ``inputs[r]``.
+    of basis input ``inputs[r]`` in grid cell ``cells[r]`` at timing
+    imprecision ``epsilons[r]``; ``noise`` gives tau and the seed, not epsilon.
 
     One Philox call draws the whole 4-word blocks holding every row's jitter
-    words and first threshold (drawn even if no segment decays); at
-    epsilon = 0 it skips the blocks that hold only jitter words, which
-    nothing reads.  A row whose thresholds outrun them gets the Philox
-    block of its next one.  The block's distinct final states come back
-    renormalized, on the compiled basis.
+    words and first threshold (drawn even if no segment decays), as one flat
+    array; for an epsilon = 0 row it skips the blocks that hold only jitter
+    words, which nothing reads.  A row whose thresholds outrun them gets the
+    Philox block of its next one.  Each run of adjacent rows at one epsilon
+    (a cell's rows, in a sweep's cell-major row set) takes one
+    ``jitter_factors`` call.  Adjacent rows of one input and cell share a
+    start state, and split from it per state (``_evolve``).  The block's
+    distinct final states come back renormalized, on the compiled basis.
     """
-    n_seg, seed = len(compiled.schedule.segments), int(noise.seed)
+    n, n_seg, seed = len(trajs), len(compiled.schedule.segments), int(noise.seed)
     n_cached = 4 * (n_seg // 4 + 1)
-    skip = 0 if noise.epsilon else 4 * (n_seg // 4)     # words not drawn
-    words = _philox(seed, trajs[:, None], np.arange(skip // 4, n_cached // 4),
-                    inputs[:, None], cell).reshape(len(trajs), n_cached - skip)
-    next_word = np.full(len(trajs), n_seg)
+    first_block = np.where(epsilons > 0.0, 0, n_seg // 4)
+    n_blocks = n_cached // 4 - first_block
+    start = 4 * (np.cumsum(n_blocks) - n_blocks - first_block)   # row r's word j: start[r] + j
+    at_row = np.repeat(np.arange(n), n_blocks)
+    at_block = np.arange(at_row.size) - start[at_row] // 4
+    words = _philox(seed, trajs[at_row], at_block, inputs[at_row], cells[at_row]).reshape(-1)
+    factors = np.ones((n, n_seg))
+    edges = (np.flatnonzero(epsilons[1:] != epsilons[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *edges], [*edges, n]):
+        if epsilons[lo]:        # the run's rows draw every block: a (rows, n_cached) view
+            run = words[start[lo]:start[lo] + (hi - lo) * n_cached].reshape(hi - lo, -1)
+            factors[lo:hi] = jitter_factors(compiled.schedule, float(epsilons[lo]),
+                                            _uniforms(run[:, :n_seg]))
+    next_word = np.full(n, n_seg)
 
     def next_thresholds(rows: np.ndarray) -> np.ndarray:
         j = next_word[rows]
         next_word[rows] += 1
-        drawn = words[rows, np.minimum(j, n_cached - 1) - skip]
+        drawn = words[start[rows] + np.minimum(j, n_cached - 1)]
         far = np.nonzero(j >= n_cached)[0]
         if far.size:
-            blocks = _philox(seed, trajs[rows[far]], j[far] // 4, inputs[rows[far]], cell)
+            blocks = _philox(seed, trajs[rows[far]], j[far] // 4, inputs[rows[far]],
+                             cells[rows[far]])
             drawn[far] = blocks[np.arange(far.size), j[far] % 4]
         return _uniforms(drawn)
 
-    factors = (jitter_factors(compiled.schedule, noise.epsilon, _uniforms(words[:, :n_seg]))
-               if noise.epsilon else np.ones((len(trajs), n_seg)))
-    _, first, owner = np.unique(inputs, return_index=True, return_inverse=True)
+    first = np.flatnonzero(np.concatenate(([True], (inputs[1:] != inputs[:-1])
+                                           | (cells[1:] != cells[:-1]))))
+    owner = np.repeat(np.arange(len(first)), np.diff(first, append=n))
     block = _evolve(compiled, psi[first], owner, noise, factors,
-                    next_thresholds(np.arange(len(trajs))), next_thresholds)
+                    next_thresholds(np.arange(n)), next_thresholds)
     psi = np.ascontiguousarray(block.psi)           # a pulse's gather may leave it strided
     return replace(block, psi=psi * (1.0 / np.sqrt(_sq_norms(psi)))[:, None], inputs=inputs)
 
 
 def _trajectory_blocks(compiled: _CompiledSchedule, starts: np.ndarray, noise: NoiseParams,
-                       inputs: np.ndarray, cell: int) -> Iterator[_Block]:
+                       inputs: np.ndarray, cells: np.ndarray, epsilons: np.ndarray
+                       ) -> Iterator[_Block]:
     """n_traj trajectories from each start row ``starts[i]`` (basis input
-    ``inputs[i]``) as one input-major row set on the basis ``compiled`` from
-    them all, ``_BLOCK_ROWS`` rows at a time; an input's rows share a start."""
-    rows = np.arange(len(starts) * noise.n_traj)
+    ``inputs[i]``) in each grid cell ``cells[c]`` at its timing imprecision
+    ``epsilons[c]``, as one cell-major, then input-major row set on the basis
+    ``compiled`` from them all, ``_BLOCK_ROWS`` rows at a time; the rows of
+    one input and cell share a start."""
+    shape = (len(cells), len(starts), noise.n_traj)
+    rows = np.arange(math.prod(shape))
     for first in range(0, len(rows), _BLOCK_ROWS):
-        which, trajs = np.divmod(rows[first:first + _BLOCK_ROWS], noise.n_traj)
-        yield _run_block(compiled, starts[which], noise, trajs, inputs[which], cell)
+        cell, which, trajs = np.unravel_index(rows[first:first + _BLOCK_ROWS], shape)
+        yield _run_block(compiled, starts[which], noise, trajs, inputs[which], cells[cell],
+                         epsilons[cell])
 
 
 def mcwf_trajectory(schedule: Schedule, psi0: StateVector, noise: NoiseParams, *,
@@ -601,8 +635,9 @@ def mcwf_trajectory(schedule: Schedule, psi0: StateVector, noise: NoiseParams, *
     _check_initial_state(schedule, psi0)
     _check_counter_words(traj=traj, basis_input=basis_input, cell=cell)
     start = psi0.amplitudes[None, :]
-    return _run_block(_compile(schedule, noise, start), start, noise,
-                      np.array([traj]), np.array([basis_input]), cell).result(0)
+    return _run_block(_compile(schedule, noise, start), start, noise, np.array([traj]),
+                      np.array([basis_input]), np.array([cell]),
+                      np.array([noise.epsilon])).result(0)
 
 
 def _ideal_states(schedule: Schedule, psi: np.ndarray) -> list[StateVector]:
@@ -632,7 +667,8 @@ def run_trajectories(schedule: Schedule, psi0: StateVector, noise: NoiseParams,
     _check_counter_words(basis_input=basis_input, cell=cell)
     start = psi0.amplitudes[None, :]
     blocks = _trajectory_blocks(_compile(schedule, noise, start), start, noise,
-                                np.array([basis_input]), cell)
+                                np.array([basis_input]), np.array([cell]),
+                                np.array([noise.epsilon]))
     return [block.result(row) for block in blocks for row in range(len(block.owner))]
 
 
@@ -643,7 +679,8 @@ def _trajectory_density(schedule: Schedule, psi0: StateVector,
     without per-trajectory objects."""
     start = psi0.amplitudes[None, :]
     compiled = _compile(schedule, noise, start)
-    blocks = _trajectory_blocks(compiled, start, noise, np.array([0]), 0)
+    blocks = _trajectory_blocks(compiled, start, noise, np.array([0]), np.array([0]),
+                                np.array([noise.epsilon]))
     rho = np.zeros((schedule.space.total_dim,) * 2, dtype=np.complex128)
     rho[np.ix_(compiled.support, compiled.support)] = sum(
         rows.T @ rows.conj() for rows in (b.psi[b.owner] for b in blocks)) / noise.n_traj

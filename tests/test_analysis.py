@@ -155,12 +155,15 @@ FULL_SPACE_SURFACE = [
 
 @pytest.fixture
 def jumps_per_cell(monkeypatch):
-    """Jumps of every cell run while the fixture is live, by cell index."""
+    """Jumps of every cell run while the fixture is live, by cell index: each
+    block's jumps (its events' rows) counted per row cell."""
     counts, run_block = {}, trajectories._run_block
 
-    def counting_run_block(compiled, psi, noise, trajs, inputs, cell):
-        block = run_block(compiled, psi, noise, trajs, inputs, cell)
-        counts[cell] = counts.get(cell, 0) + sum(len(t) for t in block.jump_times)
+    def counting_run_block(compiled, psi, noise, trajs, inputs, cells, epsilons):
+        block = run_block(compiled, psi, noise, trajs, inputs, cells, epsilons)
+        for rows, _ in block.events:
+            for cell, jumps in zip(*np.unique(cells[rows], return_counts=True)):
+                counts[int(cell)] = counts.get(int(cell), 0) + int(jumps)
         return block
 
     monkeypatch.setattr(trajectories, "_run_block", counting_run_block)
@@ -189,12 +192,21 @@ def test_subspace_engine_reproduces_full_space_cells(jumps_per_cell):
 # ---------------------------------------------------------------- sweep
 
 def test_single_cell_sweep_equals_direct_call(params):
-    grid = sweep(params, (1e-3,), (0.02,), n_traj=30, seed=17)
-    direct = gate_fidelity(params, NoiseParams(tau=1e-3, epsilon=0.02,
-                                               n_traj=30, seed=17))
-    cell = grid.cells[0][0]
-    assert cell.mean == direct.mean
-    assert cell.std_error == direct.std_error
+    """Sweep cell (i, j) equals ``gate_fidelity`` at cell index i*len(eps)+j
+    bit for bit: on a 1x1 grid, and on a 2 x 3 grid at 200 per input whose
+    row sets (3 cells x 4 inputs x 200 = 2400 rows) straddle a block."""
+    for taus, epsilons, n_traj in (((1e-3,), (0.02,), 30),
+                                   ((0.5e-3, 2e-3), (0.0, 0.02, 0.05), 200)):
+        grid = sweep(params, taus, epsilons, n_traj=n_traj, seed=17)
+        for i, tau in enumerate(taus):
+            for j, eps in enumerate(epsilons):
+                direct = gate_fidelity(params, NoiseParams(tau=tau, epsilon=eps,
+                                                           n_traj=n_traj, seed=17),
+                                       cell_index=i * len(epsilons) + j)
+                cell = grid.cells[i][j]
+                assert cell.mean == direct.mean, (tau, eps)
+                assert cell.std_error == direct.std_error, (tau, eps)
+    assert len(epsilons) * 4 * n_traj > trajectories._BLOCK_ROWS
 
 
 def test_sweep_deterministic_and_tau_major(params):

@@ -303,7 +303,7 @@ def test_engine_digest_script_runs():
     done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["anchor", "surface",
+    assert [line.split()[0] for line in lines] == ["anchor", "surface", "sweep",
                                                    *["trajectories"] * 3, "lindblad",
                                                    "ideal"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[-1]) for line in lines)

@@ -784,6 +784,81 @@ def test_rows_share_a_state_until_they_jump(schedule, monkeypatch, tau):
         assert jumped[0] == 0 and {size for size, _ in seen} == {1}
 
 
+def _mixed_block(schedule, n_traj, cells, epsilons):
+    """One engine block of inputs 0-3 at tau = 0.2 ms, cell-major over the
+    cells ``cells`` at ``epsilons``; also returns the function that runs it
+    for other cells, and the inputs."""
+    basis = _logical_basis(schedule)
+    noise = NoiseParams(tau=2e-4, epsilon=0.0, n_traj=n_traj, seed=11)
+    (inputs, compiled), _ = trajectories._compiled_groups(schedule, noise, basis)
+    assert len(cells) * len(inputs) * n_traj <= _BLOCK_ROWS
+
+    def run(cells, epsilons):
+        (block,) = trajectories._trajectory_blocks(compiled, basis[inputs], noise, inputs,
+                                                   np.array(cells), np.array(epsilons))
+        return block
+    return run(cells, epsilons), run, inputs
+
+
+def test_mixed_block_splits_shared_states_per_state(schedule, monkeypatch):
+    """A block holding an epsilon = 0 cell and an epsilon > 0 cell of the same
+    inputs splits its shared states per state: after segment 0 the epsilon = 0
+    rows that have not jumped still share one state per input, so the block
+    holds one state per epsilon = 0 input, one per epsilon > 0 row and one per
+    epsilon = 0 row that jumped in segment 0.  Each cell's rows equal a block
+    of that cell alone bit for bit."""
+    decay, after = trajectories._decay, []
+
+    def recording_decay(*args):
+        after.append(decay(*args))
+        return after[-1]
+
+    monkeypatch.setattr(trajectories, "_decay", recording_decay)
+    cells, epsilons = (3, 4), (0.0, 0.05)
+    mixed, run, inputs = _mixed_block(schedule, 60, cells, epsilons)
+    psi, owner, passes = after[0]               # segment 0 is the first lossy one
+    n = len(inputs) * 60                        # rows per cell; epsilon = 0 first
+    jumped = np.unique(np.concatenate([rows for rows, _ in passes]))
+    jumped_calm = jumped[jumped < n]
+    assert jumped_calm.size >= 1 and jumped.size > jumped_calm.size
+    assert len(psi) == len(inputs) + n + jumped_calm.size
+    calm = np.setdiff1d(np.arange(n), jumped_calm)
+    shared = [np.unique(owner[calm[mixed.inputs[calm] == b]]) for b in inputs]
+    assert [len(states) for states in shared] == [1] * len(inputs)
+    assert len(np.unique(np.concatenate(shared))) == len(inputs)
+    for c, (cell, eps) in enumerate(zip(cells, epsilons)):
+        alone, rows = run((cell,), (eps,)), slice(c * n, (c + 1) * n)
+        assert np.array_equal(mixed.states[rows], alone.states)
+        assert mixed.jump_times[rows] == alone.jump_times
+        np.testing.assert_array_equal(mixed.durations[rows], alone.durations)
+    assert sum(map(len, mixed.jump_times[:n])) >= 20
+
+
+def test_mixed_block_draws_no_jitter_block_for_epsilon_zero_rows(schedule, monkeypatch):
+    """In a block mixing an epsilon = 0 and an epsilon > 0 cell, no Philox
+    counter in a 4-word block that holds only jitter words (block 0 of the
+    5-segment gate) is requested for an epsilon = 0 row, while every
+    epsilon > 0 row draws it and every row draws its first threshold's."""
+    philox, counters = trajectories._philox, []
+
+    def recording_philox(seed, trajs, blocks, basis_inputs, cells):
+        counters.append(np.stack(np.broadcast_arrays(blocks, trajs, basis_inputs, cells),
+                                 axis=-1).reshape(-1, 4))
+        return philox(seed, trajs, blocks, basis_inputs, cells)
+
+    monkeypatch.setattr(trajectories, "_philox", recording_philox)
+    n_seg = len(schedule.segments)
+    assert n_seg // 4 == 1                      # words 0-3 are jitter words only
+    mixed, _, inputs = _mixed_block(schedule, 50, (3, 4), (0.0, 0.05))
+    drawn = np.concatenate(counters)
+    rows = {(k, b) for b in inputs.tolist() for k in range(50)}
+    for cell, first in ((3, 1), (4, 0)):
+        mine = drawn[drawn[:, 3] == cell]
+        assert mine[:, 0].min() == first, cell
+        assert {tuple(x) for x in mine[mine[:, 0] == first, 1:3].tolist()} == rows
+    assert sum(map(len, mixed.jump_times)) >= 20
+
+
 def test_jumped_state_ends_in_vacuum_sector(params):
     """After the only photon leaks out the cavity stays empty."""
     sched = idle_schedule(params, 5e-3)
