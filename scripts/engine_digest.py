@@ -9,11 +9,15 @@ perfbench surface sweep's CSV at seed 42, the CSV of a (0.3 ms, 2 ms) x
 (0, 1%, 5%, 8%) sweep at 130 per input and seed 5, whose row sets straddle
 engine blocks, the final-state bytes and jump times of 300-row
 run_trajectories for each of the 8 logical inputs at (1 ms, 3%),
-(0.2 ms, 8%) and (1 ms, 0), and the bytes of the exact Lindblad
+(0.2 ms, 8%) and (1 ms, 0), the final-state bytes and jump times of
+mcwf_trajectory at trajectories 0, 2047, 2048 and 5000 of inputs 0 and 5 in
+cell 3 at (0.2 ms, 8%) and (1 ms, 0), the bytes of the exact Lindblad
 channel (_lindblad_stack) at 0.5, 1 and 5 ms of the 8 logical projectors and
-of validate's equal superposition, and the ideal path: the logical process
-matrix's bytes of the default gate, of loss_scope="collision_only" and of
-fock_dim=4, with the repr of dispersive_validation's overlaps.
+of validate's equal superposition, the bytes of _trajectory_density of that
+superposition at the same lifetimes (1000 trajectories, epsilon 0, seed 42),
+and the ideal path: the logical process matrix's bytes of the default gate,
+of loss_scope="collision_only" and of fock_dim=4, with the repr of
+dispersive_validation's overlaps.
 """
 
 import hashlib
@@ -26,7 +30,8 @@ from cavity_toffoli.cli import SMOKE_TAUS
 from cavity_toffoli.model import PhysicalParams
 from cavity_toffoli.protocol import LOGICAL_BITS, encode_logical, toffoli_schedule
 from cavity_toffoli.qmath import DensityMatrix, StateVector
-from cavity_toffoli.trajectories import NoiseParams, _lindblad_stack, run_trajectories
+from cavity_toffoli.trajectories import (NoiseParams, _lindblad_stack, _trajectory_density,
+                                         mcwf_trajectory, run_trajectories)
 
 
 def main() -> None:
@@ -46,6 +51,16 @@ def main() -> None:
                 h.update(res.final_state.amplitudes.tobytes())
                 h.update(np.array(res.jump_times, dtype=np.float64).tobytes())
         print(f"trajectories tau={tau!r} epsilon={epsilon!r}", h.hexdigest())
+    h = hashlib.sha256()
+    for tau, epsilon in ((0.2e-3, 0.08), (1e-3, 0.0)):
+        noise = NoiseParams(tau=tau, epsilon=epsilon, seed=42)
+        for b in (0, 5):
+            psi0 = encode_logical(LOGICAL_BITS[b], schedule.space)
+            for traj in (0, 2047, 2048, 5000):
+                res = mcwf_trajectory(schedule, psi0, noise, traj=traj, basis_input=b, cell=3)
+                h.update(res.final_state.amplitudes.tobytes())
+                h.update(np.array(res.jump_times, dtype=np.float64).tobytes())
+    print("mcwf", h.hexdigest())
     basis, h = _logical_basis(schedule), hashlib.sha256()
     amps = sum(encode_logical(bits, schedule.space).amplitudes for bits in LOGICAL_BITS)
     superposition = StateVector(schedule.space, amps / np.linalg.norm(amps))
@@ -53,6 +68,11 @@ def main() -> None:
                   DensityMatrix.from_state(superposition).entries[None]):
         h.update(_lindblad_stack(schedule, rho0s, SMOKE_TAUS).tobytes())
     print("lindblad", h.hexdigest())
+    h = hashlib.sha256()
+    for tau in SMOKE_TAUS:
+        noise = NoiseParams(tau=tau, epsilon=0.0, n_traj=1000, seed=42)
+        h.update(_trajectory_density(schedule, superposition, noise).entries.tobytes())
+    print("density", h.hexdigest())
     h = hashlib.sha256()
     for gate in (schedule, toffoli_schedule(params, loss_scope="collision_only"),
                  toffoli_schedule(PhysicalParams.from_frequency(fock_dim=4))):

@@ -22,8 +22,8 @@ from .model import PhysicalParams, _detuned_family, _dispersive_family
 from .protocol import (LOGICAL_BITS, Schedule, encode_logical, toffoli_map,
                        toffoli_schedule)
 from .trajectories import (_STRUCTURES, NoiseParams, _check_counter_words, _compiled_groups,
-                           _CompiledSchedule, _DriftEvolver, _ideal_states, _lindblad_stack,
-                           _rows_matmul, _trajectory_blocks)
+                           _DriftEvolver, _ideal_states, _lindblad_stack, _rows_matmul,
+                           _trajectory_blocks)
 # perfbench/selftest.py checks that its tracer patches this binding too
 from .trajectories import mcwf_trajectory  # noqa: F401
 
@@ -120,22 +120,21 @@ def gate_fidelity(params: PhysicalParams, noise: NoiseParams, *,
     _check_counter_words(cell_index=cell_index)
     if schedule is None:
         schedule = toffoli_schedule(params)
-    basis = _logical_basis(schedule)
-    groups = _compiled_groups(schedule, noise, basis)
-    return _cell_fidelity(groups, basis, (noise,), np.array([cell_index]))[0]
+    return _cell_fidelity(schedule, (noise,), np.array([cell_index]))[0]
 
 
-def _cell_fidelity(groups: list[tuple[np.ndarray, _CompiledSchedule]], basis: np.ndarray,
-                   noises: tuple[NoiseParams, ...], cells: np.ndarray) -> list[FidelityResult]:
+def _cell_fidelity(schedule: Schedule, noises: tuple[NoiseParams, ...],
+                   cells: np.ndarray) -> list[FidelityResult]:
     """``gate_fidelity`` of each cell ``cells[c]`` at ``noises[c]``, cells that
-    differ in epsilon only, from (inputs, their schedule compiled at the common
-    tau) groups.  A group runs all the cells as one cell-major row set."""
+    differ in epsilon only: the logical inputs of each compiled basis, at the
+    common tau, run all the cells as one cell-major row set."""
+    basis = _logical_basis(schedule)
     targets, epsilons = basis[_IMAGES].conj(), np.array([noise.epsilon for noise in noises])
     fids = np.empty((len(noises), len(basis), noises[0].n_traj))
-    for inputs, compiled in groups:
+    for inputs, compiled in _compiled_groups(schedule, noises[0], basis):
         overlaps = []
         for block in _trajectory_blocks(compiled, basis[inputs], noises[0], inputs, cells,
-                                        epsilons):
+                                        epsilons, np.arange(noises[0].n_traj)):
             # one overlap per distinct state, against its input's target on the basis
             state_inputs = np.empty(len(block.psi), dtype=np.intp)
             state_inputs[block.owner] = block.inputs
@@ -175,9 +174,8 @@ def sweep(params: PhysicalParams, tau_values, epsilon_values, n_traj: int,
 
     Cell (i, j) uses the RNG stream family of cell index i*len(eps)+j, so
     it reproduces a direct ``gate_fidelity`` call with that ``cell_index``
-    bit for bit.  Every cell's settings are checked, and each (tau, input
-    group) compiled once, before any cell runs; the cells of one tau run as
-    one row set per input group.
+    bit for bit.  Every cell's settings are checked before any cell runs;
+    the cells of one tau run as one ``_cell_fidelity`` call.
     """
     tau_values = tuple(float(t) for t in tau_values)
     epsilon_values = tuple(float(e) for e in epsilon_values)
@@ -187,11 +185,9 @@ def sweep(params: PhysicalParams, tau_values, epsilon_values, n_traj: int,
                for eps in epsilon_values] for tau in tau_values]
     if schedule is None:
         schedule = toffoli_schedule(params)
-    basis = _logical_basis(schedule)
-    compiled = [_compiled_groups(schedule, row[0], basis) for row in noises]
-    cells = tuple(tuple(_cell_fidelity(groups, basis, row,
+    cells = tuple(tuple(_cell_fidelity(schedule, row,
                                        np.arange(i * len(row), (i + 1) * len(row))))
-                  for i, (groups, row) in enumerate(zip(compiled, noises)))
+                  for i, row in enumerate(noises))
     return FidelityGrid(tau_values, epsilon_values, cells)
 
 

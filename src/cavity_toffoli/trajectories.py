@@ -610,19 +610,32 @@ def _run_block(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
 
 
 def _trajectory_blocks(compiled: _CompiledSchedule, starts: np.ndarray, noise: NoiseParams,
-                       inputs: np.ndarray, cells: np.ndarray, epsilons: np.ndarray
-                       ) -> Iterator[_Block]:
-    """n_traj trajectories from each start row ``starts[i]`` (basis input
+                       inputs: np.ndarray, cells: np.ndarray, epsilons: np.ndarray,
+                       trajs: np.ndarray) -> Iterator[_Block]:
+    """Trajectories ``trajs`` from each start row ``starts[i]`` (basis input
     ``inputs[i]``) in each grid cell ``cells[c]`` at its timing imprecision
-    ``epsilons[c]``, as one cell-major, then input-major row set on the basis
-    ``compiled`` from them all, ``_BLOCK_ROWS`` rows at a time; the rows of
-    one input and cell share a start."""
-    shape = (len(cells), len(starts), noise.n_traj)
+    ``epsilons[c]``: one cell-, then input-, then trajectory-major row set on
+    the basis ``compiled``, ``_BLOCK_ROWS`` rows at a time, the one way into
+    ``_run_block``; the rows of one input and cell share a start."""
+    shape = (len(cells), len(starts), len(trajs))
     rows = np.arange(math.prod(shape))
     for first in range(0, len(rows), _BLOCK_ROWS):
-        cell, which, trajs = np.unravel_index(rows[first:first + _BLOCK_ROWS], shape)
-        yield _run_block(compiled, starts[which], noise, trajs, inputs[which], cells[cell],
+        cell, which, k = np.unravel_index(rows[first:first + _BLOCK_ROWS], shape)
+        # a start per row: its free lifts glibc's mmap threshold, so block arrays reuse the heap
+        yield _run_block(compiled, starts[which], noise, trajs[k], inputs[which], cells[cell],
                          epsilons[cell])
+
+
+def _start_blocks(schedule: Schedule, psi0: StateVector, noise: NoiseParams,
+                  trajs: np.ndarray, basis_input: int, cell: int) -> Iterator[_Block]:
+    """The blocks of trajectories ``trajs`` from the single start ``psi0`` as
+    basis input ``basis_input`` in grid cell ``cell``, on its compiled basis."""
+    _check_initial_state(schedule, psi0)
+    _check_counter_words(basis_input=basis_input, cell=cell)
+    start = psi0.amplitudes[None, :]
+    return _trajectory_blocks(_compile(schedule, noise, start), start, noise,
+                              np.array([basis_input]), np.array([cell]),
+                              np.array([noise.epsilon]), trajs)
 
 
 def mcwf_trajectory(schedule: Schedule, psi0: StateVector, noise: NoiseParams, *,
@@ -632,12 +645,9 @@ def mcwf_trajectory(schedule: Schedule, psi0: StateVector, noise: NoiseParams, *
     The engine's one-row block: bit for bit trajectory ``traj`` of
     ``run_trajectories`` at the same ``basis_input`` and ``cell``.
     """
-    _check_initial_state(schedule, psi0)
-    _check_counter_words(traj=traj, basis_input=basis_input, cell=cell)
-    start = psi0.amplitudes[None, :]
-    return _run_block(_compile(schedule, noise, start), start, noise, np.array([traj]),
-                      np.array([basis_input]), np.array([cell]),
-                      np.array([noise.epsilon])).result(0)
+    _check_counter_words(traj=traj)
+    return next(_start_blocks(schedule, psi0, noise, np.array([traj]), basis_input,
+                              cell)).result(0)
 
 
 def _ideal_states(schedule: Schedule, psi: np.ndarray) -> list[StateVector]:
@@ -663,12 +673,7 @@ def run_ideal(schedule: Schedule, psi0: StateVector) -> StateVector:
 def run_trajectories(schedule: Schedule, psi0: StateVector, noise: NoiseParams,
                      *, basis_input: int = 0, cell: int = 0) -> list[TrajectoryResult]:
     """n_traj independent trajectories, each on its own counter-based stream."""
-    _check_initial_state(schedule, psi0)
-    _check_counter_words(basis_input=basis_input, cell=cell)
-    start = psi0.amplitudes[None, :]
-    blocks = _trajectory_blocks(_compile(schedule, noise, start), start, noise,
-                                np.array([basis_input]), np.array([cell]),
-                                np.array([noise.epsilon]))
+    blocks = _start_blocks(schedule, psi0, noise, np.arange(noise.n_traj), basis_input, cell)
     return [block.result(row) for block in blocks for row in range(len(block.owner))]
 
 
@@ -677,13 +682,12 @@ def _trajectory_density(schedule: Schedule, psi0: StateVector,
     """(1/N) sum |psi_k><psi_k| over the final states of ``run_trajectories``,
     one stacked product per block on the compiled basis, embedded once,
     without per-trajectory objects."""
-    start = psi0.amplitudes[None, :]
-    compiled = _compile(schedule, noise, start)
-    blocks = _trajectory_blocks(compiled, start, noise, np.array([0]), np.array([0]),
-                                np.array([noise.epsilon]))
+    total = 0
+    for block in _start_blocks(schedule, psi0, noise, np.arange(noise.n_traj), 0, 0):
+        rows = block.psi[block.owner]
+        total = total + rows.T @ rows.conj()
     rho = np.zeros((schedule.space.total_dim,) * 2, dtype=np.complex128)
-    rho[np.ix_(compiled.support, compiled.support)] = sum(
-        rows.T @ rows.conj() for rows in (b.psi[b.owner] for b in blocks)) / noise.n_traj
+    rho[np.ix_(block.support, block.support)] = total / noise.n_traj
     return DensityMatrix(schedule.space, rho)
 
 

@@ -298,14 +298,22 @@ def test_collision_accuracy_script_runs():
     assert len(done.stdout.splitlines()) >= 3
 
 
+def test_engine_faults_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "engine_faults.py"
+    done = subprocess.run([sys.executable, str(script), "--ops", "1"],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert [line.split()[0] for line in done.stdout.splitlines()] == ["anchor", "surface"]
+
+
 def test_engine_digest_script_runs():
     script = Path(__file__).resolve().parents[1] / "scripts" / "engine_digest.py"
     done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["anchor", "surface", "sweep",
-                                                   *["trajectories"] * 3, "lindblad",
-                                                   "ideal"]
+                                                   *["trajectories"] * 3, "mcwf",
+                                                   "lindblad", "density", "ideal"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[-1]) for line in lines)
 
 def test_module_entry_point_end_to_end(tmp_path):

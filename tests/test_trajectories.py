@@ -441,8 +441,8 @@ def test_bisection_midpoint_outside_bracket_raises(params, monkeypatch):
 
 
 def test_expm_fallback_matches_eigenbasis(schedule, monkeypatch):
-    """The dense expm path, taken when ``_eig`` finds K's eigenvectors ill
-    conditioned, gives the eigenbasis path's trajectories."""
+    """The dense expm path, taken when ``_DriftEvolver._eigen`` finds K's
+    eigenvectors ill conditioned, gives the eigenbasis path's trajectories."""
     noise = NoiseParams(tau=2e-4, epsilon=0.05, n_traj=20, seed=3)
     psi0 = encode_logical((0, 0, 0), schedule.space)
     exact = run_trajectories(schedule, psi0, noise)
@@ -465,9 +465,9 @@ def test_expm_fallback_matches_eigenbasis(schedule, monkeypatch):
 
 
 def test_drift_evolver_falls_back_on_ill_conditioned_k():
-    """Behind ``_eig``'s cond_1(V) guard, a nearly defective K (cond ~ 1e8)
-    evolves its rows through one batched ``_expm``, each for its own time,
-    and matches scipy's expm."""
+    """Behind ``_DriftEvolver._eigen``'s cond_1(V) guard, a nearly defective K
+    (cond ~ 1e8) evolves its rows through one batched ``_expm``, each for its
+    own time, and matches scipy's expm."""
     h = np.array([[0.0, 1.0], [0.0, 0.0]])   # with the loss, K is nearly a Jordan block
     ev = trajectories._DriftEvolver(h, 1e-8, np.diag([0.0, 1.0]))
     assert not ev._eigen[3]
@@ -795,7 +795,8 @@ def _mixed_block(schedule, n_traj, cells, epsilons):
 
     def run(cells, epsilons):
         (block,) = trajectories._trajectory_blocks(compiled, basis[inputs], noise, inputs,
-                                                   np.array(cells), np.array(epsilons))
+                                                   np.array(cells), np.array(epsilons),
+                                                   np.arange(n_traj))
         return block
     return run(cells, epsilons), run, inputs
 
@@ -951,6 +952,21 @@ def test_ensemble_of_identical_trajectories_is_that_projector(schedule):
     amps = run_ideal(schedule, psi0).amplitudes
     np.testing.assert_allclose(rho.entries, np.outer(amps, amps.conj()),
                                atol=1e-14)
+
+
+def test_trajectory_density_checks_its_start(schedule):
+    """``validate``'s reducer rejects the starts ``run_trajectories`` rejects,
+    with its errors: an unnormalized state of norm 2 (which would otherwise
+    come back as a unit-trace density matrix) and a state of another space."""
+    noise = NoiseParams(tau=1e-3, epsilon=0.0, n_traj=10, seed=1)
+    doubled = StateVector(schedule.space, 2 * encode_logical((0, 0, 0), schedule.space)
+                          .amplitudes, normalized=False)
+    foreign = CompositeSpace((2, 3, 3)).basis_state([0, 0, 0])
+    for psi0, message in ((doubled, "must be normalized"),
+                          (foreign, "does not live on the schedule's space")):
+        for reducer in (run_trajectories, trajectories._trajectory_density):
+            with pytest.raises(ValueError, match=message):
+                reducer(schedule, psi0, noise)
 
 
 # ---------------------------------------------------------------- Lindblad
