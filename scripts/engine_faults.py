@@ -3,13 +3,17 @@
 
     PYTHONPATH=src python3 scripts/engine_faults.py --ops 20
 
-The engine's wall time moves with page faults as well as with its
-arithmetic (see ROADMAP's page-fault note), so a speed comparison of two
-trees should count both.  For each of perfbench's ``anchor`` workload
-(gate_fidelity at 1 ms, 3%, 2000 trajectories per input) and ``surface``
-workload (the 5 x 2 sweep at 250 per input), after one warm-up operation,
-it runs ``--ops`` operations back to back, operation i at seed i + 1 (the
-warm-up at seed 0), and prints the mean ms and ``ru_minflt`` per operation.
+The engine drops one 8 MB array at import so that, on glibc, its
+block-sized arrays come from the reused heap rather than from fresh
+pages; an operation then takes a few dozen minor faults at most.  A count
+in the thousands means that no longer holds, and the engine's time then
+moves with allocation order as well as with its arithmetic.
+
+For each of perfbench's ``anchor`` workload (gate_fidelity at 1 ms, 3%,
+2000 trajectories per input) and ``surface`` workload (the 5 x 2 sweep at
+250 per input), after one warm-up operation, it runs ``--ops`` operations
+back to back, operation i at seed i + 1 (the warm-up at seed 0), and
+prints the mean ms and ``ru_minflt`` per operation.
 """
 
 import os

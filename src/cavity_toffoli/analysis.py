@@ -106,6 +106,13 @@ def logical_process_matrix(schedule: Schedule) -> np.ndarray:
     return basis.conj() @ outputs.T
 
 
+def _schedule_of(params: PhysicalParams, schedule: Schedule | None) -> Schedule:
+    """``schedule``, which must be built from ``params``, or else the gate of ``params``."""
+    if schedule is not None and schedule.params != params:
+        raise ValueError("schedule was built from other parameters than params")
+    return toffoli_schedule(params) if schedule is None else schedule
+
+
 def gate_fidelity(params: PhysicalParams, noise: NoiseParams, *,
                   schedule: Schedule | None = None,
                   cell_index: int = 0) -> FidelityResult:
@@ -118,9 +125,7 @@ def gate_fidelity(params: PhysicalParams, noise: NoiseParams, *,
     row-major cell index so each cell is an independent stream family.
     """
     _check_counter_words(cell_index=cell_index)
-    if schedule is None:
-        schedule = toffoli_schedule(params)
-    return _cell_fidelity(schedule, (noise,), np.array([cell_index]))[0]
+    return _cell_fidelity(_schedule_of(params, schedule), (noise,), np.array([cell_index]))[0]
 
 
 def _cell_fidelity(schedule: Schedule, noises: tuple[NoiseParams, ...],
@@ -160,8 +165,7 @@ def lindblad_gate_fidelity(params: PhysicalParams, tau: float, *,
     channel and averages <target| rho |target>.  Oracle for the
     epsilon = 0 column of the stochastic pipeline.
     """
-    if schedule is None:
-        schedule = toffoli_schedule(params)
+    schedule = _schedule_of(params, schedule)
     basis = _logical_basis(schedule)
     rhos = _lindblad_stack(schedule, basis[:, :, None] * basis.conj()[:, None, :], (tau,))[0]
     return sum(float(np.vdot(target, rho @ target).real)
@@ -183,8 +187,7 @@ def sweep(params: PhysicalParams, tau_values, epsilon_values, n_traj: int,
         raise ValueError("sweep grids must be nonempty")
     noises = [[NoiseParams(tau=tau, epsilon=eps, n_traj=n_traj, seed=seed)
                for eps in epsilon_values] for tau in tau_values]
-    if schedule is None:
-        schedule = toffoli_schedule(params)
+    schedule = _schedule_of(params, schedule)
     cells = tuple(tuple(_cell_fidelity(schedule, row,
                                        np.arange(i * len(row), (i + 1) * len(row))))
                   for i, row in enumerate(noises))

@@ -65,6 +65,9 @@ from .qmath import CompositeSpace, DensityMatrix, StateVector, embed_operator
 
 #: trajectories evolved together; bounds the engine's memory for any n_traj
 _BLOCK_ROWS = 2048
+# Freeing an mmapped array lifts glibc's dynamic mmap threshold to its size, so once this
+# 8 MB one is dropped every block-sized array comes from the reused heap, not fresh pages
+np.empty(2 ** 20)
 #: (schedule, start support) structures ``_compile`` keeps, and Liouvillian memos
 _STRUCTURES = 8
 #: cond_1(V) above which a generator takes expm, not V exp(w T) V^-1
@@ -264,7 +267,6 @@ class _PulseEvolver:
     and a pulse rewrites only the others, its ``moving`` states."""
 
     def __init__(self, partner: np.ndarray, moving: np.ndarray):
-        self.lossy = False
         self._partner, self._moving = partner, moving
 
     def apply(self, psi: np.ndarray, angle_scales: np.ndarray) -> np.ndarray:
@@ -529,8 +531,7 @@ def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, owner: np.ndarray,
         # a row whose factor parts from its state's representative takes a copy of it
         split = np.flatnonzero(factors[:, k] != factors[rep[owner], k]) if len(psi) < n else []
         if len(split):
-            # one gather: a second block-sized temporary costs page faults
-            psi = psi[np.concatenate((np.arange(len(rep)), owner[split]))]
+            psi = np.concatenate((psi, psi[owner[split]]))
             owner = owner.copy()
             owner[split] = len(rep) + np.arange(len(split))
             rep = np.concatenate((rep, split))
@@ -555,56 +556,47 @@ def _check_initial_state(schedule: Schedule, psi0: StateVector) -> None:
         raise ValueError("initial state must be normalized")
 
 
-def _run_block(compiled: _CompiledSchedule, psi: np.ndarray, noise: NoiseParams,
-               trajs: np.ndarray, inputs: np.ndarray, cells: np.ndarray,
+def _run_block(compiled: _CompiledSchedule, psi: np.ndarray, owner: np.ndarray,
+               noise: NoiseParams, trajs: np.ndarray, inputs: np.ndarray, cells: np.ndarray,
                epsilons: np.ndarray) -> _Block:
-    """Start rows ``psi`` (n, dim) as one block: row r is trajectory ``trajs[r]``
-    of basis input ``inputs[r]`` in grid cell ``cells[r]`` at timing
-    imprecision ``epsilons[r]``; ``noise`` gives tau and the seed, not epsilon.
+    """Rows from the distinct start states ``psi`` (m, dim) as one block: row r
+    starts from ``psi[owner[r]]`` as trajectory ``trajs[r]`` of basis input
+    ``inputs[r]`` in cell ``cells[r]`` at timing imprecision ``epsilons[r]``;
+    ``noise`` gives tau and the seed, not epsilon.
 
-    One Philox call draws the whole 4-word blocks holding every row's jitter
-    words and first threshold (drawn even if no segment decays), as one flat
-    array; for an epsilon = 0 row it skips the blocks that hold only jitter
-    words, which nothing reads.  A row whose thresholds outrun them gets the
-    Philox block of its next one.  Each run of adjacent rows at one epsilon
-    (a cell's rows, in a sweep's cell-major row set) takes one
-    ``jitter_factors`` call.  Adjacent rows of one input and cell share a
-    start state, and split from it per state (``_evolve``).  The block's
-    distinct final states come back renormalized, on the compiled basis.
+    One Philox call draws the 4-word blocks of every row's jitter words and
+    first threshold (drawn even if no segment decays) into a (rows, words)
+    table, skipping for epsilon = 0 rows the blocks that hold only jitter
+    words; a row whose thresholds outrun it gets the Philox block of its
+    next one.  The rows of each nonzero epsilon take one ``jitter_factors``
+    call, and rows that share a start split from it per state (``_evolve``).
+    The distinct final states come back renormalized, on the compiled basis.
     """
     n, n_seg, seed = len(trajs), len(compiled.schedule.segments), int(noise.seed)
-    n_cached = 4 * (n_seg // 4 + 1)
-    first_block = np.where(epsilons > 0.0, 0, n_seg // 4)
-    n_blocks = n_cached // 4 - first_block
-    start = 4 * (np.cumsum(n_blocks) - n_blocks - first_block)   # row r's word j: start[r] + j
-    at_row = np.repeat(np.arange(n), n_blocks)
-    at_block = np.arange(at_row.size) - start[at_row] // 4
-    words = _philox(seed, trajs[at_row], at_block, inputs[at_row], cells[at_row]).reshape(-1)
+    n_blocks = n_seg // 4 + 1                       # the last holds the first threshold
+    rows, at = np.nonzero((epsilons[:, None] > 0.0) | (np.arange(n_blocks) == n_blocks - 1))
+    words = np.zeros((n, n_blocks, 4), dtype=np.uint64)
+    words[rows, at] = _philox(seed, trajs[rows], at, inputs[rows], cells[rows])
+    words = words.reshape(n, -1)                    # row r's word j: words[r, j]
     factors = np.ones((n, n_seg))
-    edges = (np.flatnonzero(epsilons[1:] != epsilons[:-1]) + 1).tolist()
-    for lo, hi in zip([0, *edges], [*edges, n]):
-        if epsilons[lo]:        # the run's rows draw every block: a (rows, n_cached) view
-            run = words[start[lo]:start[lo] + (hi - lo) * n_cached].reshape(hi - lo, -1)
-            factors[lo:hi] = jitter_factors(compiled.schedule, float(epsilons[lo]),
-                                            _uniforms(run[:, :n_seg]))
+    for epsilon in np.unique(epsilons[epsilons > 0.0]).tolist():
+        mine = epsilons == epsilon
+        factors[mine] = jitter_factors(compiled.schedule, epsilon, _uniforms(words[mine, :n_seg]))
     next_word = np.full(n, n_seg)
 
     def next_thresholds(rows: np.ndarray) -> np.ndarray:
         j = next_word[rows]
         next_word[rows] += 1
-        drawn = words[start[rows] + np.minimum(j, n_cached - 1)]
-        far = np.nonzero(j >= n_cached)[0]
+        drawn = words[rows, np.minimum(j, words.shape[1] - 1)]
+        far = np.nonzero(j >= words.shape[1])[0]
         if far.size:
             blocks = _philox(seed, trajs[rows[far]], j[far] // 4, inputs[rows[far]],
                              cells[rows[far]])
             drawn[far] = blocks[np.arange(far.size), j[far] % 4]
         return _uniforms(drawn)
 
-    first = np.flatnonzero(np.concatenate(([True], (inputs[1:] != inputs[:-1])
-                                           | (cells[1:] != cells[:-1]))))
-    owner = np.repeat(np.arange(len(first)), np.diff(first, append=n))
-    block = _evolve(compiled, psi[first], owner, noise, factors,
-                    next_thresholds(np.arange(n)), next_thresholds)
+    block = _evolve(compiled, psi, owner, noise, factors, next_thresholds(np.arange(n)),
+                    next_thresholds)
     psi = np.ascontiguousarray(block.psi)           # a pulse's gather may leave it strided
     return replace(block, psi=psi * (1.0 / np.sqrt(_sq_norms(psi)))[:, None], inputs=inputs)
 
@@ -616,14 +608,14 @@ def _trajectory_blocks(compiled: _CompiledSchedule, starts: np.ndarray, noise: N
     ``inputs[i]``) in each grid cell ``cells[c]`` at its timing imprecision
     ``epsilons[c]``: one cell-, then input-, then trajectory-major row set on
     the basis ``compiled``, ``_BLOCK_ROWS`` rows at a time, the one way into
-    ``_run_block``; the rows of one input and cell share a start."""
+    ``_run_block``; a block takes one start per run of one input's rows in one cell."""
     shape = (len(cells), len(starts), len(trajs))
     rows = np.arange(math.prod(shape))
     for first in range(0, len(rows), _BLOCK_ROWS):
         cell, which, k = np.unravel_index(rows[first:first + _BLOCK_ROWS], shape)
-        # a start per row: its free lifts glibc's mmap threshold, so block arrays reuse the heap
-        yield _run_block(compiled, starts[which], noise, trajs[k], inputs[which], cells[cell],
-                         epsilons[cell])
+        opens = np.concatenate(([True], k[1:] == 0))     # at trajectory 0 and at row 0
+        yield _run_block(compiled, starts[which[opens]], np.cumsum(opens) - 1, noise, trajs[k],
+                         inputs[which], cells[cell], epsilons[cell])
 
 
 def _start_blocks(schedule: Schedule, psi0: StateVector, noise: NoiseParams,

@@ -97,6 +97,22 @@ def test_lossless_oracle_fidelity_is_one(params):
     assert lindblad_gate_fidelity(params, math.inf) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_entry_points_reject_a_schedule_of_other_params(params):
+    """``lindblad_gate_fidelity``, ``gate_fidelity`` and ``sweep`` raise on a
+    schedule built from other parameters rather than answer for its gate: at
+    1 ms the 50 kHz gate reads 0.95633, the 60 kHz one 0.96310.  A schedule
+    built from the same parameters gives the same number as none."""
+    other = PhysicalParams.from_frequency(omega_hz=60e3)
+    schedule, noise = toffoli_schedule(params), NoiseParams(tau=1e-3, n_traj=5, seed=1)
+    for call in (lambda: lindblad_gate_fidelity(other, 1e-3, schedule=schedule),
+                 lambda: gate_fidelity(other, noise, schedule=schedule),
+                 lambda: sweep(other, (1e-3,), (0.0,), 5, 1, schedule=schedule)):
+        with pytest.raises(ValueError, match="other parameters"):
+            call()
+    own = lindblad_gate_fidelity(other, 1e-3, schedule=toffoli_schedule(other))
+    assert own == lindblad_gate_fidelity(other, 1e-3) == pytest.approx(0.96310, abs=1e-5)
+
+
 def test_repeated_oracle_call_encodes_nothing(params, monkeypatch):
     """The 8 encoded kets are memoized per schedule: a repeated
     ``lindblad_gate_fidelity`` call, on a schedule rebuilt equal, makes no
@@ -159,8 +175,8 @@ def jumps_per_cell(monkeypatch):
     block's jumps (its events' rows) counted per row cell."""
     counts, run_block = {}, trajectories._run_block
 
-    def counting_run_block(compiled, psi, noise, trajs, inputs, cells, epsilons):
-        block = run_block(compiled, psi, noise, trajs, inputs, cells, epsilons)
+    def counting_run_block(compiled, psi, owner, noise, trajs, inputs, cells, epsilons):
+        block = run_block(compiled, psi, owner, noise, trajs, inputs, cells, epsilons)
         for rows, _ in block.events:
             for cell, jumps in zip(*np.unique(cells[rows], return_counts=True)):
                 counts[int(cell)] = counts.get(int(cell), 0) + int(jumps)

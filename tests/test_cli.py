@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, determinism, precedence."""
 
 import json
+import platform
 import re
 import subprocess
 import sys
@@ -299,11 +300,16 @@ def test_collision_accuracy_script_runs():
 
 
 def test_engine_faults_script_runs():
+    """The script runs, and on glibc the engine takes fewer than 50 minor page
+    faults per operation: the import-time warm-up keeps block arrays on the heap."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "engine_faults.py"
-    done = subprocess.run([sys.executable, str(script), "--ops", "1"],
+    done = subprocess.run([sys.executable, str(script), "--ops", "3"],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert [line.split()[0] for line in done.stdout.splitlines()] == ["anchor", "surface"]
+    lines = [line.split() for line in done.stdout.splitlines()]
+    assert [line[0] for line in lines] == ["anchor", "surface"]
+    if platform.libc_ver()[0] == "glibc":
+        assert all(float(line[3]) < 50.0 for line in lines), done.stdout
 
 
 def test_engine_digest_script_runs():

@@ -451,7 +451,7 @@ def test_expm_fallback_matches_eigenbasis(schedule, monkeypatch):
     def compile_fallback(sched, noise_params, starts):
         compiled = compile_exact(sched, noise_params, starts)
         for ev in compiled.evolvers:
-            if ev.lossy:
+            if isinstance(ev, trajectories._DriftEvolver) and ev.lossy:
                 ev._eigen = ev._eigen[:3] + (False,)
         return compiled
 
@@ -512,7 +512,7 @@ def test_gate_drift_generators_stay_on_eigenbasis_path():
                     else np.eye(schedule.space.total_dim))
             compiled = trajectories._compile(schedule, NoiseParams(tau=tau), rows)
             for ev in compiled.evolvers:
-                if ev.lossy:
+                if isinstance(ev, trajectories._DriftEvolver) and ev.lossy:
                     _, v, _, exact = ev._eigen
                     assert exact, (fock_dim, scope, tau, starts)
                     assert np.linalg.cond(v, 1) < 10.0, (fock_dim, scope, tau, starts)
@@ -882,7 +882,7 @@ _GAINING_DRIFT = textwrap.dedent("""
     def compile_gaining(schedule, noise, starts):
         compiled = compile_lossy(schedule, noise, starts)
         for ev in compiled.evolvers:
-            if ev.lossy:
+            if isinstance(ev, tr._DriftEvolver) and ev.lossy:
                 w, v, vinv, exact = ev._eigen
                 ev._eigen = w.conj(), v, vinv, exact    # decay rates become gain rates
         return compiled
