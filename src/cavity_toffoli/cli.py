@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,12 +27,20 @@ from .analysis import (_IMAGES, DEFAULT_EPSILON_GRID, DEFAULT_TAU_GRID,
                        VALIDATION_RATIOS, dispersive_validation, gate_fidelity,
                        logical_process_matrix, sweep)
 from .model import PhysicalParams
-from .protocol import (LOGICAL_BITS, Schedule, encode_logical,
+from .protocol import (JITTER_SCOPES, LOGICAL_BITS, LOSS_SCOPES, Schedule, encode_logical,
                        process_phase_spread, toffoli_map, toffoli_schedule)
 from .qmath import DensityMatrix, StateVector, trace_distance
 from .trajectories import NoiseParams, _lindblad_stack, _trajectory_density
 
 SMOKE_TAUS = (0.5e-3, 1e-3, 5e-3)
+
+#: config-file keys, which are also the flags' dests, by the library call they
+#: go to (PhysicalParams.from_frequency, toffoli_schedule, NoiseParams, whose
+#: tau the file calls tau_s); an unset key takes the library's default
+_PHYSICAL_KEYS = ("omega_hz", "delta_over_omega", "fock_dim")
+_SCOPE_KEYS = ("loss_scope", "jitter_scope")
+_NOISE_KEYS = {"tau_s": "tau", "epsilon": "epsilon", "n_traj": "n_traj", "seed": "seed"}
+_FLOAT_KEYS = ("omega_hz", "delta_over_omega", "tau_s", "epsilon")
 
 
 class UsageError(Exception):
@@ -42,38 +50,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we reserve 2 for science
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    """Operating point; defaults are the reference setting of the study:
-    50 kHz coupling, delta = 4 omega, 1 ms photon lifetime, 3% timing
-    imprecision."""
-
-    omega_hz: float = 50e3
-    delta_over_omega: float = 4.0
-    tau_s: float = 1e-3
-    epsilon: float = 0.03
-    n_traj: int = 2000
-    seed: int = 42
-    fock_dim: int = 3
-    loss_scope: str = "all_segments"
-    jitter_scope: str = "all"
-
-    def physical_params(self) -> PhysicalParams:
-        return PhysicalParams.from_frequency(
-            omega_hz=self.omega_hz, delta_over_omega=self.delta_over_omega,
-            fock_dim=self.fock_dim)
-
-    def noise_params(self) -> NoiseParams:
-        return NoiseParams(tau=self.tau_s, epsilon=self.epsilon,
-                           n_traj=self.n_traj, seed=self.seed)
-
-    def schedule(self, *, decode_adjoint: bool = True):
-        return toffoli_schedule(self.physical_params(),
-                                decode_adjoint=decode_adjoint,
-                                loss_scope=self.loss_scope,
-                                jitter_scope=self.jitter_scope)
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -94,9 +70,6 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return values
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
-
-
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -105,7 +78,7 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - set(_CONFIG_FIELDS)
+    unknown = set(data) - {*_PHYSICAL_KEYS, *_SCOPE_KEYS, *_NOISE_KEYS}
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     if isinstance(data.get("tau_s"), str):
@@ -114,38 +87,39 @@ def _load_config_file(path: str) -> dict:
         except ValueError as exc:
             raise UsageError(f"config file {path}: bad tau_s: {exc}") from exc
     for name, value in data.items():
-        if _CONFIG_FIELDS[name] == "float" and (isinstance(value, bool)
-                                                or not isinstance(value, (int, float))):
+        if name in _FLOAT_KEYS and (isinstance(value, bool)
+                                    or not isinstance(value, (int, float))):
             raise UsageError(f"config file {path}: {name} must be a number")
     return data
 
 
-def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, Schedule]:
-    """flag > config-file value > default; returns the config and its schedule."""
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(_load_config_file(args.config))
-    for name in _CONFIG_FIELDS:
+def _resolve_config(args: argparse.Namespace) -> tuple[NoiseParams, Schedule]:
+    """flag > config-file value > library default; returns the noise settings
+    and the schedule."""
+    values = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    for name in (*_PHYSICAL_KEYS, *_SCOPE_KEYS, *_NOISE_KEYS):
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             values[name] = flag_value
     try:
-        config = RunConfig(**values)
-        # the schedule checks the physical point, the dispersive regime and
-        # the scopes (a config-file value bypasses argparse choices)
-        schedule = config.schedule(
-            decode_adjoint=not getattr(args, "no_decode_adjoint", False))
-        config.noise_params()
+        params = PhysicalParams.from_frequency(
+            **{k: values[k] for k in _PHYSICAL_KEYS if k in values})
+        # the schedule checks the dispersive regime and the scopes (a
+        # config-file value bypasses argparse choices)
+        schedule = toffoli_schedule(
+            params, decode_adjoint=not getattr(args, "no_decode_adjoint", False),
+            **{k: values[k] for k in _SCOPE_KEYS if k in values})
+        noise = NoiseParams(**{arg: values[k] for k, arg in _NOISE_KEYS.items() if k in values})
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    return config, schedule
+    return noise, schedule
 
 
 def _add_common_options(parser: argparse.ArgumentParser, *, noise: tuple[str, ...] = ()) -> None:
-    """The RunConfig flags, but of the noise flags --tau, --epsilon and
+    """The setting flags, but of the noise flags --tau, --epsilon and
     --n-traj only those in ``noise``, the ones the command reads."""
     parser.add_argument("--config", metavar="PATH",
-                        help="JSON file with RunConfig field names")
+                        help="JSON file of flag values, keyed omega_hz, tau_s, ...")
     parser.add_argument("--omega-hz", dest="omega_hz", type=float)
     parser.add_argument("--delta-over-omega", dest="delta_over_omega", type=float)
     if "--tau" in noise:
@@ -157,10 +131,8 @@ def _add_common_options(parser: argparse.ArgumentParser, *, noise: tuple[str, ..
         parser.add_argument("--n-traj", dest="n_traj", type=int)
     parser.add_argument("--seed", dest="seed", type=int)
     parser.add_argument("--fock-dim", dest="fock_dim", type=int)
-    parser.add_argument("--loss-scope", dest="loss_scope",
-                        choices=("all_segments", "collision_only"))
-    parser.add_argument("--jitter-scope", dest="jitter_scope",
-                        choices=("all", "interactions_only"))
+    parser.add_argument("--loss-scope", dest="loss_scope", choices=LOSS_SCOPES)
+    parser.add_argument("--jitter-scope", dest="jitter_scope", choices=JITTER_SCOPES)
 
 
 @functools.cache
@@ -201,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_truth_table(config: RunConfig, schedule: Schedule,
+def cmd_truth_table(noise: NoiseParams, schedule: Schedule,
                     args: argparse.Namespace) -> int:
     if args.dump_schedule:
         print(schedule.to_json())
@@ -238,25 +210,25 @@ def cmd_truth_table(config: RunConfig, schedule: Schedule,
     return 0 if ok else 2
 
 
-def cmd_run(config: RunConfig, schedule: Schedule, args: argparse.Namespace) -> int:
-    result = gate_fidelity(schedule.params, config.noise_params(), schedule=schedule)
+def cmd_run(noise: NoiseParams, schedule: Schedule, args: argparse.Namespace) -> int:
+    result = gate_fidelity(schedule.params, noise, schedule=schedule)
     print(json.dumps(result.to_jsonable()))
     return 0
 
 
-def cmd_sweep(config: RunConfig, schedule: Schedule, args: argparse.Namespace) -> int:
+def cmd_sweep(noise: NoiseParams, schedule: Schedule, args: argparse.Namespace) -> int:
     try:
         tau_values = _parse_grid(args.tau_grid) if args.tau_grid else DEFAULT_TAU_GRID
         eps_values = _parse_grid(args.eps_grid) if args.eps_grid else DEFAULT_EPSILON_GRID
         # a bad value fails here, not after every cell before it has run
         for tau in tau_values:
             for eps in eps_values:
-                replace(config, tau_s=tau, epsilon=eps).noise_params()
+                replace(noise, tau=tau, epsilon=eps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
     grid = sweep(schedule.params, tau_values, eps_values,
-                 config.n_traj, config.seed, schedule=schedule)
+                 noise.n_traj, noise.seed, schedule=schedule)
     csv_text = grid.to_csv()
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -266,12 +238,12 @@ def cmd_sweep(config: RunConfig, schedule: Schedule, args: argparse.Namespace) -
         return 1
     means = [cell.mean for row in grid.cells for cell in row]
     print(f"wrote {args.out}: {len(tau_values)}x{len(eps_values)} cells, "
-          f"n_traj {config.n_traj} per input")
+          f"n_traj {noise.n_traj} per input")
     print(f"mean fidelity range [{min(means)!r}, {max(means)!r}]")
     return 0
 
 
-def cmd_validate(config: RunConfig, schedule: Schedule,
+def cmd_validate(noise: NoiseParams, schedule: Schedule,
                  args: argparse.Namespace) -> int:
     ok = True
 
@@ -299,8 +271,8 @@ def cmd_validate(config: RunConfig, schedule: Schedule,
     rho_refs = _lindblad_stack(schedule, DensityMatrix.from_state(psi0).entries[None],
                                SMOKE_TAUS)[:, 0]
     for tau, rho_ref in zip(SMOKE_TAUS, rho_refs):
-        noise = NoiseParams(tau=tau, epsilon=0.0, n_traj=n_traj, seed=config.seed)
-        rho_mc = _trajectory_density(schedule, psi0, noise)
+        rho_mc = _trajectory_density(
+            schedule, psi0, NoiseParams(tau=tau, epsilon=0.0, n_traj=n_traj, seed=noise.seed))
         dist = trace_distance(rho_mc, DensityMatrix(schedule.space, rho_ref))
         verdict = "ok" if dist <= threshold else "FAIL"
         if dist > threshold:
@@ -323,8 +295,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config, schedule = _resolve_config(args)
-        return _COMMANDS[args.command](config, schedule, args)
+        noise, schedule = _resolve_config(args)
+        return _COMMANDS[args.command](noise, schedule, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

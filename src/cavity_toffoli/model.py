@@ -60,6 +60,13 @@ class PhysicalParams:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if not _is_int(self.fock_dim) or self.fock_dim < 3:
             raise ValueError(f"fock_dim must be an integer >= 3, got {self.fock_dim!r}")
+        try:  # omega ** 2 can overflow, or underflow to a zero lam
+            durations = (self.lam, self.t_pi, self.t_collision)
+        except (OverflowError, ZeroDivisionError):
+            durations = (math.nan,)
+        if not all(0 < d < math.inf for d in durations):
+            raise ValueError(f"omega = {self.omega!r} and delta = {self.delta!r} give no "
+                             "finite positive lam, t_pi and t_collision")
 
     @classmethod
     def from_frequency(cls, omega_hz: float = 50e3, delta_over_omega: float = 4.0,

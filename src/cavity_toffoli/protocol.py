@@ -34,6 +34,9 @@ CONTROL_ATOM = 1
 TARGET_ATOM = 2
 
 SEGMENT_KINDS = ("resonant_rabi", "classical_pulse", "collision", "idle")
+#: the values toffoli_schedule takes for loss_scope and for jitter_scope
+LOSS_SCOPES = ("all_segments", "collision_only")
+JITTER_SCOPES = ("all", "interactions_only")
 
 #: the 8 logical inputs in enumeration order (c1, c2, t)
 LOGICAL_BITS = tuple((c1, c2, t) for c1 in (0, 1) for c2 in (0, 1) for t in (0, 1))
@@ -54,8 +57,9 @@ class Segment:
     def __post_init__(self):
         if self.kind not in SEGMENT_KINDS:
             raise ValueError(f"unknown segment kind {self.kind!r}")
-        if self.nominal_duration < 0:
-            raise ValueError("segment duration must be >= 0")
+        if not 0 <= self.nominal_duration < math.inf:
+            raise ValueError(f"segment duration must be finite and >= 0, "
+                             f"got {self.nominal_duration!r}")
         if self.kind == "classical_pulse":
             if self.nominal_duration != 0.0:
                 raise ValueError("classical pulses are instantaneous")
@@ -112,9 +116,9 @@ def toffoli_schedule(params: PhysicalParams, *, decode_adjoint: bool = True,
     decode_adjoint=False is a debug knob reproducing the -1 phase defect of
     a naive repeated decoding pulse.
     """
-    if loss_scope not in ("all_segments", "collision_only"):
+    if loss_scope not in LOSS_SCOPES:
         raise ValueError(f"unknown loss_scope {loss_scope!r}")
-    if jitter_scope not in ("all", "interactions_only"):
+    if jitter_scope not in JITTER_SCOPES:
         raise ValueError(f"unknown jitter_scope {jitter_scope!r}")
     require_dispersive_regime(params)
 

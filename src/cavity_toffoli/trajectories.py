@@ -97,6 +97,8 @@ class NoiseParams:
     def __post_init__(self):
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        if not self.kappa < math.inf:
+            raise ValueError(f"tau = {self.tau!r} is too small: kappa = 1/tau overflows")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
         if not _is_int(self.n_traj) or self.n_traj < 1:

@@ -113,6 +113,13 @@ def test_entry_points_reject_a_schedule_of_other_params(params):
     assert own == lindblad_gate_fidelity(other, 1e-3) == pytest.approx(0.96310, abs=1e-5)
 
 
+def test_oracle_rejects_a_channel_off_unit_trace(params):
+    """At tau = 1e-20 s the exact channel loses unit trace (0.1349 was read
+    as a fidelity); the oracle raises instead of reporting a number."""
+    with pytest.raises(ValueError, match="off unit trace"):
+        lindblad_gate_fidelity(params, 1e-20)
+
+
 def test_repeated_oracle_call_encodes_nothing(params, monkeypatch):
     """The 8 encoded kets are memoized per schedule: a repeated
     ``lindblad_gate_fidelity`` call, on a schedule rebuilt equal, makes no

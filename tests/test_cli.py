@@ -11,7 +11,10 @@ import pytest
 
 import cavity_toffoli
 from cavity_toffoli import cli
+from cavity_toffoli.analysis import gate_fidelity
 from cavity_toffoli.cli import main
+from cavity_toffoli.protocol import JITTER_SCOPES, LOSS_SCOPES, toffoli_schedule
+from cavity_toffoli.trajectories import NoiseParams
 
 FAST = ["--n-traj", "25", "--seed", "7"]
 
@@ -82,6 +85,9 @@ def test_invalid_values_exit_1(capsys):
                  ["run", "--tau", "-2"],
                  ["run", "--fock-dim", "2"],
                  ["run", "--epsilon", "abc"],
+                 ["truth-table", "--omega-hz", "1e-200"],
+                 ["truth-table", "--omega-hz", "1e300"],
+                 ["run", "--tau", "5e-324"],
                  ["bogus-command"]):
         code, _, err = run_cli(capsys, argv)
         assert code == 1, argv
@@ -98,6 +104,24 @@ def test_outside_dispersive_regime_exits_1(capsys, command):
     assert code == 1
     assert err.startswith("error:") and "delta >= 2*omega" in err
     assert out == ""
+
+
+def test_defaults_are_the_librarys(capsys, params):
+    """A setting no flag or file sets takes the library's default."""
+    code, out, _ = run_cli(capsys, ["run", "--n-traj", "25"])
+    assert code == 0
+    result = gate_fidelity(params, NoiseParams(n_traj=25))
+    assert out == json.dumps(result.to_jsonable()) + "\n"
+    code, out, _ = run_cli(capsys, ["truth-table", "--dump-schedule"])
+    assert code == 0 and out == toffoli_schedule(params).to_json() + "\n"
+
+
+def test_scope_choices_are_the_protocols():
+    """Every command offers exactly the scopes that ``toffoli_schedule`` takes."""
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    for sub in commands.values():
+        choices = {action.dest: action.choices for action in sub._actions}
+        assert (choices["loss_scope"], choices["jitter_scope"]) == (LOSS_SCOPES, JITTER_SCOPES)
 
 
 # ---------------------------------------------------------------- config file

@@ -51,6 +51,12 @@ def test_params_validation():
         with pytest.raises(ValueError, match="fock_dim"):
             PhysicalParams(omega=1.0, delta=4.0, fock_dim=bad)
     assert PhysicalParams(omega=1.0, delta=4.0, fock_dim=np.int64(4)).fock_dim == 4
+    # omega ** 2 underflows to a zero lam, or overflows
+    for omega_hz in (1e-200, 1e300):
+        with pytest.raises(ValueError, match="t_collision"):
+            PhysicalParams.from_frequency(omega_hz=omega_hz)
+    with pytest.raises(ValueError, match="t_collision"):
+        PhysicalParams(omega=5e-324, delta=1.0)
 
 
 def test_collision_guard_on_detuning():

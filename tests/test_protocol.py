@@ -181,6 +181,9 @@ def test_segment_validation():
         Segment("resonant_rabi", 1e-5)
     with pytest.raises(ValueError):
         Segment("warp", 1e-5)
+    for bad in (-1e-5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Segment("idle", bad)
 
 
 # ---------------------------------------------------------------- ideal run

@@ -65,6 +65,8 @@ def test_noise_params_validation():
     for bad in (0, 2.5, 2.0, True, np.float64(2.0)):
         with pytest.raises(ValueError, match="n_traj"):
             NoiseParams(n_traj=bad)
+    with pytest.raises(ValueError, match="overflows"):
+        NoiseParams(tau=5e-324)
     NoiseParams(tau=math.inf, epsilon=0.0)
 
 
