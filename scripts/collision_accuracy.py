@@ -8,7 +8,7 @@ gate actually feeds into the collision.
 """
 
 import argparse
-import math
+from dataclasses import replace
 
 from cavity_toffoli.analysis import dispersive_validation
 from cavity_toffoli.model import PhysicalParams
@@ -27,7 +27,7 @@ def main() -> None:
     print(f"{'delta/omega':>12} {'t_col (ms)':>11} {'min overlap':>12} "
           f"{'worst infidelity':>17}")
     for rep in reports:
-        t_col_ms = 4 * math.pi * rep.ratio / params.omega * 1e3
+        t_col_ms = replace(params, delta=rep.ratio * params.omega).t_collision * 1e3
         print(f"{rep.ratio:>12.1f} {t_col_ms:>11.4f} {rep.min_overlap:>12.6f} "
               f"{1 - rep.min_overlap:>17.2e}")
     print("\nthe collision slows linearly in delta/omega while the error "

@@ -19,13 +19,11 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .analysis import (_IMAGES, DEFAULT_EPSILON_GRID, DEFAULT_TAU_GRID,
-                       VALIDATION_RATIOS, dispersive_validation, gate_fidelity,
-                       logical_process_matrix, sweep)
+                       dispersive_validation, gate_fidelity, logical_process_matrix, sweep)
 from .model import PhysicalParams
 from .protocol import (JITTER_SCOPES, LOGICAL_BITS, LOSS_SCOPES, Schedule, encode_logical,
                        process_phase_spread, toffoli_map, toffoli_schedule)
@@ -220,22 +218,15 @@ def cmd_sweep(noise: NoiseParams, schedule: Schedule, args: argparse.Namespace) 
     try:
         tau_values = _parse_grid(args.tau_grid) if args.tau_grid else DEFAULT_TAU_GRID
         eps_values = _parse_grid(args.eps_grid) if args.eps_grid else DEFAULT_EPSILON_GRID
-        # a bad value fails here, not after every cell before it has run
-        for tau in tau_values:
-            for eps in eps_values:
-                replace(noise, tau=tau, epsilon=eps)
+        grid = sweep(schedule.params, tau_values, eps_values,
+                     noise.n_traj, noise.seed, schedule=schedule)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-    grid = sweep(schedule.params, tau_values, eps_values,
-                 noise.n_traj, noise.seed, schedule=schedule)
-    csv_text = grid.to_csv()
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
+            fh.write(grid.to_csv())
     except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+        raise UsageError(f"cannot write {args.out}: {exc}") from exc
     means = [cell.mean for row in grid.cells for cell in row]
     print(f"wrote {args.out}: {len(tau_values)}x{len(eps_values)} cells, "
           f"n_traj {noise.n_traj} per input")
@@ -245,9 +236,16 @@ def cmd_sweep(noise: NoiseParams, schedule: Schedule, args: argparse.Namespace) 
 
 def cmd_validate(noise: NoiseParams, schedule: Schedule,
                  args: argparse.Namespace) -> int:
+    amps = sum(encode_logical(b, schedule.space).amplitudes for b in LOGICAL_BITS)
+    psi0 = StateVector(schedule.space, amps / np.linalg.norm(amps))
+    try:  # the exact references, checked before any output
+        rho_refs = _lindblad_stack(schedule, DensityMatrix.from_state(psi0).entries[None],
+                                   SMOKE_TAUS)[:, 0]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     ok = True
 
-    reports = dispersive_validation(schedule.params, VALIDATION_RATIOS)
+    reports = dispersive_validation(schedule.params)
     print("dispersive approximation vs full detuned model "
           "(min overlap over encoded collision inputs):")
     for rep in reports:
@@ -264,12 +262,8 @@ def cmd_validate(noise: NoiseParams, schedule: Schedule,
 
     n_traj = 1000 if args.quick else 10000
     threshold = 0.05 if args.quick else 0.02
-    amps = sum(encode_logical(b, schedule.space).amplitudes for b in LOGICAL_BITS)
-    psi0 = StateVector(schedule.space, amps / np.linalg.norm(amps))
     print(f"quantum jumps vs master equation ({n_traj} trajectories, "
           f"threshold {threshold}):")
-    rho_refs = _lindblad_stack(schedule, DensityMatrix.from_state(psi0).entries[None],
-                               SMOKE_TAUS)[:, 0]
     for tau, rho_ref in zip(SMOKE_TAUS, rho_refs):
         rho_mc = _trajectory_density(
             schedule, psi0, NoiseParams(tau=tau, epsilon=0.0, n_traj=n_traj, seed=noise.seed))

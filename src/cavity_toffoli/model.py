@@ -96,7 +96,8 @@ class PhysicalParams:
 
 
 def require_dispersive_regime(params: PhysicalParams) -> None:
-    """Guard for collision segments: delta >= 2 omega, warn below 4 omega."""
+    """Guard for collision segments: delta >= 2 omega, warn below 4 omega
+    (at the line that called ``toffoli_schedule``)."""
     if params.delta < 2.0 * params.omega:
         raise ValueError(
             f"collision requires delta >= 2*omega, got delta/omega = "
@@ -104,7 +105,7 @@ def require_dispersive_regime(params: PhysicalParams) -> None:
     if params.delta < 4.0 * params.omega:
         warnings.warn(
             f"delta/omega = {params.delta / params.omega:.3g} < 4: dispersive "
-            "approximation is marginal", UserWarning, stacklevel=2)
+            "approximation is marginal", UserWarning, stacklevel=3)
 
 
 def annihilation(fock_dim: int) -> OperatorMatrix:

@@ -61,7 +61,7 @@ import numpy as np
 
 from .model import Level, _is_int, _rig_amplitudes, annihilation, number_operator
 from .protocol import Schedule, segment_drift
-from .qmath import CompositeSpace, DensityMatrix, StateVector, embed_operator
+from .qmath import TRACE_TOL, CompositeSpace, DensityMatrix, StateVector, embed_operator
 
 #: trajectories evolved together; bounds the engine's memory for any n_traj
 _BLOCK_ROWS = 2048
@@ -748,7 +748,9 @@ def _lindblad_stack(schedule: Schedule, rho0s: np.ndarray,
     at each photon lifetime of ``taus``, finite or inf in any mix: (len(taus), m,
     dim, dim), on the compiled basis of their rows' and columns' support.  The
     blocks L T of one size, over all timed segments and taus, take one ``_expm``
-    call, which treats each matrix on its own; they act in segment order."""
+    call, which treats each matrix on its own; they act in segment order.  Inputs
+    have unit trace; a ValueError names the first tau whose outputs lose it (by
+    more than TRACE_TOL; the error grows like kappa times a segment's duration)."""
     kappas = np.array([NoiseParams(tau=tau, epsilon=0.0).kappa for tau in taus])
     nonzero = rho0s != 0
     support, stacks, steps = _liouvillian(
@@ -765,6 +767,11 @@ def _lindblad_stack(schedule: Schedule, rho0s: np.ndarray,
             vecs[..., idx] = (exp @ vecs[..., idx, None])[..., 0]
     rhos = np.zeros((len(kappas), *rho0s.shape), dtype=np.complex128)
     rhos[(slice(None), *pairs)] = vecs.reshape(len(kappas), -1, r, r)
+    trace_errs = np.abs(np.trace(rhos, axis1=2, axis2=3) - 1.0)
+    if not trace_errs.max() <= TRACE_TOL:  # NaN fails too
+        k = int(np.argmin((trace_errs <= TRACE_TOL).all(axis=1)))
+        raise ValueError(f"the Lindblad channel at tau = {taus[k]!r} is "
+                         f"{float(trace_errs[k].max())!r} off unit trace")
     return rhos
 
 

@@ -285,6 +285,16 @@ def test_sweep_rejects_empty_grid(params):
         sweep(params, (), (0.0,), n_traj=5, seed=1)
 
 
+def test_sweep_checks_every_cell_before_any_runs(params, monkeypatch):
+    """A bad epsilon or tau last in its grid raises before any cell runs."""
+    calls = []
+    monkeypatch.setattr(analysis, "_cell_fidelity", lambda *args: calls.append(args))
+    for taus, epsilons in (((1e-3, 2e-3), (0.0, 0.03, 1.5)), ((1e-3, 2e-3, -1.0), (0.0,))):
+        with pytest.raises(ValueError):
+            sweep(params, taus, epsilons, 5, 0)
+    assert calls == []
+
+
 def test_default_grids():
     assert len(DEFAULT_TAU_GRID) == 8
     assert len(DEFAULT_EPSILON_GRID) == 9

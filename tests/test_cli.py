@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cavity_toffoli
-from cavity_toffoli import cli
+from cavity_toffoli import analysis, cli
 from cavity_toffoli.analysis import gate_fidelity
 from cavity_toffoli.cli import main
 from cavity_toffoli.protocol import JITTER_SCOPES, LOSS_SCOPES, toffoli_schedule
@@ -88,6 +88,7 @@ def test_invalid_values_exit_1(capsys):
                  ["truth-table", "--omega-hz", "1e-200"],
                  ["truth-table", "--omega-hz", "1e300"],
                  ["run", "--tau", "5e-324"],
+                 ["validate", "--quick", "--omega-hz", "1e-2"],
                  ["bogus-command"]):
         code, _, err = run_cli(capsys, argv)
         assert code == 1, argv
@@ -211,18 +212,21 @@ def test_sweep_unwritable_path_exits_1(capsys, tmp_path):
         "sweep", "--tau-grid", "0.001", "--eps-grid", "0",
         "--n-traj", "5", "--out", str(tmp_path / "no" / "dir" / "x.csv")])
     assert code == 1
-    assert "cannot write" in err
+    assert err.startswith("error: cannot write")
 
 
-def test_sweep_bad_grid_spec_exits_1(capsys, tmp_path):
+def test_sweep_bad_grid_spec_exits_1(capsys, tmp_path, monkeypatch):
     """A malformed or out-of-range grid is a usage error before any cell runs."""
-    out = tmp_path / "s.csv"
+    out, calls = tmp_path / "s.csv", []
+    monkeypatch.setattr(analysis, "_cell_fidelity", lambda *args: calls.append(args))
     for grid in (["--tau-grid", "1:2:3:4"], ["--tau-grid", ","],
-                 ["--eps-grid", "0,1.5"], ["--tau-grid", "nan"]):
+                 ["--eps-grid", "0,1.5"], ["--tau-grid", "nan"],
+                 ["--eps-grid", "0,0.03,1.5"]):
         code, _, err = run_cli(capsys, ["sweep", *grid, "--n-traj", "5", "--out", str(out)])
         assert code == 1, grid
         assert err.startswith("error:"), grid
         assert not out.exists()
+    assert calls == []
 
 
 def test_sweep_grid_range_needs_finite_ends(capsys, tmp_path):

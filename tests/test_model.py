@@ -64,8 +64,9 @@ def test_collision_guard_on_detuning():
     with pytest.raises(ValueError):
         toffoli_schedule(bad)
     marginal = PhysicalParams(omega=1.0, delta=3.0)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         toffoli_schedule(marginal)
+    assert record[0].filename == __file__
 
 
 def test_no_warning_at_operating_point(params, recwarn):

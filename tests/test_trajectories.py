@@ -990,6 +990,14 @@ def test_lindblad_rejects_bad_tau_and_foreign_space(params, schedule):
         lindblad_evolve(idle_schedule(params, 1e-4), rho0, 1e-3)
 
 
+def test_lindblad_evolve_rejects_a_channel_off_unit_trace(schedule):
+    """At tau = 1e-12 s the channel's arithmetic loses unit trace (by ~1e-8);
+    ``_lindblad_stack`` raises, so ``lindblad_evolve`` returns no state."""
+    rho0 = DensityMatrix.from_state(encode_logical((0, 0, 0), schedule.space))
+    with pytest.raises(ValueError, match=r"tau = 1e-12 is .* off unit trace"):
+        lindblad_evolve(schedule, rho0, 1e-12)
+
+
 def _dense_liouvillian(h, a, kappa):
     """Row-major vectorization of d rho/dt = -i[H, rho] + kappa D[a] rho."""
     eye, n = np.eye(len(h)), a.conj().T @ a
