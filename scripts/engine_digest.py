@@ -13,10 +13,11 @@ run_trajectories for each of the 8 logical inputs at (1 ms, 3%),
 mcwf_trajectory at trajectories 0, 2047, 2048 and 5000 of inputs 0 and 5 in
 cell 3 at (0.2 ms, 8%) and (1 ms, 0), the bytes of the exact Lindblad
 channel (_lindblad_stack) at 0.5, 1 and 5 ms of the 8 logical projectors and
-of validate's equal superposition, the bytes of _trajectory_density of that
-superposition at the same lifetimes (1000 trajectories, epsilon 0, seed 42),
-and the ideal path: the logical process matrix's bytes of the default gate,
-of loss_scope="collision_only" and of fock_dim=4, with the repr of
+of validate's equal superposition, each on its own Liouvillian memo, for the
+default gate, loss_scope="collision_only" and fock_dim=4, the bytes of
+_trajectory_density of the default gate's superposition at the same
+lifetimes (1000 trajectories, epsilon 0, seed 42), and the ideal path: the
+logical process matrix's bytes of those three gates, with the repr of
 dispersive_validation's overlaps.
 """
 
@@ -32,6 +33,12 @@ from cavity_toffoli.protocol import LOGICAL_BITS, encode_logical, toffoli_schedu
 from cavity_toffoli.qmath import DensityMatrix, StateVector
 from cavity_toffoli.trajectories import (NoiseParams, _lindblad_stack, _trajectory_density,
                                          mcwf_trajectory, run_trajectories)
+
+
+def _superposition(gate) -> StateVector:
+    """The equal superposition of the gate's 8 logical inputs."""
+    amps = sum(encode_logical(bits, gate.space).amplitudes for bits in LOGICAL_BITS)
+    return StateVector(gate.space, amps / np.linalg.norm(amps))
 
 
 def main() -> None:
@@ -61,21 +68,22 @@ def main() -> None:
                 h.update(res.final_state.amplitudes.tobytes())
                 h.update(np.array(res.jump_times, dtype=np.float64).tobytes())
     print("mcwf", h.hexdigest())
-    basis, h = _logical_basis(schedule), hashlib.sha256()
-    amps = sum(encode_logical(bits, schedule.space).amplitudes for bits in LOGICAL_BITS)
-    superposition = StateVector(schedule.space, amps / np.linalg.norm(amps))
-    for rho0s in (basis[:, :, None] * basis.conj()[:, None, :],
-                  DensityMatrix.from_state(superposition).entries[None]):
-        h.update(_lindblad_stack(schedule, rho0s, SMOKE_TAUS).tobytes())
+    gates, h = (schedule, toffoli_schedule(params, loss_scope="collision_only"),
+                toffoli_schedule(PhysicalParams.from_frequency(fock_dim=4))), hashlib.sha256()
+    for gate in gates:
+        basis = _logical_basis(gate)
+        for rho0s in (basis[:, :, None] * basis.conj()[:, None, :],
+                      DensityMatrix.from_state(_superposition(gate)).entries[None]):
+            h.update(_lindblad_stack(gate, rho0s, SMOKE_TAUS).tobytes())
     print("lindblad", h.hexdigest())
+    superposition = _superposition(schedule)
     h = hashlib.sha256()
     for tau in SMOKE_TAUS:
         noise = NoiseParams(tau=tau, epsilon=0.0, n_traj=1000, seed=42)
         h.update(_trajectory_density(schedule, superposition, noise).entries.tobytes())
     print("density", h.hexdigest())
     h = hashlib.sha256()
-    for gate in (schedule, toffoli_schedule(params, loss_scope="collision_only"),
-                 toffoli_schedule(PhysicalParams.from_frequency(fock_dim=4))):
+    for gate in gates:
         h.update(logical_process_matrix(gate).tobytes())
     h.update(repr([rep.overlaps for rep in dispersive_validation(params)]).encode())
     print("ideal", h.hexdigest())

@@ -13,9 +13,9 @@ the start support only, so ``_structure`` memoizes them, read-only;
 first use) on every call.  The Lindblad oracle (``lindblad_evolve``)
 applies each timed segment's exact exp(L T), block by block, to stacked
 density matrices.  L = G_H + kappa G_loss is linear in kappa, so the blocks'
-partition and both kappa-free parts are memoized beside the structure
-(``_liouvillian``), and each block size of the whole schedule, over every
-tau of a call, takes one Pade-13 ``_expm`` call.
+partition and both kappa-free parts, each byte-distinct pair once, are
+memoized beside the structure (``_liouvillian``), and the distinct blocks of
+each size, over every tau of a call, take one Pade-13 ``_expm`` call.
 
 The jump unraveling is one batched quantum-jump engine.  The trajectories
 of the basis inputs that reach one compiled basis evolve together on it as
@@ -297,11 +297,14 @@ class _DriftEvolver:
     @cached_property
     def _eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
         """(w, V, V^-1, eigenbasis path taken) of K.  V diag(exp(w T)) V^-1
-        errs by ~cond(V) x rounding, even where V, w reconstruct K to 1e-9."""
+        errs by ~cond(V) x rounding, even where V, w reconstruct K to 1e-9.
+        K = H - (i/2) kappa N with N >= 0 has its spectrum in Im w <= 0; a
+        rounded Im w > 0 is set to 0, as exp(-i w T) overflows over a long T."""
         if not self.lossy:
             w, v = np.linalg.eigh(self.k)
             return w.astype(complex), v, v.conj().T, True
         w, v = np.linalg.eig(self.k)
+        w.imag[w.imag > 0.0] = 0.0
         vinv = np.linalg.inv(v)
         cond = np.abs(v).sum(axis=0).max() * np.abs(vinv).sum(axis=0).max()
         return w, v, vinv, cond <= _EIG_COND_MAX
@@ -705,11 +708,12 @@ def _liouvillian(schedule: Schedule, starts_mask: bytes) -> tuple:
     d rho/dt = -i(K rho - rho K^dag) + kappa a rho a^dag row-major; it couples
     the pair index i*dim + j only within products of K's connected components,
     joined where the jump lowers both indices, so only the nonzeros of H and a
-    matter, not tau.  Returns the basis, per block size (G_H T, G_loss T)
-    stacked over every timed segment's blocks of that size, and per segment
-    its steps: a pulse's pair permutation, or each block's (pair indices
-    (n_blocks, size), first row in its stack).  Every array is read-only; no
-    dim^2 x dim^2 operand is formed."""
+    matter, not tau.  Returns the basis, per block size the byte-distinct
+    (G_H T, G_loss T) pairs of every timed segment's blocks of that size, each
+    stacked once (blocks repeat within a segment and across equal segments),
+    and per segment its steps: a pulse's pair permutation, or per block size
+    the blocks' (pair indices (n_blocks, size), position of each in its stack).
+    Every array is read-only; no dim^2 x dim^2 operand is formed."""
     support, a, n_cav, ops = _structure(schedule, starts_mask)
     dim, parts, steps = len(a), {}, []
     for seg, op in zip(schedule.segments, ops):
@@ -728,15 +732,18 @@ def _liouvillian(schedule: Schedule, starts_mask: bytes) -> tuple:
         for size in np.unique(sizes).tolist():
             idx = order[sizes[order] == size].reshape(-1, size)
             (i, j), (k, l) = divmod(idx[:, :, None], dim), divmod(idx[:, None, :], dim)
-            g_h, g_loss = parts.setdefault(size, ([], []))
-            steps[-1][1].append((idx, sum(map(len, g_h))))
-            g_h.append(-1j * (h[i, k] * (j == l) - (i == k) * h[j, l].conj()) * t)
-            g_loss.append(decays * (a[i, k] * a[j, l].conj() - 0.5 * (
-                n_cav[i, k] * (j == l) + (i == k) * n_cav[j, l].conj())) * t)
-    stacks = {size: tuple(map(np.concatenate, part)) for size, part in parts.items()}
+            g_h = -1j * (h[i, k] * (j == l) - (i == k) * h[j, l].conj()) * t
+            g_loss = decays * (a[i, k] * a[j, l].conj() - 0.5 * (
+                n_cav[i, k] * (j == l) + (i == k) * n_cav[j, l].conj())) * t
+            distinct = parts.setdefault(size, {})  # bytes -> (position, block): -0.0 != 0.0
+            at = [distinct.setdefault(x.tobytes() + y.tobytes(), (len(distinct), (x, y)))[0]
+                  for x, y in zip(g_h, g_loss)]
+            steps[-1][1].append((idx, np.array(at)))
+    stacks = {size: tuple(map(np.array, zip(*(block for _, block in distinct.values()))))
+              for size, distinct in parts.items()}
     steps = tuple((pulse, tuple(blocks)) for pulse, blocks in steps)
     for x in (*(x for part in stacks.values() for x in part),
-              *(x for pulse, blocks in steps for x in (pulse, *(b[0] for b in blocks))
+              *(x for pulse, blocks in steps for x in (pulse, *(y for b in blocks for y in b))
                 if x is not None)):
         x.flags.writeable = False
     return support, stacks, steps
@@ -747,10 +754,12 @@ def _lindblad_stack(schedule: Schedule, rho0s: np.ndarray,
     """Density matrices ``rho0s`` (m, dim, dim) through the exact Lindblad channel
     at each photon lifetime of ``taus``, finite or inf in any mix: (len(taus), m,
     dim, dim), on the compiled basis of their rows' and columns' support.  The
-    blocks L T of one size, over all timed segments and taus, take one ``_expm``
-    call, which treats each matrix on its own; they act in segment order.  Inputs
-    have unit trace; a ValueError names the first tau whose outputs lose it (by
-    more than TRACE_TOL; the error grows like kappa times a segment's duration)."""
+    memo's distinct blocks L T of one size, over all taus, take one ``_expm``
+    call, which treats each matrix on its own, so a block that recurs gives the
+    bits it would alone; each block gathers its exponential by position, and
+    they act in segment order.  Inputs have unit trace; a ValueError names the
+    first tau whose outputs lose it (by more than TRACE_TOL; the error grows
+    like kappa times a segment's duration)."""
     kappas = np.array([NoiseParams(tau=tau, epsilon=0.0).kappa for tau in taus])
     nonzero = rho0s != 0
     support, stacks, steps = _liouvillian(
@@ -762,9 +771,8 @@ def _lindblad_stack(schedule: Schedule, rho0s: np.ndarray,
     for pulse, blocks in steps:
         if pulse is not None:
             vecs = vecs[..., pulse]
-        for idx, first in blocks:
-            exp = exps[idx.shape[1]][:, None, first:first + len(idx)]
-            vecs[..., idx] = (exp @ vecs[..., idx, None])[..., 0]
+        for idx, at in blocks:
+            vecs[..., idx] = (exps[idx.shape[1]][:, None, at] @ vecs[..., idx, None])[..., 0]
     rhos = np.zeros((len(kappas), *rho0s.shape), dtype=np.complex128)
     rhos[(slice(None), *pairs)] = vecs.reshape(len(kappas), -1, r, r)
     trace_errs = np.abs(np.trace(rhos, axis1=2, axis2=3) - 1.0)

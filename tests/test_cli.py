@@ -98,6 +98,15 @@ def test_invalid_values_exit_1(capsys):
     assert "invalid float value: 'never'" in err and "_parse" not in err
 
 
+def test_run_at_a_vanishing_coupling(capsys):
+    """At a 1e-50 Hz coupling the collision lasts 8e50 s; ``run`` still
+    prints its one JSON line, with no overflow on the way."""
+    code, out, err = run_cli(capsys, ["run", "--omega-hz", "1e-50"])
+    assert code == 0, err
+    assert len(out.splitlines()) == 1
+    assert 0.0 <= json.loads(out)["mean"] <= 1.0
+
+
 @pytest.mark.parametrize("command", ["run", "truth-table", "validate"])
 def test_outside_dispersive_regime_exits_1(capsys, command):
     """delta < 2 omega is a usage error, reported before any output."""

@@ -520,6 +520,21 @@ def test_gate_drift_generators_stay_on_eigenbasis_path():
                     assert np.linalg.cond(v, 1) < 10.0, (fock_dim, scope, tau, starts)
 
 
+def test_lossy_drift_spectrum_stays_in_the_lower_half_plane():
+    """K = H - (i/2) kappa N with N >= 0 has no eigenvalue above the real
+    axis.  At a 1e-50 Hz coupling eig rounds one of the collision's K to
+    Im w ~ +6e-31, which exp(-i w T) would blow up over its 8e50 s; every
+    lossy evolver of ``run``'s compiled groups keeps Im w <= 0."""
+    schedule = toffoli_schedule(PhysicalParams.from_frequency(omega_hz=1e-50))
+    groups = trajectories._compiled_groups(schedule, NoiseParams(),
+                                           _logical_basis(schedule))
+    lossy = [ev for _, compiled in groups for ev in compiled.evolvers
+             if isinstance(ev, trajectories._DriftEvolver) and ev.lossy]
+    assert len(lossy) == 6
+    for ev in lossy:
+        assert ev._eigen[0].imag.max() <= 0.0
+
+
 @pytest.mark.parametrize("fock_dim", [3, 4, 5])
 def test_compiled_basis_is_the_reachable_sector(fock_dim):
     """From the 8 logical inputs the compiled basis is exactly the 13 states
@@ -1009,8 +1024,8 @@ def _memo_blocks(memo, k, kappa):
     """(pair indices, G_H T + kappa G_loss T) of each block of segment k of
     a ``_liouvillian`` memo, at the call's kappa, as ``_lindblad_stack`` forms it."""
     _, stacks, steps = memo
-    for idx, first in steps[k][1]:
-        g_h, g_loss = (x[first:first + len(idx)] for x in stacks[idx.shape[1]])
+    for idx, at in steps[k][1]:
+        g_h, g_loss = (x[at] for x in stacks[idx.shape[1]])
         yield idx, g_h + kappa * g_loss
 
 
@@ -1105,17 +1120,22 @@ def test_lindblad_takes_one_expm_per_block_size(params, schedule, monkeypatch):
     """One ``lindblad_gate_fidelity`` call exponentiates every timed
     segment's blocks of one size together: exactly one ``_expm`` call per
     distinct block size of the schedule (8 at fock_dim 3), whose stack holds
-    every block of that size."""
+    each distinct block of that size once, every one of them used; the
+    schedule's segments hold more blocks than that."""
     _, stacks, steps = _oracle_memo(schedule)
-    count = collections.Counter()
-    for idx, _ in (block for _, blocks in steps for block in blocks):
+    count, used = collections.Counter(), collections.defaultdict(set)
+    for idx, at in (block for _, blocks in steps for block in blocks):
         count[idx.shape[1]] += len(idx)
+        used[idx.shape[1]].update(at.tolist())
     assert len(count) == 8 and sum(len(blocks) for _, blocks in steps) > len(count)
-    assert count == {size: len(g_h) for size, (g_h, _) in stacks.items()}
+    distinct = {size: len(g_h) for size, (g_h, _) in stacks.items()}
+    assert {size: sorted(at) for size, at in used.items()} == {
+        size: list(range(n)) for size, n in distinct.items()}
+    assert sum(distinct.values()) < sum(count.values())
     expm, calls = trajectories._expm, []
     monkeypatch.setattr(trajectories, "_expm", lambda a: calls.append(a.shape) or expm(a))
     lindblad_gate_fidelity(params, 1e-3)
-    assert sorted(calls) == sorted((n, size, size) for size, n in count.items())
+    assert sorted(calls) == sorted((n, size, size) for size, n in distinct.items())
 
 
 def test_lindblad_stack_takes_every_tau_in_one_expm_per_block_size(params, schedule,
@@ -1141,7 +1161,7 @@ def test_lindblad_stack_takes_every_tau_in_one_expm_per_block_size(params, sched
 def test_lindblad_partition_is_memoized_read_only(params, schedule, monkeypatch):
     """Oracle calls at 0.5, 1 and 5 ms and at inf build the kappa-free memo
     once: one miss, no ``_components`` call after the first, hits after it;
-    every memoized array is read-only."""
+    every memoized array, the blocks' stack positions too, is read-only."""
     trajectories._liouvillian.cache_clear()
     first = lindblad_gate_fidelity(params, 0.5e-3)
     assert trajectories._liouvillian.cache_info().misses == 1
@@ -1159,12 +1179,86 @@ def test_lindblad_partition_is_memoized_read_only(params, schedule, monkeypatch)
     assert trajectories._liouvillian.cache_info().misses == 1
     arrays = [support, *(x for part in stacks.values() for x in part),
               *(pulse for pulse, _ in steps if pulse is not None),
-              *(idx for _, blocks in steps for idx, _ in blocks)]
+              *(x for _, blocks in steps for block in blocks for x in block)]
     assert len(arrays) > 1 + 2 * len(stacks)
     for x in arrays:
         assert not x.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             x[(0,) * x.ndim] = x[(0,) * x.ndim]
+
+
+_GATES = [(3, "all_segments"), (4, "all_segments"), (3, "collision_only")]
+_GATE_IDS = ["fock-3", "fock-4", "fock-3-collision-only"]
+
+
+@pytest.mark.parametrize("fock_dim, loss_scope", _GATES, ids=_GATE_IDS)
+def test_liouvillian_stacks_hold_each_block_once(fock_dim, loss_scope):
+    """In the memo of the logical inputs and of the whole space, no two
+    entries (G_H T, G_loss T) of one size's stack are byte-equal."""
+    schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim),
+                                loss_scope=loss_scope)
+    for starts in (_logical_basis(schedule), np.eye(schedule.space.total_dim)):
+        _, stacks, _ = _oracle_memo(schedule, starts)
+        for g_h, g_loss in stacks.values():
+            keys = [h.tobytes() + l.tobytes() for h, l in zip(g_h, g_loss)]
+            assert len(set(keys)) == len(keys)
+
+
+def test_rabi_segments_share_stack_positions(params, schedule):
+    """Without the adjoint decode the two Rabi segments are the same segment:
+    their blocks have the same pair indices and the same stack positions, so
+    the channel exponentiates them once.  Bytes, not values, decide: the
+    default gate's decoding Rabi (-H) has one-pair blocks equal in value to
+    the encoding one's but for a signed zero, and they keep their own."""
+    plain = toffoli_schedule(params, decode_adjoint=False)
+    assert plain.segments[0] == plain.segments[4]
+    steps = _oracle_memo(plain)[2]
+    assert len(steps[0][1]) == len(steps[4][1]) > 1
+    for (idx, at), (idx_4, at_4) in zip(steps[0][1], steps[4][1]):
+        assert np.array_equal(idx, idx_4) and np.array_equal(at, at_4)
+    _, stacks, steps = _oracle_memo(schedule)
+    (idx, encode), (_, decode) = steps[0][1][0], steps[4][1][0]
+    assert idx.shape[1] == 1 and not set(encode.tolist()) & set(decode.tolist())
+    for x in stacks[1]:
+        assert np.array_equal(x[encode], x[decode])
+
+
+def _blockwise_channel(schedule, rho0s, taus):
+    """The vectorized ``_lindblad_stack`` of ``rho0s`` at ``taus`` on its
+    compiled basis, each segment block exponentiated alone (a one-matrix
+    ``_expm`` call per block and tau)."""
+    kappas = np.array([NoiseParams(tau=tau, epsilon=0.0).kappa for tau in taus])
+    nonzero = rho0s != 0
+    support, stacks, steps = trajectories._liouvillian(
+        schedule, (nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2))).tobytes())
+    r = len(support)
+    vecs = np.repeat(rho0s[:, support[:, None], support].reshape(1, len(rho0s), r * r),
+                     len(kappas), axis=0)
+    for pulse, blocks in steps:
+        if pulse is not None:
+            vecs = vecs[..., pulse]
+        for idx, at in blocks:
+            g_h, g_loss = (x[at] for x in stacks[idx.shape[1]])
+            gens = g_h + np.multiply.outer(kappas, g_loss)
+            exp = np.array([[trajectories._expm(gen[None])[0] for gen in per_tau]
+                            for per_tau in gens])
+            vecs[..., idx] = (exp[:, None] @ vecs[..., idx, None])[..., 0]
+    return support, vecs
+
+
+@pytest.mark.parametrize("fock_dim, loss_scope", _GATES, ids=_GATE_IDS)
+def test_lindblad_stack_equals_blockwise_walk(fock_dim, loss_scope):
+    """``_lindblad_stack`` of the 8 logical projectors at 0.5 ms, 1 ms and
+    inf equals, byte for byte, the walk that exponentiates each segment
+    block alone."""
+    schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim),
+                                loss_scope=loss_scope)
+    basis = _logical_basis(schedule)
+    projectors = basis[:, :, None] * basis.conj()[:, None, :]
+    taus = (0.5e-3, 1e-3, math.inf)
+    rhos = trajectories._lindblad_stack(schedule, projectors, taus)
+    support, vecs = _blockwise_channel(schedule, projectors, taus)
+    assert np.array_equal(rhos[:, :, support[:, None], support].reshape(vecs.shape), vecs)
 
 
 def test_lindblad_oracle_runs_no_eigendecomposition(params, schedule, monkeypatch):
@@ -1206,6 +1300,23 @@ def test_expm_matches_scipy_on_mixed_stack():
     for block, prop in zip(stack, props):
         exact = scipy.linalg.expm(block)
         assert np.max(np.abs(prop - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+def test_expm_of_a_stack_equals_one_matrix_calls(schedule):
+    """``_expm`` treats each matrix of a stack on its own: over a stack that
+    mixes blocks needing no scaling with ones needing several squarings, and
+    over every block stack of the oracle's memo at 1 ms, each result equals
+    the one-matrix call byte for byte.  Exponentiating a repeated block once
+    rests on this."""
+    rng = np.random.default_rng(29)
+    mixed = np.concatenate([scale * (rng.standard_normal((3, 4, 4))
+                                     + 1j * rng.standard_normal((3, 4, 4)))
+                            for scale in (0.05, 1.0, 40.0)])[rng.permutation(9)]
+    _, stacks, _ = _oracle_memo(schedule)
+    for stack in (mixed, *(g_h + 1e3 * g_loss for g_h, g_loss in stacks.values())):
+        together = trajectories._expm(stack)
+        for matrix, exp in zip(stack, together):
+            assert trajectories._expm(matrix[None])[0].tobytes() == exp.tobytes()
 
 
 def test_runtime_does_not_import_scipy():
