@@ -23,9 +23,9 @@ one row set, cell-major over the epsilon cells of one tau (a sweep runs
 them all at once), then input-major, in blocks of ``_BLOCK_ROWS`` rows so
 that memory does not grow with n_traj; a single trajectory
 (``mcwf_trajectory``) is the one-row case.  Rows point at distinct states,
-each evolved once: the rows of one input and cell share a start state
-until they jump or their jitter factors part, and the split is per state,
-so at epsilon = 0 they share the no-jump path even beside jittered rows.
+each evolved once: a row at epsilon > 0 has a state of its own from the
+start, and the rows of one input in an epsilon = 0 cell share its no-jump
+path, also beside jittered rows, until a row jumps into a state of its own.
 A state evolves under K = H - (i/2) kappa a^dag a exactly per segment, at
 its jittered duration, as exp(-i w t) in the eigenbasis of K.  Between
 jumps its squared norm only falls, so each pass evaluates it once, at the
@@ -512,13 +512,11 @@ def _decay(ev: _DriftEvolver, psi: np.ndarray, owner: np.ndarray, t0: np.ndarray
 def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, owner: np.ndarray,
             noise: NoiseParams, factors: np.ndarray, thresholds: np.ndarray,
             next_thresholds: Optional[Callable[..., np.ndarray]]) -> _Block:
-    """Evolve rows from the distinct start states ``psi`` (m, dim), row i from
-    ``psi[owner[i]]``, one trajectory each, on the compiled basis.  Each
-    distinct state evolves once until a row jumps (``_decay``) or its segment
-    factor parts from its state's: the split is per state, so at segment k
-    a row whose factor differs from its state's representative row takes a
-    copy of that state for its own, and the rows that agree keep sharing
-    (an epsilon = 0 row keeps its no-jump state beside jittered rows).
+    """Evolve rows from the distinct start states ``psi`` (m, r) on the
+    compiled basis ``compiled.support``, row i from ``psi[owner[i]]``, one
+    trajectory each.  The rows of a state share its jitter factors, so each
+    distinct state evolves once per segment, at the factor of any of its
+    rows, until a row jumps into a state of its own (``_decay``).
     ``factors`` (n, n_segments) are the rows' jitter factors and
     ``thresholds`` (n,) their first jump thresholds; ``next_thresholds(rows)``
     gives the next thresholds of ``rows`` after they jump (None if no
@@ -529,17 +527,10 @@ def _evolve(compiled: _CompiledSchedule, psi: np.ndarray, owner: np.ndarray,
     n = len(factors)
     durations = np.array([seg.nominal_duration for seg in segments]) * factors
     thresholds = np.array(thresholds, dtype=np.float64)
-    psi, events, elapsed = psi[:, compiled.support], [], np.zeros(n)
+    events, elapsed = [], np.zeros(n)
     for k, (seg, ev) in enumerate(zip(segments, compiled.evolvers)):
         rep = np.zeros(len(psi), dtype=np.intp)     # a row of each state
         rep[owner] = np.arange(n)
-        # a row whose factor parts from its state's representative takes a copy of it
-        split = np.flatnonzero(factors[:, k] != factors[rep[owner], k]) if len(psi) < n else []
-        if len(split):
-            psi = np.concatenate((psi, psi[owner[split]]))
-            owner = owner.copy()
-            owner[split] = len(rep) + np.arange(len(split))
-            rep = np.concatenate((rep, split))
         if seg.kind == "classical_pulse":
             psi = ev.apply(psi, factors[rep, k])
         elif not ev.lossy:
@@ -564,18 +555,19 @@ def _check_initial_state(schedule: Schedule, psi0: StateVector) -> None:
 def _run_block(compiled: _CompiledSchedule, psi: np.ndarray, owner: np.ndarray,
                noise: NoiseParams, trajs: np.ndarray, inputs: np.ndarray, cells: np.ndarray,
                epsilons: np.ndarray) -> _Block:
-    """Rows from the distinct start states ``psi`` (m, dim) as one block: row r
-    starts from ``psi[owner[r]]`` as trajectory ``trajs[r]`` of basis input
-    ``inputs[r]`` in cell ``cells[r]`` at timing imprecision ``epsilons[r]``;
-    ``noise`` gives tau and the seed, not epsilon.
+    """Rows from the distinct start states ``psi`` (m, r) on the compiled
+    basis as one block: row i starts from ``psi[owner[i]]`` as trajectory
+    ``trajs[i]`` of basis input ``inputs[i]`` in cell ``cells[i]`` at timing
+    imprecision ``epsilons[i]``; ``noise`` gives tau and the seed, not
+    epsilon.  Only rows of one input at epsilon = 0 may share a start.
 
     One Philox call draws the 4-word blocks of every row's jitter words and
     first threshold (drawn even if no segment decays) into a (rows, words)
     table, skipping for epsilon = 0 rows the blocks that hold only jitter
     words; a row whose thresholds outrun it gets the Philox block of its
     next one.  The rows of each nonzero epsilon take one ``jitter_factors``
-    call, and rows that share a start split from it per state (``_evolve``).
-    The distinct final states come back renormalized, on the compiled basis.
+    call.  The distinct final states come back renormalized, on the
+    compiled basis.
     """
     n, n_seg, seed = len(trajs), len(compiled.schedule.segments), int(noise.seed)
     n_blocks = n_seg // 4 + 1                       # the last holds the first threshold
@@ -613,12 +605,15 @@ def _trajectory_blocks(compiled: _CompiledSchedule, starts: np.ndarray, noise: N
     ``inputs[i]``) in each grid cell ``cells[c]`` at its timing imprecision
     ``epsilons[c]``: one cell-, then input-, then trajectory-major row set on
     the basis ``compiled``, ``_BLOCK_ROWS`` rows at a time, the one way into
-    ``_run_block``; a block takes one start per run of one input's rows in one cell."""
+    ``_run_block``.  The starts are restricted to the basis once.  A row at
+    epsilon > 0 opens a state of its own; the rows of one input in an
+    epsilon = 0 cell share one start per block, as their factors never part."""
     shape = (len(cells), len(starts), len(trajs))
-    rows = np.arange(math.prod(shape))
+    rows, starts = np.arange(math.prod(shape)), starts[:, compiled.support]
     for first in range(0, len(rows), _BLOCK_ROWS):
         cell, which, k = np.unravel_index(rows[first:first + _BLOCK_ROWS], shape)
-        opens = np.concatenate(([True], k[1:] == 0))     # at trajectory 0 and at row 0
+        # at row 0, at each trajectory 0 and at every row of an epsilon > 0 cell
+        opens = np.concatenate(([True], k[1:] == 0)) | (epsilons[cell] > 0.0)
         yield _run_block(compiled, starts[which[opens]], np.cumsum(opens) - 1, noise, trajs[k],
                          inputs[which], cells[cell], epsilons[cell])
 
@@ -655,8 +650,8 @@ def _ideal_states(schedule: Schedule, psi: np.ndarray) -> list[StateVector]:
     the StateVector unit-norm check here.
     """
     noise = NoiseParams(tau=math.inf, epsilon=0.0)
-    n = len(psi)
-    block = _evolve(_compile(schedule, noise, psi), psi, np.arange(n), noise,
+    n, compiled = len(psi), _compile(schedule, noise, psi)
+    block = _evolve(compiled, psi[:, compiled.support], np.arange(n), noise,
                     np.ones((n, len(schedule.segments))), np.full(n, math.inf), None)
     return [StateVector(schedule.space, row) for row in block.states]
 

@@ -818,13 +818,55 @@ def _mixed_block(schedule, n_traj, cells, epsilons):
     return run(cells, epsilons), run, inputs
 
 
-def test_mixed_block_splits_shared_states_per_state(schedule, monkeypatch):
+def test_trajectory_blocks_open_a_state_per_jittered_row(schedule, monkeypatch):
+    """``_trajectory_blocks`` decides which rows share a state when a block
+    opens: in a block of an epsilon = 0 and an epsilon > 0 cell, ``_evolve``
+    gets its starts on the compiled basis, one per epsilon = 0 input (that
+    input's start) plus one per epsilon > 0 row, and the rows of each
+    epsilon = 0 input point at a single state."""
+    evolve, calls = trajectories._evolve, []
+
+    def recording_evolve(compiled, psi, owner, *args):
+        calls.append((compiled.support, psi.copy(), owner.copy()))
+        return evolve(compiled, psi, owner, *args)
+
+    monkeypatch.setattr(trajectories, "_evolve", recording_evolve)
+    _, _, inputs = _mixed_block(schedule, 60, (3, 4), (0.0, 0.05))
+    ((support, psi, owner),) = calls
+    n = len(inputs) * 60                        # rows per cell; epsilon = 0 first
+    assert psi.shape == (len(inputs) + n, len(support))
+    calm = owner[:n].reshape(len(inputs), 60)
+    assert all(len(np.unique(states)) == 1 for states in calm)
+    assert np.array_equal(psi[calm[:, 0]], _logical_basis(schedule)[inputs][:, support])
+    assert sorted(owner[n:].tolist() + calm[:, 0].tolist()) == list(range(len(psi)))
+
+
+def test_unjittered_first_pulse_keeps_rows_bit_for_bit(schedule):
+    """At epsilon > 0 behind an unjittered first pulse, where every row has
+    the same factor in segment 0 before lossy segments, every
+    ``run_trajectories`` row equals its one-row ``mcwf_trajectory`` bit for
+    bit, in final state and jump times."""
+    pulse = Segment("classical_pulse", 0.0, atom=schedule.segments[1].atom,
+                    jitter_applies=False)
+    sched = Schedule(schedule.space, (pulse, *schedule.segments), schedule.params)
+    psi0 = encode_logical((0, 1, 1), sched.space)
+    noise = NoiseParams(tau=2e-4, epsilon=0.05, n_traj=40, seed=17)
+    runs = run_trajectories(sched, psi0, noise, basis_input=3, cell=2)
+    assert len({res.perturbed_durations[1] for res in runs}) == noise.n_traj
+    assert sum(len(res.jump_times) for res in runs) >= 10
+    for k, res in enumerate(runs):
+        alone = mcwf_trajectory(sched, psi0, noise, traj=k, basis_input=3, cell=2)
+        assert res.final_state.amplitudes.tobytes() == alone.final_state.amplitudes.tobytes()
+        assert res.jump_times == alone.jump_times
+
+
+def test_mixed_block_shares_states_only_at_epsilon_zero(schedule, monkeypatch):
     """A block holding an epsilon = 0 cell and an epsilon > 0 cell of the same
-    inputs splits its shared states per state: after segment 0 the epsilon = 0
-    rows that have not jumped still share one state per input, so the block
-    holds one state per epsilon = 0 input, one per epsilon > 0 row and one per
-    epsilon = 0 row that jumped in segment 0.  Each cell's rows equal a block
-    of that cell alone bit for bit."""
+    inputs shares states only among the epsilon = 0 rows of one input: after
+    segment 0, the first lossy one, those that have not jumped still share
+    one state per input, so the block holds one state per epsilon = 0 input,
+    one per epsilon > 0 row and one per epsilon = 0 row that jumped in
+    segment 0.  Each cell's rows equal a block of that cell alone bit for bit."""
     decay, after = trajectories._decay, []
 
     def recording_decay(*args):
