@@ -12,10 +12,11 @@ the start support only, so ``_structure`` memoizes them, read-only;
 ``_compile`` builds new evolvers (K at the call's kappa, diagonalized on
 first use) on every call.  The Lindblad oracle (``lindblad_evolve``)
 applies each timed segment's exact exp(L T), block by block, to stacked
-density matrices.  L = G_H + kappa G_loss is linear in kappa, so the blocks'
-partition and both kappa-free parts, each byte-distinct pair once, are
-memoized beside the structure (``_liouvillian``), and the distinct blocks of
-each size, over every tau of a call, take one Pade-13 ``_expm`` call.
+density matrices, only on the blocks its inputs' nonzero entries reach.
+L = G_H + kappa G_loss is linear in kappa, so those blocks and both
+kappa-free parts, each byte-distinct pair once, are memoized beside the
+structure (``_liouvillian``), and the distinct blocks of each size, over
+every tau of a call, take one Pade-13 ``_expm`` call.
 
 The jump unraveling is one batched quantum-jump engine.  The trajectories
 of the basis inputs that reach one compiled basis evolve together on it as
@@ -552,14 +553,15 @@ def _check_initial_state(schedule: Schedule, psi0: StateVector) -> None:
         raise ValueError("initial state must be normalized")
 
 
-def _run_block(compiled: _CompiledSchedule, psi: np.ndarray, owner: np.ndarray,
-               noise: NoiseParams, trajs: np.ndarray, inputs: np.ndarray, cells: np.ndarray,
-               epsilons: np.ndarray) -> _Block:
-    """Rows from the distinct start states ``psi`` (m, r) on the compiled
-    basis as one block: row i starts from ``psi[owner[i]]`` as trajectory
-    ``trajs[i]`` of basis input ``inputs[i]`` in cell ``cells[i]`` at timing
-    imprecision ``epsilons[i]``; ``noise`` gives tau and the seed, not
-    epsilon.  Only rows of one input at epsilon = 0 may share a start.
+def _run_block(compiled: _CompiledSchedule, starts: np.ndarray, opened: np.ndarray,
+               owner: np.ndarray, noise: NoiseParams, trajs: np.ndarray, inputs: np.ndarray,
+               cells: np.ndarray, epsilons: np.ndarray) -> _Block:
+    """Rows from the distinct start states ``starts[opened]`` (m, r) on the
+    compiled basis as one block: row i starts from state ``owner[i]`` as
+    trajectory ``trajs[i]`` of basis input ``inputs[i]`` in cell ``cells[i]``
+    at timing imprecision ``epsilons[i]``; ``noise`` gives tau and the seed,
+    not epsilon.  Only rows of one input at epsilon = 0 may share a start.
+    ``_evolve`` alone holds the gathered states and drops them at its first segment.
 
     One Philox call draws the 4-word blocks of every row's jitter words and
     first threshold (drawn even if no segment decays) into a (rows, words)
@@ -592,8 +594,8 @@ def _run_block(compiled: _CompiledSchedule, psi: np.ndarray, owner: np.ndarray,
             drawn[far] = blocks[np.arange(far.size), j[far] % 4]
         return _uniforms(drawn)
 
-    block = _evolve(compiled, psi, owner, noise, factors, next_thresholds(np.arange(n)),
-                    next_thresholds)
+    block = _evolve(compiled, starts[opened], owner, noise, factors,
+                    next_thresholds(np.arange(n)), next_thresholds)
     psi = np.ascontiguousarray(block.psi)           # a pulse's gather may leave it strided
     return replace(block, psi=psi * (1.0 / np.sqrt(_sq_norms(psi)))[:, None], inputs=inputs)
 
@@ -614,8 +616,8 @@ def _trajectory_blocks(compiled: _CompiledSchedule, starts: np.ndarray, noise: N
         cell, which, k = np.unravel_index(rows[first:first + _BLOCK_ROWS], shape)
         # at row 0, at each trajectory 0 and at every row of an epsilon > 0 cell
         opens = np.concatenate(([True], k[1:] == 0)) | (epsilons[cell] > 0.0)
-        yield _run_block(compiled, starts[which[opens]], np.cumsum(opens) - 1, noise, trajs[k],
-                         inputs[which], cells[cell], epsilons[cell])
+        yield _run_block(compiled, starts, which[opens], np.cumsum(opens) - 1, noise,
+                         trajs[k], inputs[which], cells[cell], epsilons[cell])
 
 
 def _start_blocks(schedule: Schedule, psi0: StateVector, noise: NoiseParams,
@@ -695,25 +697,32 @@ def _components(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_STRUCTURES)
-def _liouvillian(schedule: Schedule, starts_mask: bytes) -> tuple:
-    """The kappa-free parts of the schedule's channel on the ``_structure``
-    (schedule, ``starts_mask``), with loss where the segment's is active, for
-    every tau (tau = inf is kappa = 0 on the same blocks).  A timed segment's
+def _liouvillian(schedule: Schedule, pairs_mask: bytes) -> tuple:
+    """The kappa-free parts of the schedule's channel for inputs nonzero only
+    on the pairs of ``pairs_mask`` (a (dim, dim) bool mask, as bytes), on the
+    ``_structure`` of their support, with loss where the segment's is active,
+    for every tau (tau = inf is kappa = 0 on the same blocks).  A timed segment's
     generator L = G_H + kappa G_loss, from K = H - (i/2) kappa N, vectorizes
     d rho/dt = -i(K rho - rho K^dag) + kappa a rho a^dag row-major; it couples
     the pair index i*dim + j only within products of K's connected components,
     joined where the jump lowers both indices, so only the nonzeros of H and a
-    matter, not tau.  Returns the basis, per block size the byte-distinct
-    (G_H T, G_loss T) pairs of every timed segment's blocks of that size, each
-    stacked once (blocks repeat within a segment and across equal segments),
-    and per segment its steps: a pulse's pair permutation, or per block size
-    the blocks' (pair indices (n_blocks, size), position of each in its stack).
-    Every array is read-only; no dim^2 x dim^2 operand is formed."""
-    support, a, n_cav, ops = _structure(schedule, starts_mask)
+    matter, not tau.  A pulse permutes the pairs that may be nonzero, and a
+    timed segment keeps only the blocks that hold one (the others act on zeros),
+    whose pairs all may be nonzero after it.  Returns the basis, per block size
+    the byte-distinct (G_H T, G_loss T) pairs of the kept blocks of that size,
+    each stacked once (blocks repeat within a segment and across equal
+    segments), and per segment its steps: a pulse's pair permutation, or per
+    block size the kept blocks' (pair indices (n_blocks, size), position of
+    each in its stack).  Every array is read-only; no dim^2 x dim^2 operand is
+    formed."""
+    pairs = np.frombuffer(pairs_mask, dtype=bool).reshape(schedule.space.total_dim, -1)
+    support, a, n_cav, ops = _structure(schedule, (pairs | pairs.T).any(axis=0).tobytes())
     dim, parts, steps = len(a), {}, []
+    live = pairs[np.ix_(support, support)].ravel()  # the pairs that may be nonzero
     for seg, op in zip(schedule.segments, ops):
         if seg.kind == "classical_pulse":
             steps.append((np.add.outer(op[0] * dim, op[0]).ravel(), ()))
+            live = live[steps[-1][0]]
             continue
         steps.append((None, []))
         h, t, decays = op[0], seg.nominal_duration, seg.loss_active
@@ -724,8 +733,10 @@ def _liouvillian(schedule: Schedule, starts_mask: bytes) -> tuple:
         labels = sectors[np.add.outer(states * dim, states)].ravel()
         sizes = np.bincount(labels)[labels]
         order = np.lexsort((labels, sizes))
-        for size in np.unique(sizes).tolist():
+        for size in np.unique(sizes[live]).tolist():
             idx = order[sizes[order] == size].reshape(-1, size)
+            idx = idx[live[idx].any(axis=1)]
+            live[idx] = True
             (i, j), (k, l) = divmod(idx[:, :, None], dim), divmod(idx[:, None, :], dim)
             g_h = -1j * (h[i, k] * (j == l) - (i == k) * h[j, l].conj()) * t
             g_loss = decays * (a[i, k] * a[j, l].conj() - 0.5 * (
@@ -748,17 +759,16 @@ def _lindblad_stack(schedule: Schedule, rho0s: np.ndarray,
                     taus: tuple[float, ...]) -> np.ndarray:
     """Density matrices ``rho0s`` (m, dim, dim) through the exact Lindblad channel
     at each photon lifetime of ``taus``, finite or inf in any mix: (len(taus), m,
-    dim, dim), on the compiled basis of their rows' and columns' support.  The
-    memo's distinct blocks L T of one size, over all taus, take one ``_expm``
-    call, which treats each matrix on its own, so a block that recurs gives the
-    bits it would alone; each block gathers its exponential by position, and
-    they act in segment order.  Inputs have unit trace; a ValueError names the
-    first tau whose outputs lose it (by more than TRACE_TOL; the error grows
-    like kappa times a segment's duration)."""
+    dim, dim), on the compiled basis of their rows' and columns' support.  Only
+    the blocks that the inputs' nonzero pairs reach run, with the bits they have
+    when all run.  The memo's distinct blocks L T of one size, over all taus,
+    take one ``_expm`` call, which treats each matrix on its own, so a block
+    that recurs gives the bits it would alone; each block gathers its
+    exponential by position, and they act in segment order.  Inputs have unit
+    trace; a ValueError names the first tau whose outputs lose it (by more than
+    TRACE_TOL; the error grows like kappa times a segment's duration)."""
     kappas = np.array([NoiseParams(tau=tau, epsilon=0.0).kappa for tau in taus])
-    nonzero = rho0s != 0
-    support, stacks, steps = _liouvillian(
-        schedule, (nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2))).tobytes())
+    support, stacks, steps = _liouvillian(schedule, (rho0s != 0).any(axis=0).tobytes())
     exps = {size: _expm((g_h + np.multiply.outer(kappas, g_loss)).reshape(-1, size, size))
             .reshape(len(kappas), -1, size, size) for size, (g_h, g_loss) in stacks.items()}
     pairs, r = (slice(None), support[:, None], support), len(support)

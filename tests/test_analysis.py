@@ -11,7 +11,7 @@ from cavity_toffoli.analysis import (DEFAULT_EPSILON_GRID, DEFAULT_TAU_GRID,
                                      dispersive_validation, gate_fidelity,
                                      lindblad_gate_fidelity, sweep)
 from cavity_toffoli.model import PhysicalParams
-from cavity_toffoli.protocol import toffoli_schedule
+from cavity_toffoli.protocol import LOGICAL_BITS, toffoli_schedule
 from cavity_toffoli.trajectories import NoiseParams
 
 # Sampling-free Lindblad reference for the epsilon = 0 column, frozen from
@@ -90,6 +90,25 @@ def test_loss_dominated_estimate_pinned_to_lindblad(params):
 def test_lindblad_reference_regression(params, tau):
     assert lindblad_gate_fidelity(params, tau) == pytest.approx(
         LINDBLAD_EPS0[tau], abs=1e-6)
+
+
+def test_exact_per_input_fidelities_match_the_readme(params):
+    """The README's loss story at (1 ms, epsilon = 0), per input of the exact
+    channel: the inputs with c1 = c2 = 0 keep about e^-0.18 = 0.835, those
+    with c1 = 0, c2 = 1 keep 0.990, and the c1 = 1 inputs, which carry no
+    photon, keep 1 within 1e-12.  Their mean, summed in the same order, is
+    ``lindblad_gate_fidelity`` bit for bit."""
+    schedule = toffoli_schedule(params)
+    basis = _logical_basis(schedule)
+    rhos = trajectories._lindblad_stack(
+        schedule, basis[:, :, None] * basis.conj()[:, None, :], (1e-3,))[0]
+    fids = [float(np.vdot(target, rho @ target).real)
+            for target, rho in zip(basis[analysis._IMAGES], rhos)]
+    assert [bits[:2] for bits in LOGICAL_BITS[:4]] == [(0, 0), (0, 0), (0, 1), (0, 1)]
+    assert all(bits[0] == 1 for bits in LOGICAL_BITS[4:])
+    assert [round(f, 3) for f in fids[:4]] == [round(math.exp(-0.18), 3)] * 2 + [0.990] * 2
+    assert max(abs(f - 1.0) for f in fids[4:]) <= 1e-12
+    assert sum(fids) / len(LOGICAL_BITS) == lindblad_gate_fidelity(params, 1e-3)
 
 
 def test_lossless_oracle_fidelity_is_one(params):
@@ -182,8 +201,10 @@ def jumps_per_cell(monkeypatch):
     block's jumps (its events' rows) counted per row cell."""
     counts, run_block = {}, trajectories._run_block
 
-    def counting_run_block(compiled, psi, owner, noise, trajs, inputs, cells, epsilons):
-        block = run_block(compiled, psi, owner, noise, trajs, inputs, cells, epsilons)
+    def counting_run_block(compiled, starts, opened, owner, noise, trajs, inputs, cells,
+                           epsilons):
+        block = run_block(compiled, starts, opened, owner, noise, trajs, inputs, cells,
+                          epsilons)
         for rows, _ in block.events:
             for cell, jumps in zip(*np.unique(cells[rows], return_counts=True)):
                 counts[int(cell)] = counts.get(int(cell), 0) + int(jumps)

@@ -359,6 +359,21 @@ def test_engine_digest_script_runs():
                                                    "lindblad", "density", "ideal"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[-1]) for line in lines)
 
+def test_engine_digest_matches_golden_file():
+    """``engine_digest.py --check`` finds every digest line and stdout hash
+    of ``scripts/golden.json`` unchanged.  On another environment (numpy,
+    BLAS, machine, C library or SIMD extensions) the bits may differ, so the
+    test skips and shows the fingerprint it saw; a mismatch never passes."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "engine_digest.py"
+    golden = json.loads(script.with_name("golden.json").read_text(encoding="utf-8"))
+    assert (len(golden["digests"]), len(golden["stdout"])) == (10, 5)
+    done = subprocess.run([sys.executable, str(script), "--check"],
+                          capture_output=True, text=True)
+    if done.returncode == 3:
+        pytest.skip(done.stderr.strip())
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
 def test_module_entry_point_end_to_end(tmp_path):
     """Exit codes through the real process boundary."""
     ok = subprocess.run([sys.executable, "-m", "cavity_toffoli", "truth-table"],

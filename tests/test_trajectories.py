@@ -1062,6 +1062,17 @@ def _dense_liouvillian(h, a, kappa):
             + kappa * (np.kron(a, a.conj()) - 0.5 * (np.kron(n, eye) + np.kron(eye, n.T))))
 
 
+def _full_rank_rho(space, support=None):
+    """A random density matrix on ``space`` of full rank on the basis states
+    ``support`` (by default all): every pair of them nonzero, no other."""
+    support = np.arange(space.total_dim) if support is None else support
+    rng, r = np.random.default_rng(8), len(support)
+    g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    rho = np.zeros((space.total_dim,) * 2, dtype=np.complex128)
+    rho[np.ix_(support, support)] = g @ g.conj().T / np.trace(g @ g.conj().T)
+    return rho
+
+
 def _memo_blocks(memo, k, kappa):
     """(pair indices, G_H T + kappa G_loss T) of each block of segment k of
     a ``_liouvillian`` memo, at the call's kappa, as ``_lindblad_stack`` forms it."""
@@ -1088,11 +1099,9 @@ def test_lindblad_blocks_match_dense_liouvillian(fock_dim, tau, loss_scope):
     space = schedule.space
     dim = space.total_dim
     kappa = 0.0 if math.isinf(tau) else 1.0 / tau
-    memo = trajectories._liouvillian(schedule, np.ones(dim, dtype=bool).tobytes())
+    memo = trajectories._liouvillian(schedule, np.ones((dim, dim), dtype=bool).tobytes())
     a = embed_operator(space, [0], annihilation(space.subsystem_dims[0])).entries
-    rng = np.random.default_rng(8)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho0 = DensityMatrix(space, g @ g.conj().T / np.trace(g @ g.conj().T))
+    rho0 = DensityMatrix(space, _full_rank_rho(space))
     assert float(np.linalg.eigvalsh(rho0.entries).min()) > 1e-6   # full rank
     timed = [k for k, seg in enumerate(schedule.segments) if seg.kind != "classical_pulse"]
     assert [k for k, (_, blocks) in enumerate(memo[2]) if blocks] == timed
@@ -1140,7 +1149,7 @@ def test_liouvillian_block_exponentials_match_expm(fock_dim, loss_scope):
     hamiltonian_part = {k: _dense_liouvillian(segment_drift(schedule, seg).entries, a, 0.0)
                         for k, seg in timed.items()}
     loss_part = _dense_liouvillian(np.zeros_like(a), a, 1.0)
-    memo = trajectories._liouvillian(schedule, np.ones(dim, dtype=bool).tobytes())
+    memo = trajectories._liouvillian(schedule, np.ones((dim, dim), dtype=bool).tobytes())
     for tau in (*DEFAULT_TAU_GRID, 2e-5, math.inf):
         for k, seg in timed.items():
             liouv = hamiltonian_part[k] + (1.0 / tau if seg.loss_active else 0.0) * loss_part
@@ -1151,33 +1160,57 @@ def test_liouvillian_block_exponentials_match_expm(fock_dim, loss_scope):
                     assert err <= 1e-12, (tau, seg.kind, len(rows), err)
 
 
-def _oracle_memo(schedule, starts=None):
-    """The ``_liouvillian`` memo of the support of the rows ``starts``, by
-    default ``lindblad_gate_fidelity``'s logical basis."""
-    starts = _logical_basis(schedule) if starts is None else starts
-    return trajectories._liouvillian(schedule, np.any(starts != 0, axis=0).tobytes())
+def _projectors(schedule):
+    """``lindblad_gate_fidelity``'s inputs: the 8 logical projectors."""
+    basis = _logical_basis(schedule)
+    return basis[:, :, None] * basis.conj()[:, None, :]
+
+
+def _oracle_memo(schedule, rho0s=None):
+    """The ``_liouvillian`` memo of the pairs the inputs ``rho0s`` (m, dim, dim)
+    hold nonzero, by default the 8 logical projectors, keyed as
+    ``_lindblad_stack`` keys it."""
+    rho0s = _projectors(schedule) if rho0s is None else rho0s
+    return trajectories._liouvillian(schedule, (rho0s != 0).any(axis=0).tobytes())
+
+
+def _every_pair(schedule, support):
+    """A one-input stack nonzero on every pair of the basis states ``support``."""
+    mask = np.zeros((1, schedule.space.total_dim, schedule.space.total_dim))
+    mask[:, support[:, None], support] = 1.0
+    return mask
+
+
+def _applications(memo):
+    """The number of block applications of a ``_liouvillian`` memo's steps."""
+    return sum(len(idx) for _, blocks in memo[2] for idx, _ in blocks)
 
 
 def test_lindblad_takes_one_expm_per_block_size(params, schedule, monkeypatch):
     """One ``lindblad_gate_fidelity`` call exponentiates every timed
-    segment's blocks of one size together: exactly one ``_expm`` call per
-    distinct block size of the schedule (8 at fock_dim 3), whose stack holds
-    each distinct block of that size once, every one of them used; the
-    schedule's segments hold more blocks than that."""
+    segment's kept blocks of one size together: of the 213 blocks of the
+    13-state basis (102 distinct), the 8 logical projectors reach 41 (28
+    distinct, in 7 sizes), so it takes 7 ``_expm`` calls, one per size, each
+    stack holding each distinct kept block of that size once, every one of
+    them used."""
     _, stacks, steps = _oracle_memo(schedule)
     count, used = collections.Counter(), collections.defaultdict(set)
     for idx, at in (block for _, blocks in steps for block in blocks):
         count[idx.shape[1]] += len(idx)
         used[idx.shape[1]].update(at.tolist())
-    assert len(count) == 8 and sum(len(blocks) for _, blocks in steps) > len(count)
     distinct = {size: len(g_h) for size, (g_h, _) in stacks.items()}
+    assert (len(count), sum(count.values()), sum(distinct.values())) == (7, 41, 28)
     assert {size: sorted(at) for size, at in used.items()} == {
         size: list(range(n)) for size, n in distinct.items()}
-    assert sum(distinct.values()) < sum(count.values())
+    support = _oracle_memo(schedule)[0]
+    unpruned = _oracle_memo(schedule, _every_pair(schedule, support))
+    assert (len(support), _applications(unpruned),
+            sum(len(g_h) for g_h, _ in unpruned[1].values())) == (13, 213, 102)
     expm, calls = trajectories._expm, []
     monkeypatch.setattr(trajectories, "_expm", lambda a: calls.append(a.shape) or expm(a))
     lindblad_gate_fidelity(params, 1e-3)
     assert sorted(calls) == sorted((n, size, size) for size, n in distinct.items())
+    assert len(calls) == 7
 
 
 def test_lindblad_stack_takes_every_tau_in_one_expm_per_block_size(params, schedule,
@@ -1192,7 +1225,7 @@ def test_lindblad_stack_takes_every_tau_in_one_expm_per_block_size(params, sched
     expm, calls = trajectories._expm, []
     monkeypatch.setattr(trajectories, "_expm", lambda a: calls.append(a.shape) or expm(a))
     rhos = trajectories._lindblad_stack(schedule, rho0.entries[None], taus)
-    _, stacks, _ = _oracle_memo(schedule, rho0.entries)
+    _, stacks, _ = _oracle_memo(schedule, rho0.entries[None])
     assert sorted(calls) == sorted((4 * len(g_h), size, size)
                                    for size, (g_h, _) in stacks.items())
     assert rhos.shape == (4, 1, *rho0.entries.shape)
@@ -1235,12 +1268,12 @@ _GATE_IDS = ["fock-3", "fock-4", "fock-3-collision-only"]
 
 @pytest.mark.parametrize("fock_dim, loss_scope", _GATES, ids=_GATE_IDS)
 def test_liouvillian_stacks_hold_each_block_once(fock_dim, loss_scope):
-    """In the memo of the logical inputs and of the whole space, no two
+    """In the memo of the logical projectors and of a full-rank rho, no two
     entries (G_H T, G_loss T) of one size's stack are byte-equal."""
     schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim),
                                 loss_scope=loss_scope)
-    for starts in (_logical_basis(schedule), np.eye(schedule.space.total_dim)):
-        _, stacks, _ = _oracle_memo(schedule, starts)
+    for rho0s in (_projectors(schedule), _full_rank_rho(schedule.space)[None]):
+        _, stacks, _ = _oracle_memo(schedule, rho0s)
         for g_h, g_loss in stacks.values():
             keys = [h.tobytes() + l.tobytes() for h, l in zip(g_h, g_loss)]
             assert len(set(keys)) == len(keys)
@@ -1251,14 +1284,16 @@ def test_rabi_segments_share_stack_positions(params, schedule):
     their blocks have the same pair indices and the same stack positions, so
     the channel exponentiates them once.  Bytes, not values, decide: the
     default gate's decoding Rabi (-H) has one-pair blocks equal in value to
-    the encoding one's but for a signed zero, and they keep their own."""
+    the encoding one's but for a signed zero, and they keep their own.  A
+    full-rank rho keeps every block of both segments."""
     plain = toffoli_schedule(params, decode_adjoint=False)
     assert plain.segments[0] == plain.segments[4]
-    steps = _oracle_memo(plain)[2]
+    full_rank = _full_rank_rho(schedule.space)[None]
+    steps = _oracle_memo(plain, full_rank)[2]
     assert len(steps[0][1]) == len(steps[4][1]) > 1
     for (idx, at), (idx_4, at_4) in zip(steps[0][1], steps[4][1]):
         assert np.array_equal(idx, idx_4) and np.array_equal(at, at_4)
-    _, stacks, steps = _oracle_memo(schedule)
+    _, stacks, steps = _oracle_memo(schedule, full_rank)
     (idx, encode), (_, decode) = steps[0][1][0], steps[4][1][0]
     assert idx.shape[1] == 1 and not set(encode.tolist()) & set(decode.tolist())
     for x in stacks[1]:
@@ -1270,9 +1305,7 @@ def _blockwise_channel(schedule, rho0s, taus):
     compiled basis, each segment block exponentiated alone (a one-matrix
     ``_expm`` call per block and tau)."""
     kappas = np.array([NoiseParams(tau=tau, epsilon=0.0).kappa for tau in taus])
-    nonzero = rho0s != 0
-    support, stacks, steps = trajectories._liouvillian(
-        schedule, (nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2))).tobytes())
+    support, stacks, steps = _oracle_memo(schedule, rho0s)
     r = len(support)
     vecs = np.repeat(rho0s[:, support[:, None], support].reshape(1, len(rho0s), r * r),
                      len(kappas), axis=0)
@@ -1295,12 +1328,37 @@ def test_lindblad_stack_equals_blockwise_walk(fock_dim, loss_scope):
     block alone."""
     schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim),
                                 loss_scope=loss_scope)
-    basis = _logical_basis(schedule)
-    projectors = basis[:, :, None] * basis.conj()[:, None, :]
+    projectors = _projectors(schedule)
     taus = (0.5e-3, 1e-3, math.inf)
     rhos = trajectories._lindblad_stack(schedule, projectors, taus)
     support, vecs = _blockwise_channel(schedule, projectors, taus)
     assert np.array_equal(rhos[:, :, support[:, None], support].reshape(vecs.shape), vecs)
+
+
+@pytest.mark.parametrize("fock_dim, loss_scope", _GATES, ids=_GATE_IDS)
+def test_full_rank_input_keeps_every_block(fock_dim, loss_scope):
+    """The channel exponentiates only the blocks that hold a pair some input
+    may hold nonzero.  A rho of full rank on the inputs' compiled basis,
+    appended to the stack, reaches every pair of it, so the stack takes the
+    memo of every pair of that basis, every block kept; the other inputs'
+    outputs, the 8 logical projectors or validate's equal superposition,
+    stay ``np.array_equal`` at 0.2, 0.5, 1 and 5 ms and inf.  (On a larger
+    basis the blocks are others, and the bits may differ.)"""
+    schedule = toffoli_schedule(PhysicalParams.from_frequency(fock_dim=fock_dim),
+                                loss_scope=loss_scope)
+    taus = (0.2e-3, 0.5e-3, 1e-3, 5e-3, math.inf)
+    amps = _logical_basis(schedule).sum(axis=0)
+    superposition = DensityMatrix.from_state(
+        StateVector(schedule.space, amps / np.linalg.norm(amps))).entries[None]
+    for rho0s in (_projectors(schedule), superposition):
+        pruned = _oracle_memo(schedule, rho0s)
+        every_block = _oracle_memo(schedule, _every_pair(schedule, pruned[0]))
+        both = np.concatenate((rho0s, _full_rank_rho(schedule.space, pruned[0])[None]))
+        assert _oracle_memo(schedule, both) is every_block
+        assert _applications(pruned) < _applications(every_block)
+        alone = trajectories._lindblad_stack(schedule, rho0s, taus)
+        together = trajectories._lindblad_stack(schedule, both, taus)
+        assert np.array_equal(together[:, :-1], alone)
 
 
 def test_lindblad_oracle_runs_no_eigendecomposition(params, schedule, monkeypatch):
