@@ -106,17 +106,14 @@ def logical_process_matrix(schedule: Schedule) -> np.ndarray:
     return basis.conj() @ outputs.T
 
 
-def _schedule_of(params: PhysicalParams, schedule: Schedule | None) -> Schedule:
-    """``schedule``, which must be built from ``params``, or else the gate of ``params``."""
-    if schedule is not None and schedule.params != params:
-        raise ValueError("schedule was built from other parameters than params")
-    return toffoli_schedule(params) if schedule is None else schedule
+def _schedule_of(gate: Schedule | PhysicalParams) -> Schedule:
+    """``gate`` itself, or the default ``toffoli_schedule`` of a ``PhysicalParams``."""
+    return gate if isinstance(gate, Schedule) else toffoli_schedule(gate)
 
 
-def gate_fidelity(params: PhysicalParams, noise: NoiseParams, *,
-                  schedule: Schedule | None = None,
+def gate_fidelity(gate: Schedule | PhysicalParams, noise: NoiseParams, *,
                   cell_index: int = 0) -> FidelityResult:
-    """Trajectory-averaged Toffoli fidelity over the 8 logical basis inputs.
+    """Trajectory-averaged Toffoli fidelity of ``gate`` over the 8 logical basis inputs.
 
     The inputs that reach one compiled basis run as one input-major row set
     on it (inputs 0-3 on 13 states, 4-7 on 7), so every row is bit for bit
@@ -125,7 +122,7 @@ def gate_fidelity(params: PhysicalParams, noise: NoiseParams, *,
     row-major cell index so each cell is an independent stream family.
     """
     _check_counter_words(cell_index=cell_index)
-    return _cell_fidelity(_schedule_of(params, schedule), (noise,), np.array([cell_index]))[0]
+    return _cell_fidelity(_schedule_of(gate), (noise,), np.array([cell_index]))[0]
 
 
 def _cell_fidelity(schedule: Schedule, noises: tuple[NoiseParams, ...],
@@ -157,24 +154,23 @@ def _cell_fidelity(schedule: Schedule, noises: tuple[NoiseParams, ...],
             for cell, noise in zip(fids, noises)]
 
 
-def lindblad_gate_fidelity(params: PhysicalParams, tau: float, *,
-                           schedule: Schedule | None = None) -> float:
-    """Deterministic (sampling-free) fidelity at epsilon = 0.
+def lindblad_gate_fidelity(gate: Schedule | PhysicalParams, tau: float) -> float:
+    """Deterministic (sampling-free) fidelity of ``gate`` at epsilon = 0.
 
     Evolves the 8 basis inputs as one stack through the exact Lindblad
     channel and averages <target| rho |target>.  Oracle for the
     epsilon = 0 column of the stochastic pipeline.
     """
-    schedule = _schedule_of(params, schedule)
+    schedule = _schedule_of(gate)
     basis = _logical_basis(schedule)
     rhos = _lindblad_stack(schedule, basis[:, :, None] * basis.conj()[:, None, :], (tau,))[0]
     return sum(float(np.vdot(target, rho @ target).real)
                for target, rho in zip(basis[_IMAGES], rhos)) / len(LOGICAL_BITS)
 
 
-def sweep(params: PhysicalParams, tau_values, epsilon_values, n_traj: int,
-          seed: int, *, schedule: Schedule | None = None) -> FidelityGrid:
-    """Fidelity surface on the (tau, epsilon) grid, deterministic per seed.
+def sweep(gate: Schedule | PhysicalParams, tau_values, epsilon_values, n_traj: int,
+          seed: int) -> FidelityGrid:
+    """Fidelity surface of ``gate`` on the (tau, epsilon) grid, deterministic per seed.
 
     Cell (i, j) uses the RNG stream family of cell index i*len(eps)+j, so
     it reproduces a direct ``gate_fidelity`` call with that ``cell_index``
@@ -187,7 +183,7 @@ def sweep(params: PhysicalParams, tau_values, epsilon_values, n_traj: int,
         raise ValueError("sweep grids must be nonempty")
     noises = [[NoiseParams(tau=tau, epsilon=eps, n_traj=n_traj, seed=seed)
                for eps in epsilon_values] for tau in tau_values]
-    schedule = _schedule_of(params, schedule)
+    schedule = _schedule_of(gate)
     cells = tuple(tuple(_cell_fidelity(schedule, row,
                                        np.arange(i * len(row), (i + 1) * len(row))))
                   for i, row in enumerate(noises))

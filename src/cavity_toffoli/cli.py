@@ -209,7 +209,7 @@ def cmd_truth_table(noise: NoiseParams, schedule: Schedule,
 
 
 def cmd_run(noise: NoiseParams, schedule: Schedule, args: argparse.Namespace) -> int:
-    result = gate_fidelity(schedule.params, noise, schedule=schedule)
+    result = gate_fidelity(schedule, noise)
     print(json.dumps(result.to_jsonable()))
     return 0
 
@@ -218,8 +218,7 @@ def cmd_sweep(noise: NoiseParams, schedule: Schedule, args: argparse.Namespace) 
     try:
         tau_values = _parse_grid(args.tau_grid) if args.tau_grid else DEFAULT_TAU_GRID
         eps_values = _parse_grid(args.eps_grid) if args.eps_grid else DEFAULT_EPSILON_GRID
-        grid = sweep(schedule.params, tau_values, eps_values,
-                     noise.n_traj, noise.seed, schedule=schedule)
+        grid = sweep(schedule, tau_values, eps_values, noise.n_traj, noise.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     try:

@@ -100,8 +100,8 @@ class Schedule:
             "segments": [seg.to_jsonable() for seg in self.segments],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_jsonable(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_jsonable(), indent=2)
 
 
 def toffoli_schedule(params: PhysicalParams, *, decode_adjoint: bool = True,

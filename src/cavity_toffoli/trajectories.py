@@ -764,7 +764,10 @@ def _lindblad_stack(schedule: Schedule, rho0s: np.ndarray,
     when all run.  The memo's distinct blocks L T of one size, over all taus,
     take one ``_expm`` call, which treats each matrix on its own, so a block
     that recurs gives the bits it would alone; each block gathers its
-    exponential by position, and they act in segment order.  Inputs have unit
+    exponential by position, and they act in segment order.  An input's output
+    bits depend on the other inputs of its stack, through their union basis and
+    its blocks: the same stack always gives the same bits, but stacking
+    unrelated inputs can move last bits (1.7e-16 seen).  Inputs have unit
     trace; a ValueError names the first tau whose outputs lose it (by more than
     TRACE_TOL; the error grows like kappa times a segment's duration)."""
     kappas = np.array([NoiseParams(tau=tau, epsilon=0.0).kappa for tau in taus])

@@ -1511,5 +1511,5 @@ def test_zero_length_timed_segments_change_nothing(params, schedule):
     for (inputs, compiled), (plain_inputs, plain) in zip(*groups):
         np.testing.assert_array_equal(inputs, plain_inputs)
         np.testing.assert_array_equal(compiled.support, plain.support)
-    result = gate_fidelity(params, noise, schedule=padded)
+    result = gate_fidelity(padded, noise)
     assert abs(result.mean - lindblad_gate_fidelity(params, 0.2e-3)) <= 3 * result.std_error
